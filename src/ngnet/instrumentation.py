@@ -129,7 +129,11 @@ def t_trace(spec: NetworkSpec, params: dict, epoch: int):
 
 def mean_shift_trace(spec: NetworkSpec, params: dict, batch, labels):
     """Per linear layer: mean of its input z and of the loss gradient at its
-    pre-activation, the two quantities the bounds depend on."""
+    pre-activation, the two quantities the bounds depend on.
+
+    Runs on a copy of params, so the train-mode forward leaves the caller's
+    batch-norm running statistics untouched."""
+    params = copy.deepcopy(params)
     logits, _, cache = forward(spec, params, batch, labels, mode="train")
     caches = cache["layers"]
     # reconstruct pre-activation gradients by re-running backward and

@@ -5,6 +5,15 @@ restricted to 3x3 kernels with zero padding 1 and stride 1 or 2; pooling is
 2x2 non-overlapping max or global average.  Inputs may be a single sample
 ``(C, H, W)`` or a batch ``(B, C, H, W)``; single samples are promoted
 internally and the result is demoted back.
+
+Convolution is unfold + GEMM (Chellapilla, Puri & Simard 2006).  The forward
+gathers the 3x3 patches channels-first, as ``(B, C, 3, 3, H', W')``, and
+contracts them with ``np.tensordot``.  The backward unfolds channels-last,
+into one contiguous ``(B*H'*W', C*9)`` matrix whose columns follow the
+kernel's ``(C_in, 3, 3)`` order, and runs two plain 2-D GEMMs on it.  That
+matrix is the operand ``np.tensordot`` itself copies out of channels-first
+patches, so the backward's results are bitwise those of a ``tensordot``
+contraction (see ``conv2d_backward``).
 """
 
 from __future__ import annotations
@@ -75,31 +84,66 @@ def conv2d_forward(x, kernels, stride=1):
     return out[0] if squeeze else out
 
 
+def _unfold_channels_last(x, stride, h_out, w_out):
+    """Gather the 3x3 patches of a (B, C, H, W) batch, padded by 1, into a
+    contiguous (B*H'*W', C*9) matrix: one row per output position, columns
+    in the kernel's (C_in, 3, 3) order."""
+    b, c, h, w = x.shape
+    xp = np.zeros((b, h + 2, w + 2, c))
+    xp[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
+    cols = np.empty((b, h_out, w_out, c, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            cols[..., i, j] = xp[:, i:i + stride * h_out:stride,
+                                 j:j + stride * w_out:stride]
+    return cols.reshape(b * h_out * w_out, c * 9)
+
+
 def conv2d_backward(grad_out, x, kernels, stride=1):
-    """Gradients of conv2d_forward w.r.t. its input and kernels."""
+    """Gradients of conv2d_forward w.r.t. its input and kernels.
+
+    Returns ``(grad_x, grad_k)`` shaped like ``x`` and ``kernels``.  With
+    N = B*H'*W' output positions, the input is unfolded once into the
+    channels-last (N, C_in*9) matrix U and
+
+        grad_k = G @ U          G:  (C_out, N),  grad_out as (C_out, B, H', W')
+        taps   = Gt @ K         Gt: (N, C_out),  grad_out as (B, H', W', C_out)
+                                K:  (C_out, C_in*9), the kernels as stored
+
+    Both GEMMs take C-contiguous operands of exactly the shapes and layouts
+    ``np.tensordot`` builds for the same contractions over the channels-first
+    patches, so the BLAS calls, and hence the results, are bitwise the same
+    for batched input.  For a single sample ``tensordot`` reshapes the
+    patches without copying and passes BLAS a transposed operand, so grad_k
+    may then differ in the last bit.  U is freed before the second GEMM.
+    The nine (N, C_in) taps are scatter-added in row-major tap order into
+    one zeroed channels-last padded buffer; grad_x is a (B, C, H, W) view
+    of its interior.
+    """
     x, squeeze = _promote(x)
     grad_out = as_f64(grad_out)
     if grad_out.ndim == 3:
         grad_out = grad_out[None]
     kernels = as_f64(kernels)
-    h_out, w_out = _conv_geometry(x.shape[2], x.shape[3], stride)
-    if grad_out.shape != (x.shape[0], kernels.shape[0], h_out, w_out):
+    b, c, h, w = x.shape
+    c_out = kernels.shape[0]
+    h_out, w_out = _conv_geometry(h, w, stride)
+    if grad_out.shape != (b, c_out, h_out, w_out):
         raise ShapeError(
             f"grad_out shape {grad_out.shape} inconsistent with forward "
-            f"output ({x.shape[0]}, {kernels.shape[0]}, {h_out}, {w_out})")
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = _im2col(xp, stride, h_out, w_out)
-    # grad wrt kernels: contract over batch and spatial output positions
-    grad_k = np.tensordot(grad_out, cols, axes=([0, 2, 3], [0, 4, 5]))
-    # grad wrt input: scatter-add each tap back into the padded frame
-    grad_cols = np.tensordot(grad_out, kernels, axes=([1], [0]))  # (B,H',W',C,3,3)
-    grad_cols = grad_cols.transpose(0, 3, 4, 5, 1, 2)
-    gxp = np.zeros_like(xp)
+            f"output ({b}, {c_out}, {h_out}, {w_out})")
+    cols = _unfold_channels_last(x, stride, h_out, w_out)
+    g = grad_out.transpose(1, 0, 2, 3).reshape(c_out, -1)
+    grad_k = (g @ cols).reshape(kernels.shape)
+    del cols
+    gt = grad_out.transpose(0, 2, 3, 1).reshape(-1, c_out)
+    taps = (gt @ kernels.reshape(c_out, -1)).reshape(b, h_out, w_out, c, 3, 3)
+    gxp = np.zeros((b, h + 2, w + 2, c))
     for i in range(3):
         for j in range(3):
-            gxp[:, :, i:i + stride * h_out:stride,
-                j:j + stride * w_out:stride] += grad_cols[:, :, i, j]
-    grad_x = gxp[:, :, 1:-1, 1:-1]
+            gxp[:, i:i + stride * h_out:stride,
+                j:j + stride * w_out:stride] += taps[..., i, j]
+    grad_x = gxp[:, 1:-1, 1:-1].transpose(0, 3, 1, 2)
     return (grad_x[0] if squeeze else grad_x), grad_k
 
 

@@ -10,6 +10,7 @@ settings were chosen once and are not free parameters of the gate.
 import copy
 
 import numpy as np
+import pytest
 
 from ngnet.config import ExperimentConfig
 from ngnet.datasets import (make_blobs, read_cifar10_records,
@@ -124,6 +125,7 @@ def desk_cfg(experiment, out, **kw):
 # 4. Capacity trend
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_accept_4_capacity_trend(tmp_path):
     cfg = desk_cfg("capacity_sweep", tmp_path, epochs=30)
     cfg.model.family = "toy_cnn"
@@ -149,6 +151,7 @@ def test_accept_4_capacity_trend(tmp_path):
 # 5. Critical depth
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_accept_5_critical_depth(tmp_path):
     cfg = desk_cfg("critical_depth", tmp_path, epochs=12,
                    depth_start=8, depth_step=6, depth_count=4)
@@ -169,6 +172,7 @@ def test_accept_5_critical_depth(tmp_path):
 # 6. Initialization robustness
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_accept_6_init_robustness(tmp_path):
     cfg = desk_cfg("learning_behavior", tmp_path, epochs=25)
     cfg.model.family = "plain_cnn"
@@ -185,6 +189,7 @@ def test_accept_6_init_robustness(tmp_path):
 # 7. Variance stability
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_accept_7_variance_stability(tmp_path):
     """Ten conv layers plus the classifier, trained the same way from the
     same seed; the wrapped net's per-layer weight variances stay closer to

@@ -13,7 +13,7 @@ import pytest
 
 from ngnet.cli import main as cli_main
 from ngnet.config import ExperimentConfig
-from ngnet.csvio import SCHEMAS, read_csv
+from ngnet.csvio import SCHEMAS, emit_csv, read_csv
 from ngnet.datasets import write_cifar10_records
 from ngnet.errors import ConfigError
 from ngnet.network import ActivationSpec, Dense
@@ -149,6 +149,30 @@ class TestTrainRun:
         # the diverged row is the last row; nothing follows it
         assert all(not r["diverged"] for r in res.rows[:-1])
         assert len(res.rows) < cfg.epochs + 1
+
+    def test_stats_collection_leaves_bn_training_unchanged(self, tmp_path):
+        """Per-epoch probes must not touch the batch-norm running statistics,
+        which feed every later eval-mode test accuracy."""
+        cfg = mlp_cfg(tmp_path)
+        cfg.model.family = "plain_cnn"
+        cfg.model.depth = 5
+        cfg.model.width = 4
+        cfg.model.with_bn = True
+        cfg.dataset.as_images = True
+        cfg.dataset.n = 160
+        cfg.epochs = 3
+        runs = {}
+        for collect in (False, True):
+            res = train_run(cfg, run_id="bn", collect_stats=collect)
+            path = tmp_path / f"metrics_{collect}.csv"
+            emit_csv(res.rows, str(path), schema="metrics")
+            runs[collect] = (res.params, path.read_bytes())
+        (p_off, csv_off), (p_on, csv_on) = runs[False], runs[True]
+        assert csv_on == csv_off
+        assert any("running_mean" in p for p in p_off.values())
+        for i in p_off:
+            for key in p_off[i]:
+                assert np.array_equal(p_on[i][key], p_off[i][key]), (i, key)
 
     def test_flags_never_contradictory(self, tmp_path):
         cfg = mlp_cfg(tmp_path)

@@ -41,6 +41,24 @@ def naive_conv2d(x, k, stride):
     return out
 
 
+def naive_conv2d_backward(g, x, k, stride):
+    """Both gradients of naive_conv2d by direct sums, one sample (C, H, W)."""
+    c_out, c_in = k.shape[:2]
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(k)
+    for co in range(c_out):
+        for i in range(g.shape[1]):
+            for j in range(g.shape[2]):
+                for ci in range(c_in):
+                    for di in range(3):
+                        for dj in range(3):
+                            r, s = i * stride + di, j * stride + dj
+                            gk[co, ci, di, dj] += g[co, i, j] * xp[ci, r, s]
+                            gxp[ci, r, s] += g[co, i, j] * k[co, ci, di, dj]
+    return gxp[:, 1:-1, 1:-1], gk
+
+
 class TestMatmul:
     def test_identity(self):
         assert np.array_equal(matmul([[1, 0], [0, 1]], [[3], [4]]), [[3], [4]])
@@ -113,6 +131,27 @@ class TestConv2dBackward:
         _, gk = conv2d_backward(g, x, k)
         patch = x[0, 1:4, 1:4]
         np.testing.assert_allclose(gk[0, 0], patch, atol=1e-15)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("batch", [None, 1, 3])
+    def test_against_loop_oracle(self, stride, batch):
+        """Odd, unequal H and W; grad_out arrives as a transposed view."""
+        rng = np.random.default_rng(7 + stride)
+        b = batch or 1
+        x = rng.standard_normal((b, 2, 7, 5))
+        k = rng.standard_normal((3, 2, 3, 3))
+        h_out, w_out = (7 - 1) // stride + 1, (5 - 1) // stride + 1
+        g = rng.standard_normal((h_out, w_out, b, 3)).transpose(2, 3, 0, 1)
+        assert not g.flags.c_contiguous
+        want = [naive_conv2d_backward(g[n], x[n], k, stride) for n in range(b)]
+        want_x = np.stack([gx for gx, _ in want])
+        want_k = sum(gk for _, gk in want)
+        if batch is None:
+            x, g, want_x = x[0], g[0], want_x[0]
+        gx, gk = conv2d_backward(g, x, k, stride)
+        assert gx.shape == x.shape and gk.shape == k.shape
+        np.testing.assert_allclose(gx, want_x, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(gk, want_k, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("stride", [1, 2])
