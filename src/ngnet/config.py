@@ -149,6 +149,24 @@ def _fill(obj, d: dict, path=""):
             setattr(obj, key, value)
 
 
+def _validate(cfg: ExperimentConfig):
+    """Reject types and ranges the run would otherwise trip over, or run
+    with silently, once every override has been applied."""
+    for name, value in (("epochs", cfg.epochs), ("batch_size", cfg.batch_size),
+                        ("model.depth", cfg.model.depth),
+                        ("model.width", cfg.model.width)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    for name in ("lr", "momentum", "weight_decay"):
+        value = getattr(cfg.optim, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"optim.{name} must be a number, got {value!r}")
+    try:
+        cfg.optim.validate()
+    except ValueError as exc:
+        raise ConfigError(f"optim: {exc}") from None
+
+
 def build_experiment_config(raw: dict) -> ExperimentConfig:
     raw = dict(raw)
     cfg = ExperimentConfig()
@@ -182,6 +200,7 @@ def build_experiment_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     if cfg.seed is None:
         raise ConfigError("seed is mandatory")
+    _validate(cfg)
     if not cfg.run_id:
         cfg.run_id = f"{cfg.experiment}-s{cfg.seed}"
     return cfg

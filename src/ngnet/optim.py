@@ -50,16 +50,21 @@ class OptimConfig:
     schedule_cuts_t_lr: bool = True
 
     def __post_init__(self):
+        self.validate()
+        if self.t_lr is None:
+            self.t_lr = self.lr
+        if self.t_momentum is None:
+            self.t_momentum = self.momentum
+
+    def validate(self):
+        """Raise ValueError for a learning rate, momentum or weight decay
+        out of range."""
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight decay must be non-negative")
-        if self.t_lr is None:
-            self.t_lr = self.lr
-        if self.t_momentum is None:
-            self.t_momentum = self.momentum
 
 
 def zero_velocities(params: dict) -> dict:

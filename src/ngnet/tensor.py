@@ -1,4 +1,4 @@
-"""Dense numerical kernels: matmul, 3x3 convolution, pooling.
+"""Dense numerical kernels: 3x3 convolution, pooling.
 
 All arrays are float64 and all kernels are pure functions.  Convolution is
 restricted to 3x3 kernels with zero padding 1 and stride 1 or 2; pooling is
@@ -6,14 +6,16 @@ restricted to 3x3 kernels with zero padding 1 and stride 1 or 2; pooling is
 ``(C, H, W)`` or a batch ``(B, C, H, W)``; single samples are promoted
 internally and the result is demoted back.
 
-Convolution is unfold + GEMM (Chellapilla, Puri & Simard 2006).  The forward
-gathers the 3x3 patches channels-first, as ``(B, C, 3, 3, H', W')``, and
-contracts them with ``np.tensordot``.  The backward unfolds channels-last,
-into one contiguous ``(B*H'*W', C*9)`` matrix whose columns follow the
-kernel's ``(C_in, 3, 3)`` order, and runs two plain 2-D GEMMs on it.  That
-matrix is the operand ``np.tensordot`` itself copies out of channels-first
-patches, so the backward's results are bitwise those of a ``tensordot``
-contraction (see ``conv2d_backward``).
+Convolution is unfold + GEMM (Chellapilla, Puri & Simard 2006).  One unfold
+serves both directions: the input, padded channels-last, is copied into a
+contiguous ``(B*H'*W', C*9)`` matrix with columns in the kernel's
+``(C_in, 3, 3)`` order; the forward runs one GEMM on it, the backward two.
+These are the operands ``np.tensordot`` builds from channels-first patches,
+so the results are bitwise those of ``tensordot`` (for a batch of one, see
+``conv2d_forward`` and ``conv2d_backward``).  The nine tap copies run over
+blocks of samples whose unfold rows fit in ``UNFOLD_BLOCK_BYTES``, so an
+unfold larger than L2 (32x32 inputs) is not streamed from memory once per
+tap; at 8x8 and batch 32 the whole batch is one block.
 """
 
 from __future__ import annotations
@@ -22,20 +24,13 @@ import numpy as np
 
 from .errors import ShapeError
 
+# Half of a 2 MiB per-core L2, so one block of unfold rows and the input
+# samples it reads stay cached across the nine tap copies.
+UNFOLD_BLOCK_BYTES = 1 << 20
+
 
 def as_f64(x) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of a 2-D ``(m, k)`` by a 2-D ``(k, n)`` array."""
-    a = as_f64(a)
-    b = as_f64(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def _promote(x):
@@ -53,37 +48,6 @@ def _conv_geometry(h, w, stride):
     return (h + 2 - 3) // stride + 1, (w + 2 - 3) // stride + 1
 
 
-def _im2col(xp, stride, h_out, w_out):
-    """Gather 3x3 patches from a padded batch into (B, C, 3, 3, H', W')."""
-    b, c = xp.shape[:2]
-    cols = np.empty((b, c, 3, 3, h_out, w_out))
-    for i in range(3):
-        for j in range(3):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * h_out:stride,
-                                  j:j + stride * w_out:stride]
-    return cols
-
-
-def conv2d_forward(x, kernels, stride=1):
-    """3x3 convolution with zero padding 1.
-
-    x: (B, C_in, H, W) or (C_in, H, W); kernels: (C_out, C_in, 3, 3).
-    """
-    x, squeeze = _promote(x)
-    kernels = as_f64(kernels)
-    if kernels.ndim != 4 or kernels.shape[2:] != (3, 3):
-        raise ShapeError(f"only 3x3 kernels are supported, got {kernels.shape}")
-    if kernels.shape[1] != x.shape[1]:
-        raise ShapeError(f"channel mismatch: input {x.shape} vs kernels {kernels.shape}")
-    h_out, w_out = _conv_geometry(x.shape[2], x.shape[3], stride)
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = _im2col(xp, stride, h_out, w_out)
-    # (B,C,3,3,H',W') . (Co,C,3,3) -> (B,H',W',Co)
-    out = np.tensordot(cols, kernels, axes=([1, 2, 3], [1, 2, 3]))
-    out = out.transpose(0, 3, 1, 2)
-    return out[0] if squeeze else out
-
-
 def _unfold_channels_last(x, stride, h_out, w_out):
     """Gather the 3x3 patches of a (B, C, H, W) batch, padded by 1, into a
     contiguous (B*H'*W', C*9) matrix: one row per output position, columns
@@ -92,11 +56,40 @@ def _unfold_channels_last(x, stride, h_out, w_out):
     xp = np.zeros((b, h + 2, w + 2, c))
     xp[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
     cols = np.empty((b, h_out, w_out, c, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            cols[..., i, j] = xp[:, i:i + stride * h_out:stride,
-                                 j:j + stride * w_out:stride]
+    step = max(1, UNFOLD_BLOCK_BYTES // (h_out * w_out * c * 9 * x.itemsize))
+    for s in range(0, b, step):
+        for i in range(3):
+            for j in range(3):
+                cols[s:s + step, ..., i, j] = xp[s:s + step,
+                                                 i:i + stride * h_out:stride,
+                                                 j:j + stride * w_out:stride]
     return cols.reshape(b * h_out * w_out, c * 9)
+
+
+def conv2d_forward(x, kernels, stride=1):
+    """3x3 convolution with zero padding 1.
+
+    x: (B, C_in, H, W) or (C_in, H, W); kernels: (C_out, C_in, 3, 3).
+    One GEMM of the unfold U (N, C_in*9) with the kernels as stored,
+    K (C_out, C_in*9): ``U @ K.T``, the BLAS call ``np.tensordot`` makes.
+    For a batch of one ``tensordot`` handed BLAS a column-major U, which
+    rounds differently in the last bit, so U is copied to that layout there.
+    """
+    x, squeeze = _promote(x)
+    kernels = as_f64(kernels)
+    if kernels.ndim != 4 or kernels.shape[2:] != (3, 3):
+        raise ShapeError(f"only 3x3 kernels are supported, got {kernels.shape}")
+    if kernels.shape[1] != x.shape[1]:
+        raise ShapeError(f"channel mismatch: input {x.shape} vs kernels {kernels.shape}")
+    b, _, h, w = x.shape
+    c_out = kernels.shape[0]
+    h_out, w_out = _conv_geometry(h, w, stride)
+    cols = _unfold_channels_last(x, stride, h_out, w_out)
+    if b == 1:
+        cols = np.asfortranarray(cols)
+    out = (cols @ kernels.reshape(c_out, -1).T).reshape(b, h_out, w_out, c_out)
+    out = out.transpose(0, 3, 1, 2)
+    return out[0] if squeeze else out
 
 
 def conv2d_backward(grad_out, x, kernels, stride=1):
@@ -113,7 +106,7 @@ def conv2d_backward(grad_out, x, kernels, stride=1):
     Both GEMMs take C-contiguous operands of exactly the shapes and layouts
     ``np.tensordot`` builds for the same contractions over the channels-first
     patches, so the BLAS calls, and hence the results, are bitwise the same
-    for batched input.  For a single sample ``tensordot`` reshapes the
+    for batched input.  For a batch of one ``tensordot`` reshapes the
     patches without copying and passes BLAS a transposed operand, so grad_k
     may then differ in the last bit.  U is freed before the second GEMM.
     The nine (N, C_in) taps are scatter-added in row-major tap order into

@@ -7,12 +7,13 @@ their published tolerances live in test_acceptance.py.
 
 import copy
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ngnet.cli import main as cli_main
-from ngnet.config import ExperimentConfig
+from ngnet.config import ExperimentConfig, build_experiment_config, load_config
 from ngnet.csvio import SCHEMAS, emit_csv, read_csv
 from ngnet.datasets import write_cifar10_records
 from ngnet.errors import ConfigError
@@ -377,6 +378,31 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, CONFIG_TEXT.replace("seed = 5", ""))
         assert cli_main(["run", "--config", cfg]) == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, name", [
+        ("optim.lr=-1", "lr"),
+        ("optim.lr=abc", "optim.lr"),
+        ("batch_size=0", "batch_size"),
+        ("batch_size=true", "batch_size"),
+        ("epochs=0", "epochs"),
+        ("epochs=1.5", "epochs"),
+        ("model.depth=abc", "model.depth"),
+        ("model.width=2.5", "model.width"),
+    ])
+    def test_invalid_config_is_a_clean_error(self, tmp_path, capsys,
+                                             override, name):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", cfg, "--out", str(out),
+                         "--override", override]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", sorted(
+        str(p) for root in ("configs", "perfbench")
+        for p in (Path(__file__).resolve().parents[1] / root).glob("*.cfg")))
+    def test_shipped_configs_load(self, path):
+        assert build_experiment_config(load_config(path)).seed is not None
 
     def test_grad_check_wrapped_and_plain(self, capsys):
         assert cli_main(["grad-check", "--layers", "2", "--width", "6"]) == 0

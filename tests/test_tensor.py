@@ -4,22 +4,11 @@ import numpy as np
 import pytest
 
 from ngnet.errors import ShapeError
-from ngnet.tensor import (conv2d_backward, conv2d_forward,
-                          global_avg_pool_backward, global_avg_pool_forward,
-                          matmul, maxpool2_backward, maxpool2_forward)
-
-
-def naive_matmul(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            s = 0.0
-            for p in range(k):  # fixed left-to-right accumulation
-                s += a[i, p] * b[p, j]
-            out[i, j] = s
-    return out
+from ngnet.tensor import (UNFOLD_BLOCK_BYTES, _conv_geometry,
+                          _unfold_channels_last, conv2d_backward,
+                          conv2d_forward, global_avg_pool_backward,
+                          global_avg_pool_forward, maxpool2_backward,
+                          maxpool2_forward)
 
 
 def naive_conv2d(x, k, stride):
@@ -41,6 +30,21 @@ def naive_conv2d(x, k, stride):
     return out
 
 
+def tensordot_conv2d_forward(x, k, stride):
+    """Reference for conv2d_forward, which must match it bitwise: the
+    channels-first kernel on a batch (B, C, H, W) that pads, gathers
+    (B, C, 3, 3, H', W') patches and contracts them with np.tensordot."""
+    h_out, w_out = _conv_geometry(x.shape[2], x.shape[3], stride)
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.empty(x.shape[:2] + (3, 3, h_out, w_out))
+    for i in range(3):
+        for j in range(3):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * h_out:stride,
+                                  j:j + stride * w_out:stride]
+    out = np.tensordot(cols, k, axes=([1, 2, 3], [1, 2, 3]))
+    return out.transpose(0, 3, 1, 2)
+
+
 def naive_conv2d_backward(g, x, k, stride):
     """Both gradients of naive_conv2d by direct sums, one sample (C, H, W)."""
     c_out, c_in = k.shape[:2]
@@ -57,25 +61,6 @@ def naive_conv2d_backward(g, x, k, stride):
                             gk[co, ci, di, dj] += g[co, i, j] * xp[ci, r, s]
                             gxp[ci, r, s] += g[co, i, j] * k[co, ci, di, dj]
     return gxp[:, 1:-1, 1:-1], gk
-
-
-class TestMatmul:
-    def test_identity(self):
-        assert np.array_equal(matmul([[1, 0], [0, 1]], [[3], [4]]), [[3], [4]])
-
-    def test_dot(self):
-        assert np.array_equal(matmul([[1, 2]], [[3], [4]]), [[11]])
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((4, 5))
-        b = rng.standard_normal((5, 3))
-        np.testing.assert_allclose(matmul(a, b), naive_matmul(a, b),
-                                   rtol=0, atol=1e-12)
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestConv2d:
@@ -102,6 +87,31 @@ class TestConv2d:
         np.testing.assert_allclose(conv2d_forward(x, k, stride),
                                    naive_conv2d(x, k, stride),
                                    rtol=0, atol=1e-12)
+
+    # (B, C_in, H, W, C_out, stride): the toy CNN under grad_check, the
+    # critical-depth sweep (widths 6/12/24 at 8/4/2) and its 80-sample eval
+    # batch, the ResNet-8 convs at 32/16/8, and odd sizes.
+    @pytest.mark.parametrize("shape", [
+        (16, 3, 8, 8, 3, 1),
+        (32, 3, 8, 8, 6, 1), (32, 6, 8, 8, 6, 1), (32, 6, 4, 4, 12, 1),
+        (32, 12, 4, 4, 12, 1), (32, 12, 2, 2, 24, 1), (32, 24, 2, 2, 24, 1),
+        (80, 6, 8, 8, 6, 1),
+        (32, 3, 32, 32, 8, 1), (32, 8, 32, 32, 8, 1), (32, 8, 32, 32, 16, 2),
+        (32, 16, 16, 16, 16, 1), (32, 16, 16, 16, 32, 2), (32, 32, 8, 8, 32, 1),
+        (3, 5, 7, 5, 4, 1), (3, 5, 7, 5, 4, 2),
+        (1, 6, 8, 8, 6, 1), (1, 12, 2, 2, 24, 1), (1, 4, 7, 5, 3, 2),
+    ])
+    def test_bitwise_equals_tensordot(self, shape):
+        """A batch of one, and a single (C, H, W) sample, included: there
+        tensordot handed BLAS a column-major operand."""
+        b, c, h, w, c_out, stride = shape
+        rng = np.random.default_rng(b * c * h + c_out)
+        x = rng.standard_normal((b, c, h, w))
+        k = rng.standard_normal((c_out, c, 3, 3))
+        want = tensordot_conv2d_forward(x, k, stride)
+        assert np.array_equal(conv2d_forward(x, k, stride), want)
+        if b == 1:
+            assert np.array_equal(conv2d_forward(x[0], k, stride), want[0])
 
     def test_rejects_non_3x3(self):
         with pytest.raises(ShapeError):
@@ -153,6 +163,25 @@ class TestConv2dBackward:
         np.testing.assert_allclose(gx, want_x, rtol=1e-12, atol=0)
         np.testing.assert_allclose(gk, want_k, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_against_loop_oracle_across_blocks(self, stride):
+        """Five 8x32x32 samples: at stride 1 the unfold spans five blocks.
+        These sums are long enough to cancel, so each element is held to the
+        float64 bound for a sum of n terms, n*eps*sum(|term|), rather than to
+        a bound relative to the result."""
+        rng = np.random.default_rng(7 + stride)
+        x = rng.standard_normal((5, 8, 32, 32))
+        k = rng.standard_normal((3, 8, 3, 3))
+        g = rng.standard_normal((5, 3) + _conv_geometry(32, 32, stride))
+        want = [naive_conv2d_backward(g[n], x[n], k, stride) for n in range(5)]
+        want_x = np.stack([gx for gx, _ in want])
+        want_k = sum(gk for _, gk in want)
+        abs_x, abs_k = conv2d_backward(abs(g), abs(x), abs(k), stride)
+        gx, gk = conv2d_backward(g, x, k, stride)
+        eps = np.finfo(np.float64).eps
+        assert (abs(gx - want_x) <= 3 * 9 * eps * abs_x).all()
+        assert (abs(gk - want_k) <= g[:, 0].size * eps * abs_k).all()
+
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("stride", [1, 2])
     def test_finite_differences(self, seed, stride):
@@ -178,6 +207,19 @@ class TestConv2dBackward:
                 flat[j] = orig
                 fd = (lp - lm) / (2 * h)
                 assert abs(fd - gflat[j]) / max(abs(fd), abs(gflat[j]), 1e-8) < 1e-4
+
+
+class TestUnfold:
+    def test_blocks_equal_per_sample_unfolds(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((5, 8, 32, 32))
+        cols = _unfold_channels_last(x, 1, 32, 32)
+        per_sample = cols.nbytes // 5  # 589824 bytes
+        assert UNFOLD_BLOCK_BYTES // per_sample < 5  # several blocks
+        want = np.concatenate([_unfold_channels_last(x[n:n + 1], 1, 32, 32)
+                               for n in range(5)])
+        assert cols.flags.c_contiguous
+        assert np.array_equal(cols, want)
 
 
 class TestMaxPool:
