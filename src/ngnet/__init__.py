@@ -10,7 +10,7 @@ from .activations import (NgActivation, make_base, ng_backward_input,
 from .network import (ActivationSpec, InitScheme, NetworkSpec, backward,
                       build_mlp, build_plain_cnn, build_resnet, build_toy_cnn,
                       forward, init_params)
-from .optim import OptimConfig, PlateauSchedule, StepSchedule, sgd_step, t_step
+from .optim import OptimConfig, PlateauSchedule, StepSchedule, sgd_step
 from .instrumentation import (grad_check, sandwich_check, variance_bounds,
                               weight_variance_trace)
 
@@ -20,7 +20,7 @@ __all__ = [
     "ActivationSpec", "InitScheme", "NetworkSpec", "forward", "backward",
     "build_mlp", "build_plain_cnn", "build_resnet", "build_toy_cnn",
     "init_params",
-    "OptimConfig", "StepSchedule", "PlateauSchedule", "sgd_step", "t_step",
+    "OptimConfig", "StepSchedule", "PlateauSchedule", "sgd_step",
     "grad_check", "sandwich_check", "variance_bounds",
     "weight_variance_trace",
 ]

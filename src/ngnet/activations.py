@@ -21,12 +21,14 @@ derivative ``f'(0+) = 1`` while the t-gradient uses the inactive branch
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
 from .tensor import as_f64
+
+GRANULARITIES = ("element", "channel", "layer")
 
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
@@ -186,23 +188,18 @@ def shift_shape(granularity: str, sample_shape: tuple[int, ...]) -> tuple[int, .
 class NgActivation:
     """A base activation wrapped with a trainable shift.
 
-    ``t`` holds the shift at its granularity's storage shape and
-    ``t_velocity`` is the matching momentum buffer.  When ``trainable`` is
-    false both stay fixed (used for the fixed-shift capacity sweeps).
+    ``t`` holds the shift at its granularity's storage shape.  When
+    ``trainable`` is false it stays fixed (used for the fixed-shift
+    capacity sweeps).
     """
 
     base: BaseActivation
     t: np.ndarray
     granularity: str = "channel"
     trainable: bool = True
-    t_velocity: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.t = as_f64(self.t)
-        if self.t_velocity is None:
-            self.t_velocity = np.zeros_like(self.t)
-        elif self.t_velocity.shape != self.t.shape:
-            raise ShapeError("t_velocity must match t's shape")
 
     def pre_shift(self, x):
         return as_f64(x) - broadcast_param(self.t, np.shape(x))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .activations import GRANULARITIES
 from .errors import ConfigError
 from .network import ActivationSpec
 from .optim import OptimConfig, PlateauSchedule, StepSchedule
@@ -135,7 +136,6 @@ class ExperimentConfig:
     depth_count: int = 4
     convergence_margin: float = 0.1
     probe_steps: int = 8
-    track_layer: int = None
 
 
 def _fill(obj, d: dict, path=""):
@@ -149,22 +149,38 @@ def _fill(obj, d: dict, path=""):
             setattr(obj, key, value)
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate(cfg: ExperimentConfig):
     """Reject types and ranges the run would otherwise trip over, or run
     with silently, once every override has been applied."""
     for name, value in (("epochs", cfg.epochs), ("batch_size", cfg.batch_size),
                         ("model.depth", cfg.model.depth),
-                        ("model.width", cfg.model.width)):
+                        ("model.width", cfg.model.width),
+                        ("dataset.n", cfg.dataset.n),
+                        ("dataset.classes", cfg.dataset.classes)):
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    for name in ("lr", "momentum", "weight_decay"):
+    for name in ("lr", "momentum", "weight_decay", "t_lr", "t_momentum"):
         value = getattr(cfg.optim, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise ConfigError(f"optim.{name} must be a number, got {value!r}")
     try:
         cfg.optim.validate()
     except ValueError as exc:
         raise ConfigError(f"optim: {exc}") from None
+    act = cfg.activation
+    if not _is_number(act.t_init):
+        raise ConfigError(f"activation.t_init must be a number, got {act.t_init!r}")
+    if act.granularity not in GRANULARITIES:
+        raise ConfigError(f"activation.granularity must be one of "
+                          f"{GRANULARITIES}, got {act.granularity!r}")
+    try:
+        act.make_base()
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"activation.base: {exc}") from None
 
 
 def build_experiment_config(raw: dict) -> ExperimentConfig:

@@ -31,21 +31,13 @@ def _fmt(v):
     return v
 
 
-def emit_csv(rows, path, schema=None):
+def emit_csv(rows, path, schema):
     """Write dict rows under a fixed header.
 
-    `schema` is a schema name from SCHEMAS or an explicit column list; when
-    omitted, the first row's keys fix the order.  Appending refuses run_ids
-    already present in the file.
+    `schema` is a schema name from SCHEMAS or an explicit column list.
+    Appending refuses run_ids already present in the file.
     """
-    if isinstance(schema, str):
-        columns = SCHEMAS[schema]
-    elif schema is not None:
-        columns = list(schema)
-    elif rows:
-        columns = list(rows[0].keys())
-    else:
-        raise NgnetError("cannot infer a header from zero rows")
+    columns = SCHEMAS[schema] if isinstance(schema, str) else list(schema)
 
     exists = os.path.exists(path) and os.path.getsize(path) > 0
     if exists:

@@ -153,12 +153,3 @@ def augment(images, rng, pad=None, flips=None, offsets=None):
         out[k] = crop[:, :, ::-1] if flips[k] else crop
     return out
 
-
-def make_dataset(kind, seed, **kwargs) -> Dataset:
-    if kind == "synthetic_blobs":
-        return make_blobs(seed=seed, **kwargs)
-    if kind == "synthetic_spirals":
-        return make_spirals(seed=seed, **kwargs)
-    if kind == "cifar10_binary":
-        return load_cifar10_binary(seed=seed, **kwargs)
-    raise FormatError(f"unknown dataset kind {kind!r}")

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, RegimeError
-from .network import (Activation, Conv, Dense, NetworkSpec, backward,
-                      bind_activation, forward)
+from .network import Activation, Conv, Dense, NetworkSpec, backward, forward
 
 KINK_WINDOW = 1e-3
 FD_STEP = 1e-5
@@ -134,61 +133,13 @@ def mean_shift_trace(spec: NetworkSpec, params: dict, batch, labels):
     Runs on a copy of params, so the train-mode forward leaves the caller's
     batch-norm running statistics untouched."""
     params = copy.deepcopy(params)
-    logits, _, cache = forward(spec, params, batch, labels, mode="train")
-    caches = cache["layers"]
-    # reconstruct pre-activation gradients by re-running backward and
-    # capturing the gradient entering each linear layer's output
-    grads_at = _preactivation_grads(spec, params, cache)
-    rows = []
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, (Conv, Dense)):
-            z = caches[i]["x"]
-            g = grads_at.get(i)
-            rows.append((i, float(np.mean(z)),
-                         float(np.mean(g)) if g is not None else float("nan")))
-    return rows
-
-
-def _preactivation_grads(spec, params, cache):
-    """Gradient of the loss w.r.t. each conv/dense layer's output."""
-    from . import network as net
-
-    captured = {}
-    caches = cache["layers"]
-    grad = None
-    pending = []
-    for i in range(len(spec.layers) - 1, -1, -1):
-        layer = spec.layers[i]
-        c = caches[i]
-        if isinstance(layer, net.SoftmaxCrossEntropy):
-            probs = c["probs"]
-            lab = c["labels"]
-            n = probs.shape[0]
-            grad = probs.copy()
-            grad[np.arange(n), lab] -= 1.0
-            grad /= n
-        elif isinstance(layer, (net.Conv, net.Dense)):
-            captured[i] = grad
-            if isinstance(layer, net.Conv):
-                grad, _ = net.conv2d_backward(grad, c["x"], params[i]["W"],
-                                              layer.stride)
-            else:
-                grad = (grad @ params[i]["W"]).reshape(c["in_shape"])
-        elif isinstance(layer, net.BatchNorm):
-            grad, _ = net._bn_backward(params[i], grad, c)
-        elif isinstance(layer, net.Activation):
-            ng = bind_activation(layer, params[i])
-            grad = net.ng_backward_input(ng, c["x"], grad, params[i].get("a"))
-        elif isinstance(layer, net.MaxPool):
-            grad = net.maxpool2_backward(grad, c["idx"], c["in_shape"])
-        elif isinstance(layer, net.GlobalAvgPool):
-            grad = net.global_avg_pool_backward(grad, c["in_shape"])
-        elif isinstance(layer, net.ResBlockEnd):
-            pending.append((grad, c["skip_shape"]))
-        elif isinstance(layer, net.ResBlockStart):
-            g_out, skip_shape = pending.pop()
-            grad = grad + net._shortcut_backward(g_out, skip_shape)
-    return captured
+    _, _, cache = forward(spec, params, batch, labels, mode="train")
+    out_grads: dict = {}
+    backward(spec, params, cache, out_grads=out_grads)
+    return [(i, float(np.mean(cache["layers"][i]["x"])),
+             float(np.mean(out_grads[i])))
+            for i, layer in enumerate(spec.layers)
+            if isinstance(layer, (Conv, Dense))]
 
 
 def set_shifts_below_preactivations(spec: NetworkSpec, params: dict, batch,

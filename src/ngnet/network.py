@@ -393,9 +393,7 @@ def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train"):
         caches.append(c)
     if logits is None:
         raise ConfigError("network has no softmax head")
-    cache = {"layers": caches, "mode": mode, "batch": x.shape[0],
-             "n_layers": len(spec.layers)}
-    return logits, loss, cache
+    return logits, loss, {"layers": caches, "n_layers": len(spec.layers)}
 
 
 def _bn_forward(p, x, mode, c):
@@ -440,11 +438,14 @@ def _shortcut_backward(grad_out, skip_shape):
     return g
 
 
-def backward(spec: NetworkSpec, params: dict, cache, labels=None) -> dict:
+def backward(spec: NetworkSpec, params: dict, cache, labels=None,
+             out_grads: dict = None) -> dict:
     """Gradients of the batch-mean loss for every trainable tensor.
 
     Returns {layer_index: {name: grad}}; non-trainable shifts get exact
-    zeros, batch-norm running stats are excluded.
+    zeros, batch-norm running stats are excluded.  When `out_grads` is a
+    dict, it also receives, by layer index, the loss gradient arriving at
+    each Conv/Dense output (its pre-activation, before any batch norm).
     """
     caches = cache["layers"]
     if cache.get("n_layers") != len(spec.layers):
@@ -465,6 +466,8 @@ def backward(spec: NetworkSpec, params: dict, cache, labels=None) -> dict:
             grad[np.arange(n), lab] -= 1.0
             grad /= n
         elif isinstance(layer, Conv):
+            if out_grads is not None:
+                out_grads[i] = grad
             if layer.bias:
                 gb = grad.sum(axis=(0, 2, 3))
             grad, gw = conv2d_backward(grad, c["x"], params[i]["W"], layer.stride)
@@ -472,6 +475,8 @@ def backward(spec: NetworkSpec, params: dict, cache, labels=None) -> dict:
             if layer.bias:
                 grads[i]["b"] = gb
         elif isinstance(layer, Dense):
+            if out_grads is not None:
+                out_grads[i] = grad
             gw = grad.T @ c["x"]
             gb = grad.sum(axis=0)
             grad = (grad @ params[i]["W"]).reshape(c["in_shape"])

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import NgActivation
-from .errors import ContractError, DivergenceError
+from .errors import DivergenceError
 from .network import Activation, NetworkSpec
 
 DECAYED_KEYS = {"W"}
@@ -47,22 +46,23 @@ class OptimConfig:
     t_lr: float = None
     t_momentum: float = None
     schedule: object = None
-    schedule_cuts_t_lr: bool = True
 
     def __post_init__(self):
-        self.validate()
         if self.t_lr is None:
             self.t_lr = self.lr
         if self.t_momentum is None:
             self.t_momentum = self.momentum
+        self.validate()
 
     def validate(self):
         """Raise ValueError for a learning rate, momentum or weight decay
-        out of range."""
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
+        out of range, for the weights or for the shift."""
+        for name in ("lr", "t_lr"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("momentum", "t_momentum"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight decay must be non-negative")
 
@@ -74,10 +74,11 @@ def zero_velocities(params: dict) -> dict:
 
 
 def _check_finite(grads: dict):
-    for p in grads.values():
-        for g in p.values():
+    for i, p in grads.items():
+        for key, g in p.items():
             if not np.isfinite(g).all():
-                raise DivergenceError("non-finite gradient; parameters untouched")
+                raise DivergenceError(f"non-finite gradient at layer {i} "
+                                      f"{key!r}; parameters untouched")
 
 
 def sgd_step(params: dict, grads: dict, velocities: dict, cfg: OptimConfig,
@@ -90,7 +91,7 @@ def sgd_step(params: dict, grads: dict, velocities: dict, cfg: OptimConfig,
     """
     _check_finite(grads)
     lr = cfg.lr * lr_multiplier
-    t_lr = cfg.t_lr * (lr_multiplier if cfg.schedule_cuts_t_lr else 1.0)
+    t_lr = cfg.t_lr * lr_multiplier
     for i, layer_grads in grads.items():
         for key, g in layer_grads.items():
             w = params[i][key]
@@ -109,20 +110,6 @@ def sgd_step(params: dict, grads: dict, velocities: dict, cfg: OptimConfig,
                 v *= cfg.momentum
                 v += g
                 w -= lr * v
-
-
-def t_step(ng: NgActivation, grad_t, cfg: OptimConfig, lr_multiplier: float = 1.0):
-    """Momentum update of a standalone activation's shift, in place."""
-    if not ng.trainable:
-        raise ContractError("t_step on a non-trainable shift")
-    grad_t = np.asarray(grad_t, dtype=np.float64)
-    if not np.isfinite(grad_t).all():
-        raise DivergenceError("non-finite t gradient")
-    t_lr = cfg.t_lr * (lr_multiplier if cfg.schedule_cuts_t_lr else 1.0)
-    ng.t_velocity *= cfg.t_momentum
-    ng.t_velocity += t_lr * grad_t
-    ng.t -= ng.t_velocity
-    return ng.t
 
 
 class ScheduleState:

@@ -354,10 +354,11 @@ def sandwich_probes(spec, params, data, lr, n_probes, run_id):
         x = data.train_x[k:k + 1]
         y = data.train_y[k:k + 1]
         _, _, cache = forward(spec, params, x, y, mode="eval")
-        grads_at = instr._preactivation_grads(spec, params, cache)
+        out_grads: dict = {}
+        backward(spec, params, cache, out_grads=out_grads)
         for i in dense_idx:
             z = cache["layers"][i]["x"][0]
-            g = grads_at[i][0]
+            g = out_grads[i][0]
             stats = instr.sandwich_check(z, g, lr, layer_index=i, step=k)
             rows.append({"run_id": run_id, "step": k, "layer": i,
                          "mean_z": stats.mean_z, "var_z": stats.var_z,

@@ -388,6 +388,11 @@ class TestCli:
         ("epochs=1.5", "epochs"),
         ("model.depth=abc", "model.depth"),
         ("model.width=2.5", "model.width"),
+        ("activation.base=foo", "activation.base"),
+        ("activation.t_init=abc", "activation.t_init"),
+        ("activation.granularity=pixel", "activation.granularity"),
+        ("dataset.n=0", "dataset.n"),
+        ("optim.t_lr=-1", "t_lr"),
     ])
     def test_invalid_config_is_a_clean_error(self, tmp_path, capsys,
                                              override, name):

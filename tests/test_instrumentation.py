@@ -1,5 +1,7 @@
 """Variance-bound sandwich, statistics traces, and the gradient checker."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,10 @@ from ngnet.instrumentation import (grad_check, mean_shift_trace,
                                    sandwich_check, stability_score,
                                    t_trace, variance_bounds,
                                    weight_variance_trace)
-from ngnet.network import (ActivationSpec, InitScheme, build_mlp,
-                           build_plain_cnn, init_params)
+from ngnet.network import (ActivationSpec, Conv, Dense, InitScheme,
+                           backward, build_mlp, build_plain_cnn, build_resnet,
+                           forward, init_params)
+from ngnet.tensor import conv2d_backward
 
 NG_RELU = ActivationSpec(base="relu", ng=True, t_init=-1.0)
 IDENT = ActivationSpec(base="identity")
@@ -150,6 +154,37 @@ class TestMeanShiftTrace:
         rows = mean_shift_trace(spec, params, np.zeros((4, 8)),
                                 np.zeros(4, dtype=int))
         assert rows[0][1] == 0.0
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_mlp([6, 5], 3, NG_RELU, input_dim=4),
+        lambda: build_plain_cnn(5, 2, 3, False, NG_RELU, input_hw=8),
+        lambda: build_resnet(8, 2, 3, NG_RELU, with_bn=True, input_hw=8),
+    ], ids=["mlp", "cnn_bias", "resnet_bn"])
+    def test_out_grads_are_the_linear_output_gradients(self, build):
+        spec = build()
+        params = init_params(spec, InitScheme("msra", 3))
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((4,) + spec.input_shape)
+        y = rng.integers(0, 3, 4)
+        _, _, cache = forward(spec, copy.deepcopy(params), x, y)
+        out_grads: dict = {}
+        grads = backward(spec, params, cache, out_grads=out_grads)
+        linear = [i for i, l in enumerate(spec.layers)
+                  if isinstance(l, (Conv, Dense))]
+        assert sorted(out_grads) == linear
+        for i in linear:
+            layer, g, z = spec.layers[i], out_grads[i], cache["layers"][i]["x"]
+            if isinstance(layer, Dense):
+                assert np.array_equal(grads[i]["W"], g.T @ z)
+                assert np.array_equal(grads[i]["b"], g.sum(axis=0))
+            else:
+                gw = conv2d_backward(g, z, params[i]["W"], layer.stride)[1]
+                assert np.array_equal(grads[i]["W"], gw)
+                assert ("b" in grads[i]) == layer.bias
+        rows = mean_shift_trace(spec, params, x, y)
+        assert [r[0] for r in rows] == linear
+        assert [r[2] for r in rows] == [float(np.mean(out_grads[i]))
+                                        for i in linear]
 
 
 class TestTTrace:

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from ngnet.activations import NgActivation, ReLU
-from ngnet.errors import ContractError, DivergenceError
+from ngnet.errors import DivergenceError
+from ngnet.network import Activation, ActivationSpec, NetworkSpec
 from ngnet.optim import (OptimConfig, PlateauSchedule, ScheduleState,
-                         StepSchedule, schedule_lr, sgd_step, t_step,
-                         zero_velocities)
+                         StepSchedule, schedule_lr, sgd_step, zero_velocities)
 
 
 def one_layer(w):
@@ -74,51 +73,70 @@ class TestSgdStep:
             sgd_step(params, one_layer([np.nan]), vel, cfg)
         assert params[0]["W"][0] == 1.0
 
+    def test_nonfinite_grad_names_layer_and_key(self):
+        cfg = OptimConfig(lr=0.1)
+        params = {0: {"W": np.ones(2)}, 3: {"W": np.ones(2), "b": np.ones(2)}}
+        grads = {0: {"W": np.zeros(2)},
+                 3: {"W": np.zeros(2), "b": np.array([0.0, np.nan])}}
+        with pytest.raises(DivergenceError, match=r"layer 3 'b'"):
+            sgd_step(params, grads, zero_velocities(params), cfg)
+        assert all((w == 1.0).all() for p in params.values() for w in p.values())
+
 
 class TestTStep:
-    def _ng(self, t=-1.0):
-        return NgActivation(base=ReLU(), t=np.array([t]), granularity="layer")
+    """The shift rule of sgd_step, on a one-activation net."""
+
+    def _net(self, t=-1.0, trainable=True):
+        act = ActivationSpec(ng=True, trainable=trainable, granularity="layer")
+        spec = NetworkSpec([Activation(act)], (1,), 2)
+        params = {0: {"t": np.array([t])}}
+        return spec, params, zero_velocities(params)
+
+    @staticmethod
+    def _step(spec, params, vel, g, cfg):
+        sgd_step(params, {0: {"t": np.array([g])}}, vel, cfg, spec)
 
     def test_substitution(self):
-        ng = self._ng()
+        spec, params, vel = self._net()
         cfg = OptimConfig(lr=0.01, momentum=0.9, t_lr=0.01, t_momentum=0.9)
-        t_step(ng, np.array([1.0]), cfg)
-        assert np.isclose(ng.t_velocity[0], 0.01)
-        assert np.isclose(ng.t[0], -1.01)
+        self._step(spec, params, vel, 1.0, cfg)
+        assert np.isclose(vel[0]["t"][0], 0.01)
+        assert np.isclose(params[0]["t"][0], -1.01)
 
     def test_geometric_decay(self):
-        ng = self._ng()
+        spec, params, vel = self._net()
         cfg = OptimConfig(lr=0.01, t_momentum=0.9)
-        t_step(ng, np.array([1.0]), cfg)
-        v0 = ng.t_velocity[0]
+        self._step(spec, params, vel, 1.0, cfg)
+        v0 = vel[0]["t"][0]
         for _ in range(3):
-            t_step(ng, np.array([0.0]), cfg)
-        assert np.isclose(ng.t_velocity[0], v0 * 0.9 ** 3)
+            self._step(spec, params, vel, 0.0, cfg)
+        assert np.isclose(vel[0]["t"][0], v0 * 0.9 ** 3)
 
     def test_matches_sgd_recurrence(self):
         # same recurrence as the weight rule at constant lr, no decay
-        ng = self._ng(0.0)
+        spec, params, vel = self._net(0.0)
         cfg = OptimConfig(lr=0.05, momentum=0.7, weight_decay=0.0)
-        params = one_layer([0.0])
-        vel = zero_velocities(params)
+        w_params = one_layer([0.0])
+        w_vel = zero_velocities(w_params)
         rng = np.random.default_rng(0)
         for _ in range(5):
             g = rng.standard_normal()
-            t_step(ng, np.array([g]), cfg)
-            sgd_step(params, one_layer([g]), vel, cfg)
-            assert np.isclose(ng.t[0], params[0]["W"][0], atol=1e-15)
+            self._step(spec, params, vel, g, cfg)
+            sgd_step(w_params, one_layer([g]), w_vel, cfg)
+            assert np.isclose(params[0]["t"][0], w_params[0]["W"][0],
+                              atol=1e-15)
 
     def test_no_decay_on_t(self):
-        ng = self._ng(-2.0)
+        spec, params, vel = self._net(-2.0)
         cfg = OptimConfig(lr=0.1, weight_decay=0.5)
         for _ in range(5):
-            t_step(ng, np.array([0.0]), cfg)
-        assert ng.t[0] == -2.0  # bitwise constant under zero gradient
+            self._step(spec, params, vel, 0.0, cfg)
+        assert params[0]["t"][0] == -2.0  # bitwise constant under zero gradient
 
-    def test_non_trainable_rejected(self):
-        ng = NgActivation(base=ReLU(), t=np.array([-1.0]), trainable=False)
-        with pytest.raises(ContractError):
-            t_step(ng, np.array([1.0]), OptimConfig(lr=0.1))
+    def test_non_trainable_untouched(self):
+        spec, params, vel = self._net(-1.0, trainable=False)
+        self._step(spec, params, vel, 1.0, OptimConfig(lr=0.1))
+        assert params[0]["t"][0] == -1.0 and vel[0]["t"][0] == 0.0
 
 
 class TestSchedules:
