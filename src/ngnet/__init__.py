@@ -5,8 +5,8 @@ trainable shift t: low t keeps the network linear and easy to optimize,
 and t rising during training grows the effective nonlinearity.
 """
 
-from .activations import (NgActivation, make_base, ng_backward_input,
-                          ng_forward, ng_grad_t, prelu_grad_a, selu_forward)
+from .activations import (make_base, ng_backward_input, ng_forward, ng_grad_t,
+                          prelu_grad_a)
 from .network import (ActivationSpec, InitScheme, NetworkSpec, backward,
                       build_mlp, build_plain_cnn, build_resnet, build_toy_cnn,
                       forward, init_params)
@@ -15,8 +15,8 @@ from .instrumentation import (grad_check, sandwich_check, variance_bounds,
                               weight_variance_trace)
 
 __all__ = [
-    "NgActivation", "make_base", "ng_forward", "ng_backward_input",
-    "ng_grad_t", "prelu_grad_a", "selu_forward",
+    "make_base", "ng_forward", "ng_backward_input", "ng_grad_t",
+    "prelu_grad_a",
     "ActivationSpec", "InitScheme", "NetworkSpec", "forward", "backward",
     "build_mlp", "build_plain_cnn", "build_resnet", "build_toy_cnn",
     "init_params",

@@ -1,22 +1,27 @@
-"""Base activation functions and the trainable-shift wrapper.
+"""Base activation functions and the trainable-shift kernels.
 
-The wrapper turns a base activation ``f`` into ``x -> f(x - t) + t`` with a
+The kernels turn a base activation ``f`` into ``x -> f(x - t) + t`` with a
 trainable shift ``t``.  For a ReLU base this is ``max(x, t)``: inputs above
 ``t`` pass through unchanged, so a sufficiently low ``t`` makes the layer
 linear on its input distribution, and raising ``t`` during training
 introduces nonlinearity.
 
-Shift granularity:
+Shift granularity (``t``'s storage shape, see ``shift_shape``):
   * element: one t per input element (per feature-map position, or per node
     of a dense layer);
   * channel: one t shared by all spatial positions of a channel (dense
     layers fall back to per-node);
   * layer: a single scalar t.
 
-Gradients follow the chain rule.  d/dt of the wrapped output is
-``1 - f'(x - t)``; at the kink the input gradient uses the active-side
-derivative ``f'(0+) = 1`` while the t-gradient uses the inactive branch
-(factor 1), so ``x == t`` contributes to t, not to x.
+The forward also returns the branch mask ``m = x >= t``, which the layer
+caches for its backward.  For the bases that are the identity on
+``u = x - t >= 0`` (identity, ReLU, leaky ReLU, PReLU) the mask alone picks
+each element's branch, so the gradients need no recomputed ``x - t``: the
+input gradient is ``grad * f'`` with ``f' = 1`` where ``m`` holds and the
+base's negative slope elsewhere, and the t-gradient is ``grad * (1 - f')``.
+A tie ``x == t`` has ``m`` true: it sits on the linear branch for the
+input gradient and contributes nothing to ``t``.  SELU is not linear on
+``u >= 0`` at the kink, so its gradients still evaluate ``f'(x - t)``.
 """
 
 from __future__ import annotations
@@ -39,9 +44,10 @@ class BaseActivation:
 
     name = "base"
     has_slope_param = False
-    # True when f(u) == u for u >= 0; lets the wrapper return x exactly on
-    # the positive branch instead of (x - t) + t, which differs in the last
-    # ulp and would break the exact floor/identity properties
+    # True when f(u) == u for u >= 0 and f(u) == neg_slope * u below; lets
+    # the kernels return x exactly on the positive branch instead of
+    # (x - t) + t, which differs in the last ulp and would break the exact
+    # floor/identity properties
     linear_positive = False
 
     def f(self, u, a=None):
@@ -49,6 +55,10 @@ class BaseActivation:
 
     def df(self, u, a=None):
         """Derivative at u, using the right derivative at the kink."""
+        raise NotImplementedError
+
+    def neg_slope(self, a=None):
+        """f'(u) for u < 0, for linear_positive bases."""
         raise NotImplementedError
 
 
@@ -62,6 +72,9 @@ class Identity(BaseActivation):
     def df(self, u, a=None):
         return np.ones_like(u)
 
+    def neg_slope(self, a=None):
+        return 1.0
+
 
 class ReLU(BaseActivation):
     name = "relu"
@@ -72,6 +85,9 @@ class ReLU(BaseActivation):
 
     def df(self, u, a=None):
         return (u >= 0.0).astype(np.float64)
+
+    def neg_slope(self, a=None):
+        return 0.0
 
 
 @dataclass
@@ -90,6 +106,9 @@ class LeakyReLU(BaseActivation):
     def df(self, u, a=None):
         return np.where(u >= 0.0, 1.0, self.alpha)
 
+    def neg_slope(self, a=None):
+        return self.alpha
+
 
 class PReLU(BaseActivation):
     """Negative slope `a` is a trainable per-channel parameter, passed in by
@@ -101,18 +120,15 @@ class PReLU(BaseActivation):
     A_INIT = 0.25
 
     def f(self, u, a=None):
-        a = self._slope(u, a)
-        return np.where(u >= 0.0, u, a * u)
+        return np.where(u >= 0.0, u, self.neg_slope(a) * u)
 
     def df(self, u, a=None):
-        a = self._slope(u, a)
-        return np.where(u >= 0.0, 1.0, a)
+        return np.where(u >= 0.0, 1.0, self.neg_slope(a))
 
-    @staticmethod
-    def _slope(u, a):
+    def neg_slope(self, a=None):
         if a is None:
             raise ContractError("PReLU needs its slope parameter")
-        return broadcast_param(np.asarray(a, dtype=np.float64), u.shape)
+        return np.asarray(a, dtype=np.float64)
 
 
 @dataclass
@@ -134,10 +150,6 @@ class SELU(BaseActivation):
                         self.lam * self.alpha * np.exp(np.minimum(u, 0.0)))
 
 
-def selu_forward(x):
-    return SELU().f(as_f64(x))
-
-
 _BASES = {
     "identity": Identity,
     "relu": ReLU,
@@ -155,20 +167,6 @@ def make_base(name: str, **kwargs) -> BaseActivation:
     return cls(**kwargs)
 
 
-def broadcast_param(p, x_shape):
-    """Broadcast a per-channel/per-element parameter to a (batched) input.
-
-    p has the shape of a single sample's parameter (e.g. (C,1,1), (C,H,W),
-    (D,) or (1,)); x may carry a leading batch axis.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    try:
-        return np.broadcast_to(p, x_shape)
-    except ValueError:
-        raise ShapeError(f"parameter shape {p.shape} does not broadcast "
-                         f"to input shape {x_shape}") from None
-
-
 def shift_shape(granularity: str, sample_shape: tuple[int, ...]) -> tuple[int, ...]:
     """Storage shape of t for one input sample of the given shape."""
     if granularity == "layer":
@@ -184,46 +182,44 @@ def shift_shape(granularity: str, sample_shape: tuple[int, ...]) -> tuple[int, .
     raise ShapeError(f"granularity {granularity!r} undefined for shape {sample_shape}")
 
 
-@dataclass
-class NgActivation:
-    """A base activation wrapped with a trainable shift.
+# The kernels take the base, the shift t at its storage shape (it broadcasts
+# against x, which may carry a leading batch axis) and, in the backward, the
+# mask the forward returned.  Every full-shape result is C-contiguous, also
+# for a transposed-view x such as a conv output, so reductions downstream
+# run in the same order whatever the input layout.
 
-    ``t`` holds the shift at its granularity's storage shape.  When
-    ``trainable`` is false it stays fixed (used for the fixed-shift
-    capacity sweeps).
+def ng_forward(base: BaseActivation, t, x, a=None):
+    """(f(x - t) + t, branch mask x >= t), elementwise.
+
+    For linear_positive bases the positive branch returns x itself, so the
+    ReLU wrapper is exactly max(x, t) and every wrapper is exactly the
+    identity whenever every input clears the shift.  Both branches agree
+    with f(x - t) + t for finite inputs; x == t == ±inf returns x.
     """
-
-    base: BaseActivation
-    t: np.ndarray
-    granularity: str = "channel"
-    trainable: bool = True
-
-    def __post_init__(self):
-        self.t = as_f64(self.t)
-
-    def pre_shift(self, x):
-        return as_f64(x) - broadcast_param(self.t, np.shape(x))
-
-
-def ng_forward(act: NgActivation, x, a=None):
-    """f(x - t) + t, elementwise.
-
-    For bases that are the identity on u >= 0 the positive branch returns x
-    itself, so the wrapper is exactly max(x, t) for ReLU and exactly the
-    identity whenever every input clears the shift.
-    """
+    m = np.greater_equal(x, t, out=np.empty(x.shape, dtype=bool))
+    if isinstance(base, ReLU):
+        # f(u) + t is 0.0 + t on the lower branch, which turns a stored
+        # -0.0 into +0.0; on a tie np.maximum returns its second operand,
+        # so x == t gives x, signed zeros included, and a NaN propagates
+        return np.maximum(t + 0.0, x, out=np.empty(x.shape)), m
     x = as_f64(x)
-    u = act.pre_shift(x)
-    shifted = act.base.f(u, a) + broadcast_param(act.t, x.shape)
-    if act.base.linear_positive:
-        return np.where(u >= 0.0, x, shifted)
-    return shifted
+    shifted = base.f(x - t, a) + t
+    if base.linear_positive:
+        return np.where(m, x, shifted), m
+    return shifted, m
 
 
-def ng_backward_input(act: NgActivation, x, grad_out, a=None):
+def _dfdx(base, t, x, m, a):
+    """f'(x - t): picked by the mask for linear_positive bases."""
+    if base.linear_positive:
+        return np.where(m, 1.0, base.neg_slope(a))
+    return base.df(as_f64(x) - t, a)
+
+
+def ng_backward_input(base: BaseActivation, t, x, m, grad_out, a=None):
     """grad_out * f'(x - t)."""
-    u = act.pre_shift(x)
-    return as_f64(grad_out) * act.base.df(u, a)
+    df = m if isinstance(base, ReLU) else _dfdx(base, t, x, m, a)
+    return np.multiply(grad_out, df, out=np.empty(m.shape))
 
 
 def reduce_to_param(g, param_shape, batched):
@@ -245,7 +241,8 @@ def reduce_to_param(g, param_shape, batched):
     return g.reshape(param_shape)
 
 
-def ng_grad_t(act: NgActivation, x, grad_out, a=None, batched=None):
+def ng_grad_t(base: BaseActivation, t, x, m, grad_out, trainable, a=None,
+              batched=None):
     """Gradient of the loss w.r.t. the shift t.
 
     Per element the factor is ``1 - f'(x - t)``; contributions sharing one t
@@ -253,24 +250,23 @@ def ng_grad_t(act: NgActivation, x, grad_out, a=None, batched=None):
     derivative of the upstream (batch-mean) loss.  Non-trainable shifts get
     a zero gradient.
     """
-    x = as_f64(x)
-    if not act.trainable:
-        return np.zeros_like(act.t)
+    if not trainable:
+        return np.zeros_like(t)
     if batched is None:
-        batched = x.ndim == act.t.ndim + 1
-    u = act.pre_shift(x)
-    g = as_f64(grad_out) * (1.0 - act.base.df(u, a))
-    return reduce_to_param(g, act.t.shape, batched)
+        batched = m.ndim == t.ndim + 1
+    factor = ~m if isinstance(base, ReLU) else 1.0 - _dfdx(base, t, x, m, a)
+    g = np.multiply(grad_out, factor, out=np.empty(m.shape))
+    return reduce_to_param(g, t.shape, batched)
 
 
-def prelu_grad_a(act: NgActivation, x, grad_out, a, batched=None):
+def prelu_grad_a(base: BaseActivation, t, x, grad_out, a, batched=None):
     """Gradient w.r.t. the PReLU slope, evaluated on the shifted input."""
-    if not isinstance(act.base, PReLU):
+    if not isinstance(base, PReLU):
         raise ContractError("slope gradient is defined only for a PReLU base")
     x = as_f64(x)
     a = np.asarray(a, dtype=np.float64)
     if batched is None:
-        batched = x.ndim == act.t.ndim + 1
-    u = act.pre_shift(x)
+        batched = x.ndim == t.ndim + 1
+    u = x - t
     g = as_f64(grad_out) * np.where(u < 0.0, u, 0.0)
     return reduce_to_param(g, a.shape, batched)

@@ -17,9 +17,11 @@ like one, lists as comma-separated values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .activations import GRANULARITIES
+from .datasets import synthetic_train_count
 from .errors import ConfigError
 from .network import ActivationSpec
 from .optim import OptimConfig, PlateauSchedule, StepSchedule
@@ -160,9 +162,29 @@ def _validate(cfg: ExperimentConfig):
                         ("model.depth", cfg.model.depth),
                         ("model.width", cfg.model.width),
                         ("dataset.n", cfg.dataset.n),
-                        ("dataset.classes", cfg.dataset.classes)):
+                        ("dataset.classes", cfg.dataset.classes),
+                        ("depth_start", cfg.depth_start),
+                        ("depth_step", cfg.depth_step),
+                        ("depth_count", cfg.depth_count),
+                        ("probe_steps", cfg.probe_steps)):
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    d = cfg.dataset
+    for name in ("spread", "noise"):
+        value = getattr(d, name)
+        if not _is_number(value) or not 0 <= value < math.inf:
+            raise ConfigError(f"dataset.{name} must be a finite number >= 0, "
+                              f"got {value!r}")
+    if d.kind in ("synthetic_blobs", "synthetic_spirals"):
+        n_train = synthetic_train_count(d.kind, d.n, d.classes)
+        if n_train < 1:
+            raise ConfigError(f"dataset.n={d.n} leaves no training samples "
+                              f"for {d.classes} classes")
+        if cfg.experiment == "variance_study" and cfg.probe_steps > n_train:
+            raise ConfigError(f"probe_steps={cfg.probe_steps} exceeds the "
+                              f"{n_train} training samples")
+    if not all(_is_number(t) and math.isfinite(t) for t in cfg.t_values):
+        raise ConfigError(f"t_values must be finite numbers, got {cfg.t_values!r}")
     for name in ("lr", "momentum", "weight_decay", "t_lr", "t_momentum"):
         value = getattr(cfg.optim, name)
         if not _is_number(value):
@@ -216,6 +238,8 @@ def build_experiment_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     if cfg.seed is None:
         raise ConfigError("seed is mandatory")
+    if not isinstance(cfg.t_values, list):
+        cfg.t_values = [cfg.t_values]  # a single value parses as a scalar
     _validate(cfg)
     if not cfg.run_id:
         cfg.run_id = f"{cfg.experiment}-s{cfg.seed}"

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import FormatError
 
 CIFAR_RECORD = 3073  # 1 label byte + 3 * 1024 pixel bytes
+SYNTHETIC_TEST_FRAC = 0.25
 
 
 @dataclass
@@ -32,16 +33,28 @@ class Dataset:
     num_classes: int
 
 
+def _test_count(n, test_frac):
+    return max(1, int(n * test_frac))
+
+
 def _split(x, y, test_frac, rng):
     n = len(y)
     order = rng.permutation(n)
     x, y = x[order], y[order]
-    n_test = max(1, int(n * test_frac))
+    n_test = _test_count(n, test_frac)
     return x[n_test:], y[n_test:], x[:n_test], y[:n_test]
 
 
+def synthetic_train_count(kind, n, classes):
+    """Training samples make_blobs/make_spirals leave for these knobs;
+    spirals draw n // classes points per arm."""
+    if kind == "synthetic_spirals":
+        n = n // classes * classes
+    return n - _test_count(n, SYNTHETIC_TEST_FRAC)
+
+
 def make_blobs(classes=3, dims=8, spread=0.6, n=600, seed=0, image_shape=None,
-               test_frac=0.25) -> Dataset:
+               test_frac=SYNTHETIC_TEST_FRAC) -> Dataset:
     """Gaussian clusters with unit-scale centers; standardized features."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     centers = rng.standard_normal((classes, dims))
@@ -55,7 +68,7 @@ def make_blobs(classes=3, dims=8, spread=0.6, n=600, seed=0, image_shape=None,
 
 
 def make_spirals(classes=3, n=1500, seed=0, noise=0.08, image_shape=None,
-                 turns=1.75, test_frac=0.25) -> Dataset:
+                 turns=1.75, test_frac=SYNTHETIC_TEST_FRAC) -> Dataset:
     """Interleaved spirals in the plane; optionally embedded linearly into
     image space so conv nets can consume them."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .activations import reduce_to_param
 from .errors import ContractError, RegimeError
 from .network import Activation, Conv, Dense, NetworkSpec, backward, forward
 
@@ -142,22 +143,6 @@ def mean_shift_trace(spec: NetworkSpec, params: dict, batch, labels):
             if isinstance(layer, (Conv, Dense))]
 
 
-def set_shifts_below_preactivations(spec: NetworkSpec, params: dict, batch,
-                                    margin=1.0):
-    """Lower every activation layer's shift below the minimum of its input
-    on a probe batch, putting the whole network in its linear regime.
-
-    Processed front to back because lowering an earlier shift changes the
-    inputs of later layers.  Mutates params in place.
-    """
-    for i, layer in enumerate(spec.layers):
-        if not isinstance(layer, Activation):
-            continue
-        _, _, cache = forward(spec, params, batch, mode="eval")
-        x = cache["layers"][i]["x"]
-        params[i]["t"].fill(float(x.min()) - margin)
-
-
 # ---------------------------------------------------------------------------
 # Finite-difference gradient checking
 # ---------------------------------------------------------------------------
@@ -184,12 +169,10 @@ def _loss_of(spec, params, batch, labels):
 def _kink_mask_for_t(spec, params, batch, labels, i):
     """Which components of layer i's shift sit within the kink window of
     some input element in the probe batch."""
-    from .activations import broadcast_param, reduce_to_param
-
     _, _, cache = forward(spec, params, batch, labels, mode="train")
     x = cache["layers"][i]["x"]
     t = params[i]["t"]
-    near = (np.abs(x - broadcast_param(t, x.shape)) < KINK_WINDOW).astype(float)
+    near = (np.abs(x - t) < KINK_WINDOW).astype(float)
     batched = x.ndim == t.ndim + 1
     return reduce_to_param(near, t.shape, batched) > 0
 
@@ -215,7 +198,7 @@ def grad_check(spec: NetworkSpec, params: dict, batch, labels,
                 continue
             layer = spec.layers[i]
             if key == "t" and isinstance(layer, Activation) \
-                    and not (layer.spec.ng and layer.spec.trainable):
+                    and not layer.trains_t:
                 continue
             kink = None
             if key == "t":

@@ -9,7 +9,8 @@ updated in train mode.
 
 A plain (unwrapped) activation is represented internally as the shifted
 wrapper with a fixed t = 0, which is exactly ``f(x)``; this keeps a single
-code path for all activation gradients.
+code path for all activation gradients.  An activation layer's cache holds
+its input ``x`` and the branch mask ``x >= t`` its forward returned.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import (NgActivation, PReLU, make_base, ng_backward_input,
-                          ng_forward, ng_grad_t, prelu_grad_a, shift_shape)
+from .activations import (BaseActivation, PReLU, make_base,
+                          ng_backward_input, ng_forward, ng_grad_t,
+                          prelu_grad_a, shift_shape)
 from .errors import ConfigError, ContractError, ShapeError
 from .tensor import (as_f64, conv2d_backward, conv2d_forward,
                      global_avg_pool_backward, global_avg_pool_forward,
@@ -68,6 +70,15 @@ class BatchNorm:
 @dataclass
 class Activation:
     spec: ActivationSpec
+    # built once from spec, so forward/backward build no object per call
+    base: BaseActivation = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.base = self.spec.make_base()
+
+    @property
+    def trains_t(self) -> bool:
+        return self.spec.ng and self.spec.trainable
 
 
 @dataclass
@@ -311,17 +322,6 @@ def init_params(spec: NetworkSpec, scheme: InitScheme) -> dict:
     return params
 
 
-def bind_activation(layer: Activation, params_i: dict) -> NgActivation:
-    """An NgActivation view over a layer's stored shift."""
-    a_spec = layer.spec
-    return NgActivation(
-        base=a_spec.make_base(),
-        t=params_i["t"],
-        granularity=a_spec.granularity if a_spec.ng else "layer",
-        trainable=a_spec.ng and a_spec.trainable,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Forward / backward
 # ---------------------------------------------------------------------------
@@ -363,10 +363,9 @@ def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train"):
         elif isinstance(layer, BatchNorm):
             x = _bn_forward(params[i], x, mode, c)
         elif isinstance(layer, Activation):
-            ng = bind_activation(layer, params[i])
-            a = params[i].get("a")
             c["x"] = x
-            x = ng_forward(ng, x, a)
+            x, c["mask"] = ng_forward(layer.base, params[i]["t"], x,
+                                      params[i].get("a"))
         elif isinstance(layer, MaxPool):
             x, idx = maxpool2_forward(x)
             c["idx"] = idx
@@ -485,12 +484,12 @@ def backward(spec: NetworkSpec, params: dict, cache, labels=None,
             grad, g = _bn_backward(params[i], grad, c)
             grads[i] = g
         elif isinstance(layer, Activation):
-            ng = bind_activation(layer, params[i])
-            a = params[i].get("a")
-            g: dict = {"t": ng_grad_t(ng, c["x"], grad, a)}
+            t, a = params[i]["t"], params[i].get("a")
+            g: dict = {"t": ng_grad_t(layer.base, t, c["x"], c["mask"], grad,
+                                      layer.trains_t, a)}
             if a is not None:
-                g["a"] = prelu_grad_a(ng, c["x"], grad, a)
-            grad = ng_backward_input(ng, c["x"], grad, a)
+                g["a"] = prelu_grad_a(layer.base, t, c["x"], grad, a)
+            grad = ng_backward_input(layer.base, t, c["x"], c["mask"], grad, a)
             grads[i] = g
         elif isinstance(layer, MaxPool):
             grad = maxpool2_backward(grad, c["idx"], c["in_shape"])

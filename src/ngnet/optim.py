@@ -99,7 +99,7 @@ def sgd_step(params: dict, grads: dict, velocities: dict, cfg: OptimConfig,
             if key == "t":
                 layer = spec.layers[i] if spec is not None else None
                 if layer is not None and isinstance(layer, Activation) \
-                        and not (layer.spec.ng and layer.spec.trainable):
+                        and not layer.trains_t:
                     continue
                 v *= cfg.t_momentum
                 v += t_lr * g

@@ -4,46 +4,98 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ngnet.activations import (SELU_ALPHA, SELU_LAMBDA, LeakyReLU,
-                               NgActivation, PReLU, ReLU, make_base,
+from ngnet.activations import (GRANULARITIES, SELU, SELU_ALPHA, SELU_LAMBDA,
+                               LeakyReLU, PReLU, ReLU, make_base,
                                ng_backward_input, ng_forward, ng_grad_t,
-                               prelu_grad_a, selu_forward, shift_shape)
+                               prelu_grad_a, reduce_to_param, shift_shape)
 from ngnet.errors import ContractError
 
+BASES = ("identity", "relu", "lrelu", "prelu", "selu")
 
-def ng(base, t, **kw):
-    return NgActivation(base=base, t=np.asarray(t, dtype=float), **kw)
+
+def ref_forward(base, t, x, a=None):
+    """Reference for ng_forward's output, which must match it bitwise: the
+    kernel before the branch mask, which builds u = x - t on a contiguous
+    copy of x and keeps x itself where u >= 0 for linear_positive bases."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    t = np.broadcast_to(t, x.shape)
+    u = x - t
+    shifted = base.f(u, a) + t
+    if base.linear_positive:
+        return np.where(u >= 0.0, x, shifted)
+    return shifted
+
+
+def ref_backward_input(base, t, x, grad_out, a=None):
+    """Reference for ng_backward_input: grad_out * f'(x - t), u rebuilt."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    u = x - np.broadcast_to(t, x.shape)
+    return np.ascontiguousarray(grad_out) * base.df(u, a)
+
+
+def ref_grad_t(base, t, x, grad_out, a=None):
+    """Reference for ng_grad_t: grad_out * (1 - f'(x - t)) summed down to
+    t's storage shape, with a batch axis wherever x has one more axis than
+    t (a layer-wide t on a conv input is summed over all axes at once)."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    u = x - np.broadcast_to(t, x.shape)
+    g = np.ascontiguousarray(grad_out) * (1.0 - base.df(u, a))
+    return reduce_to_param(g, t.shape, x.ndim == t.ndim + 1)
+
+
+def t_arr(t):
+    return np.asarray(t, dtype=float)
+
+
+def fwd(base, t, x, a=None):
+    return ng_forward(base, t_arr(t), np.asarray(x, dtype=float), a)[0]
+
+
+def bwd_x(base, t, x, grad_out, a=None):
+    t, x = t_arr(t), np.asarray(x, dtype=float)
+    _, m = ng_forward(base, t, x, a)
+    return ng_backward_input(base, t, x, m, np.asarray(grad_out, dtype=float), a)
+
+
+def grad_t(base, t, x, grad_out, trainable=True, batched=None):
+    t, x = t_arr(t), np.asarray(x, dtype=float)
+    _, m = ng_forward(base, t, x)
+    return ng_grad_t(base, t, x, m, np.asarray(grad_out, dtype=float),
+                     trainable, batched=batched)
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64)), \
+        f"\n got {got!r}\nwant {want!r}"
 
 
 class TestForward:
     def test_relu_above_shift(self):
-        act = ng(ReLU(), [-1.0])
-        assert ng_forward(act, np.array([0.5]))[0] == 0.5
+        assert fwd(ReLU(), [-1.0], [0.5])[0] == 0.5
 
     def test_relu_floor(self):
-        act = ng(ReLU(), [-1.0])
-        assert ng_forward(act, np.array([-2.0]))[0] == -1.0
+        assert fwd(ReLU(), [-1.0], [-2.0])[0] == -1.0
 
     def test_lrelu_substitution(self):
-        act = ng(LeakyReLU(0.1), [-1.0])
         # 0.1 * (-2 - (-1)) + (-1) = -1.1
-        assert np.isclose(ng_forward(act, np.array([-2.0]))[0], -1.1)
+        assert np.isclose(fwd(LeakyReLU(0.1), [-1.0], [-2.0])[0], -1.1)
 
     def test_relu_is_max(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(100)
-        act = ng(ReLU(), [-0.3])
-        np.testing.assert_array_equal(ng_forward(act, x), np.maximum(x, -0.3))
+        np.testing.assert_array_equal(fwd(ReLU(), [-0.3], x), np.maximum(x, -0.3))
 
     def test_granularities_agree(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 3, 4, 4))
-        y_elem = ng_forward(ng(ReLU(), np.full((3, 4, 4), -0.5),
-                               granularity="element"), x)
-        y_chan = ng_forward(ng(ReLU(), np.full((3, 1, 1), -0.5),
-                               granularity="channel"), x)
-        y_layer = ng_forward(ng(ReLU(), [-0.5], granularity="layer"), x)
+        y_elem = fwd(ReLU(), np.full((3, 4, 4), -0.5), x)
+        y_chan = fwd(ReLU(), np.full((3, 1, 1), -0.5), x)
+        y_layer = fwd(ReLU(), [-0.5], x)
         np.testing.assert_array_equal(y_elem, y_chan)
         np.testing.assert_array_equal(y_chan, y_layer)
 
@@ -53,17 +105,22 @@ class TestForward:
         rng = np.random.default_rng(2)
         x = rng.standard_normal(50)
         b = make_base(base)
-        act = ng(b, [-0.7])
-        np.testing.assert_allclose(ng_forward(act, x) - (-0.7), b.f(x - (-0.7)),
+        np.testing.assert_allclose(fwd(b, [-0.7], x) - (-0.7), b.f(x - (-0.7)),
                                    atol=1e-15)
 
     @pytest.mark.parametrize("base", ["relu", "lrelu", "selu"])
     def test_continuity_at_kink(self, base):
-        act = ng(make_base(base), [0.4])
+        b = make_base(base)
         eps = 1e-8
-        lo = ng_forward(act, np.array([0.4 - eps]))[0]
-        hi = ng_forward(act, np.array([0.4 + eps]))[0]
+        lo = fwd(b, [0.4], [0.4 - eps])[0]
+        hi = fwd(b, [0.4], [0.4 + eps])[0]
         assert abs(hi - lo) < 1e-6
+
+    def test_mask_is_x_ge_t(self):
+        x = np.array([[-1.0, 0.5, 0.5, np.nan]])
+        _, m = ng_forward(ReLU(), t_arr([0.5]), x)
+        np.testing.assert_array_equal(m, [[False, True, True, False]])
+        assert m.dtype == bool
 
 
 class TestLinearRegion:
@@ -74,77 +131,65 @@ class TestLinearRegion:
     def test_identity_forward(self, base):
         rng = np.random.default_rng(3)
         x = np.abs(rng.standard_normal(100)) + 0.1
-        act = ng(make_base(base), [0.0])
-        assert np.array_equal(ng_forward(act, x), x)
+        assert np.array_equal(fwd(make_base(base), [0.0], x), x)
 
     def test_identity_backward(self):
         rng = np.random.default_rng(4)
         x = np.abs(rng.standard_normal(40)) + 0.1
         g = rng.standard_normal(40)
-        act = ng(ReLU(), [0.0])
-        assert np.array_equal(ng_backward_input(act, x, g), g)
+        assert np.array_equal(bwd_x(ReLU(), [0.0], x, g), g)
 
     def test_zero_t_gradient(self):
         rng = np.random.default_rng(5)
         x = np.abs(rng.standard_normal(40)) + 0.1
-        act = ng(ReLU(), [0.0], granularity="layer")
-        assert ng_grad_t(act, x, np.ones(40), batched=False)[0] == 0.0
+        assert grad_t(ReLU(), [0.0], x, np.ones(40), batched=False)[0] == 0.0
 
 
 class TestBackwardInput:
     def test_active_region(self):
-        act = ng(ReLU(), [0.0])
-        assert ng_backward_input(act, np.array([2.0]), np.array([1.0]))[0] == 1.0
+        assert bwd_x(ReLU(), [0.0], [2.0], [1.0])[0] == 1.0
 
     def test_inactive_region(self):
-        act = ng(ReLU(), [0.0])
-        assert ng_backward_input(act, np.array([-1.0]), np.array([1.0]))[0] == 0.0
+        assert bwd_x(ReLU(), [0.0], [-1.0], [1.0])[0] == 0.0
 
     def test_kink_uses_right_derivative(self):
-        act = ng(ReLU(), [0.3])
-        assert ng_backward_input(act, np.array([0.3]), np.array([1.0]))[0] == 1.0
+        assert bwd_x(ReLU(), [0.3], [0.3], [1.0])[0] == 1.0
 
     @pytest.mark.parametrize("base", ["relu", "lrelu", "selu"])
     def test_finite_differences(self, base):
         rng = np.random.default_rng(6)
         x = rng.standard_normal(60)
         x = x[np.abs(x - 0.2) > 1e-3]  # kink-free sampling
-        act = ng(make_base(base), [0.2], granularity="layer")
+        b = make_base(base)
         proj = rng.standard_normal(x.size)
-        g = ng_backward_input(act, x, proj)
+        g = bwd_x(b, [0.2], x, proj)
         h = 1e-5
         for j in range(x.size):
             xp, xm = x.copy(), x.copy()
             xp[j] += h
             xm[j] -= h
-            fd = float(((ng_forward(act, xp) - ng_forward(act, xm)) * proj).sum()) / (2 * h)
+            fd = float(((fwd(b, [0.2], xp) - fwd(b, [0.2], xm)) * proj).sum()) / (2 * h)
             assert abs(fd - g[j]) / max(abs(fd), abs(g[j]), 1e-8) < 1e-4
 
 
 class TestGradT:
     def test_active_branch_factor_zero(self):
-        act = ng(ReLU(), [0.0], granularity="layer")
-        assert ng_grad_t(act, np.array([2.0]), np.array([1.0]), batched=False)[0] == 0.0
+        assert grad_t(ReLU(), [0.0], [2.0], [1.0], batched=False)[0] == 0.0
 
     def test_inactive_branch_factor_one(self):
-        act = ng(ReLU(), [0.0], granularity="layer")
-        assert ng_grad_t(act, np.array([-1.0]), np.array([1.0]), batched=False)[0] == 1.0
+        assert grad_t(ReLU(), [0.0], [-1.0], [1.0], batched=False)[0] == 1.0
 
     def test_kink_belongs_to_t(self):
-        # x == t sits on the inactive branch of the t-gradient case split
-        act = ng(ReLU(), [0.5], granularity="layer")
-        assert ng_grad_t(act, np.array([0.5]), np.array([1.0]), batched=False)[0] == 0.0
-        # ... while the input gradient uses the active side there; the two
-        # conventions are kept as-is (they disagree only on a null set)
+        # x == t sits on the linear branch (the mask x >= t holds there), so
+        # it adds nothing to t, and the input gradient passes (next test)
+        assert grad_t(ReLU(), [0.5], [0.5], [1.0], batched=False)[0] == 0.0
 
     def test_lrelu_general_factor(self):
-        act = ng(LeakyReLU(0.1), [0.0], granularity="layer")
-        g = ng_grad_t(act, np.array([-1.0]), np.array([1.0]), batched=False)
+        g = grad_t(LeakyReLU(0.1), [0.0], [-1.0], [1.0], batched=False)
         assert np.isclose(g[0], 0.9)
 
     def test_nontrainable_returns_zero(self):
-        act = ng(ReLU(), [-1.0], trainable=False)
-        g = ng_grad_t(act, np.array([-5.0]), np.array([1.0]), batched=False)
+        g = grad_t(ReLU(), [-1.0], [-5.0], [1.0], trainable=False, batched=False)
         assert not g.any()
 
     @pytest.mark.parametrize("base", ["relu", "lrelu", "selu"])
@@ -155,51 +200,46 @@ class TestGradT:
         x = x[np.abs(x - t0) > 1e-3]
         proj = rng.standard_normal(x.size)
         h = 1e-5
+        b = make_base(base)
 
         def loss(tv):
-            a = ng(make_base(base), [tv], granularity="layer")
-            return float((ng_forward(a, x) * proj).sum())
+            return float((fwd(b, [tv], x) * proj).sum())
 
-        act = ng(make_base(base), [t0], granularity="layer")
-        g = ng_grad_t(act, x, proj, batched=False)
+        g = grad_t(b, [t0], x, proj, batched=False)
         fd = (loss(t0 + h) - loss(t0 - h)) / (2 * h)
         assert abs(fd - g[0]) / max(abs(fd), abs(g[0]), 1e-8) < 1e-4
 
     def test_channel_reduction(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((4, 2, 3, 3))  # batch of 4, 2 channels
-        t = np.full((2, 1, 1), 0.1)
-        act = ng(ReLU(), t, granularity="channel")
-        g = ng_grad_t(act, x, np.ones_like(x))
+        g = grad_t(ReLU(), np.full((2, 1, 1), 0.1), x, np.ones_like(x))
         # each channel's entry equals the count of inactive elements
         expect = ((x - 0.1) < 0).sum(axis=(0, 2, 3)).astype(float)
         np.testing.assert_allclose(g.ravel(), expect)
 
     def test_kink_belongs_to_t_exactly(self):
-        act = ng(ReLU(), [0.5], granularity="layer")
         # at x == t: input grad passes (right derivative), t factor is 0
-        assert ng_backward_input(act, np.array([0.5]), np.array([1.0]))[0] == 1.0
+        assert bwd_x(ReLU(), [0.5], [0.5], [1.0])[0] == 1.0
 
 
 class TestPReLU:
+    @staticmethod
+    def slope_grad(t, x, grad_out, a):
+        return prelu_grad_a(PReLU(), t_arr(t), np.asarray(x, dtype=float),
+                            np.asarray(grad_out, dtype=float), a, batched=False)
+
     def test_positive_inputs_zero_slope_grad(self):
-        act = ng(PReLU(), [0.0], granularity="layer")
-        a = np.array([0.25])
-        g = prelu_grad_a(act, np.array([1.0, 2.0]), np.ones(2), a, batched=False)
+        g = self.slope_grad([0.0], [1.0, 2.0], np.ones(2), np.array([0.25]))
         assert g[0] == 0.0
 
     def test_single_negative_unit(self):
-        act = ng(PReLU(), [0.0], granularity="layer")
-        a = np.array([0.25])
         u, gout = -1.5, 0.7
-        g = prelu_grad_a(act, np.array([u]), np.array([gout]), a, batched=False)
+        g = self.slope_grad([0.0], [u], [gout], np.array([0.25]))
         assert np.isclose(g[0], gout * u)
 
     def test_slope_applies_to_shifted_input(self):
-        act = ng(PReLU(), [-1.0], granularity="layer")
-        a = np.array([0.25])
         # x = -2, t = -1 -> u = -1: slope sees u, not x
-        g = prelu_grad_a(act, np.array([-2.0]), np.array([1.0]), a, batched=False)
+        g = self.slope_grad([-1.0], [-2.0], [1.0], np.array([0.25]))
         assert np.isclose(g[0], -1.0)
 
     def test_finite_differences(self):
@@ -207,31 +247,34 @@ class TestPReLU:
         x = rng.standard_normal(50)
         proj = rng.standard_normal(50)
         a0 = 0.25
-        act = ng(PReLU(), [0.1], granularity="layer")
         h = 1e-5
 
         def loss(av):
-            return float((ng_forward(act, x, np.array([av])) * proj).sum())
+            return float((fwd(PReLU(), [0.1], x, np.array([av])) * proj).sum())
 
-        g = prelu_grad_a(act, x, proj, np.array([a0]), batched=False)
+        g = self.slope_grad([0.1], x, proj, np.array([a0]))
         fd = (loss(a0 + h) - loss(a0 - h)) / (2 * h)
         assert abs(fd - g[0]) / max(abs(fd), abs(g[0]), 1e-8) < 1e-4
 
     def test_non_prelu_base_rejected(self):
-        act = ng(ReLU(), [0.0])
         with pytest.raises(ContractError):
-            prelu_grad_a(act, np.zeros(3), np.zeros(3), np.array([0.25]))
+            prelu_grad_a(ReLU(), t_arr([0.0]), np.zeros(3), np.zeros(3),
+                         np.array([0.25]))
+
+    def test_missing_slope_rejected(self):
+        with pytest.raises(ContractError):
+            fwd(PReLU(), [0.0], [-1.0])
 
 
 class TestSELU:
     def test_zero(self):
-        assert selu_forward(np.array([0.0]))[0] == 0.0
+        assert SELU().f(np.array([0.0]))[0] == 0.0
 
     def test_positive_branch(self):
-        assert np.isclose(selu_forward(np.array([1.0]))[0], SELU_LAMBDA)
+        assert np.isclose(SELU().f(np.array([1.0]))[0], SELU_LAMBDA)
 
     def test_saturation(self):
-        v = selu_forward(np.array([-20.0]))[0]
+        v = SELU().f(np.array([-20.0]))[0]
         assert np.isclose(v, -SELU_LAMBDA * SELU_ALPHA, rtol=1e-6)
 
 
@@ -251,8 +294,7 @@ class TestShiftShape:
 @given(st.floats(-3, 3), st.floats(-2, 2))
 def test_floor_property_everywhere(x, t):
     """ReLU wrapper == max(x, t) for all x, t."""
-    act = ng(ReLU(), [t], granularity="layer")
-    assert ng_forward(act, np.array([x]))[0] == max(x, t)
+    assert fwd(ReLU(), [t], [x])[0] == max(x, t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -263,5 +305,85 @@ def test_linear_identity_property(xs, t):
     x = x[x > t]
     if x.size == 0:
         return
-    act = ng(ReLU(), [t], granularity="layer")
-    assert np.array_equal(ng_forward(act, x), x)
+    assert np.array_equal(fwd(ReLU(), [t], x), x)
+
+
+# ---------------------------------------------------------------------------
+# Bitwise equality with the reference formula
+# ---------------------------------------------------------------------------
+
+def check_against_reference(base, t, x, grad_out, a=None):
+    """Forward, input gradient and t-gradient bitwise equal to the
+    reference, with C-contiguous full-shape results."""
+    y, m = ng_forward(base, t, x, a)
+    dx = ng_backward_input(base, t, x, m, grad_out, a)
+    dt = ng_grad_t(base, t, x, m, grad_out, True, a)
+    for arr in (y, m, dx):
+        assert arr.flags.c_contiguous
+    assert_bitwise(y, ref_forward(base, t, x, a))
+    assert_bitwise(dx, ref_backward_input(base, t, x, grad_out, a))
+    assert_bitwise(dt, ref_grad_t(base, t, x, grad_out, a))
+
+
+def channels_last_view(arr):
+    """The same values laid out like a conv output: a transposed view of a
+    contiguous (B, H, W, C) array."""
+    return np.ascontiguousarray(arr.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+# Finite values, both signed zeros and exact ties; infinities are left out:
+# at x == t == ±inf the reference's u = x - t is NaN while the mask x >= t
+# holds, so the kernels return x there (documented in ng_forward).
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]),
+                    st.floats(-3, 3, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bitwise_equals_reference(data):
+    base = make_base(data.draw(st.sampled_from(BASES), label="base"))
+    granularity = data.draw(st.sampled_from(GRANULARITIES), label="granularity")
+    batch = data.draw(st.integers(1, 3), label="batch")
+    if data.draw(st.booleans(), label="conv"):
+        sample = tuple(data.draw(st.tuples(*[st.integers(1, 3)] * 3), label="chw"))
+    else:
+        sample = (data.draw(st.integers(1, 4), label="features"),)
+    shape = (batch,) + sample
+    t = data.draw(arrays(np.float64, shift_shape(granularity, sample),
+                         elements=_VALUES), label="t")
+    x = data.draw(arrays(np.float64, shape, elements=_VALUES), label="x")
+    # ties x == t, and NaN inputs
+    tie = data.draw(arrays(np.bool_, shape), label="tie")
+    x = np.where(tie, np.broadcast_to(t, shape), x)
+    nan = data.draw(arrays(np.bool_, shape,
+                           elements=st.sampled_from([False, False, True])),
+                    label="nan")
+    x[nan] = np.nan
+    grad_out = data.draw(arrays(np.float64, shape, elements=_VALUES), label="g")
+    if len(sample) == 3:
+        if data.draw(st.booleans(), label="x channels-last"):
+            x = channels_last_view(x)
+        if data.draw(st.booleans(), label="g channels-last"):
+            grad_out = channels_last_view(grad_out)
+    a = None
+    if base.has_slope_param:
+        a = data.draw(arrays(np.float64, (sample[0],) + (1,) * (len(sample) - 1),
+                             elements=st.floats(0.01, 0.99)), label="a")
+    check_against_reference(base, t, x, grad_out, a)
+
+
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_signed_zero_ties_and_nan_bitwise(base, granularity):
+    """Every pairing of ±0.0 in x with a stored t of ±0.0, and NaN inputs,
+    on a channels-last conv-output view, at every granularity."""
+    b = make_base(base)
+    t_shape = shift_shape(granularity, (2, 3, 2))
+    a = np.full((2, 1, 1), 0.25) if b.has_slope_param else None
+    rng = np.random.default_rng(11)
+    for t_val in (0.0, -0.0):
+        t = np.full(t_shape, t_val)
+        x = rng.choice([0.0, -0.0, np.nan, 0.25, -0.25], size=(3, 2, 3, 2))
+        g = rng.choice([0.0, -0.0, 1.5, -2.0], size=x.shape)
+        check_against_reference(b, t, channels_last_view(x), g, a)
+        check_against_reference(b, t, x, channels_last_view(g), a)

@@ -7,6 +7,8 @@ their published tolerances live in test_acceptance.py.
 
 import copy
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -393,6 +395,15 @@ class TestCli:
         ("activation.granularity=pixel", "activation.granularity"),
         ("dataset.n=0", "dataset.n"),
         ("optim.t_lr=-1", "t_lr"),
+        ("dataset.n=2", "dataset.n"),
+        ("dataset.noise=abc", "dataset.noise"),
+        ("dataset.noise=-0.1", "dataset.noise"),
+        ("dataset.spread=nan", "dataset.spread"),
+        ("depth_start=0", "depth_start"),
+        ("depth_step=abc", "depth_step"),
+        ("depth_count=2.5", "depth_count"),
+        ("t_values=-1,abc", "t_values"),
+        ("probe_steps=0", "probe_steps"),
     ])
     def test_invalid_config_is_a_clean_error(self, tmp_path, capsys,
                                              override, name):
@@ -403,11 +414,36 @@ class TestCli:
         assert name in capsys.readouterr().err
         assert not out.exists()
 
+    def test_probes_beyond_training_split_are_a_clean_error(self, tmp_path,
+                                                             capsys):
+        # 160 spiral points leave 120 for training
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", cfg, "--out", str(out),
+                         "--override", "experiment=variance_study",
+                         "--override", "probe_steps=121"]) == 2
+        assert "probe_steps" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_t_value_is_a_list(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, CONFIG_TEXT + "t_values = -0.5\n")
+        assert build_experiment_config(load_config(cfg)).t_values == [-0.5]
+
     @pytest.mark.parametrize("path", sorted(
         str(p) for root in ("configs", "perfbench")
         for p in (Path(__file__).resolve().parents[1] / root).glob("*.cfg")))
     def test_shipped_configs_load(self, path):
         assert build_experiment_config(load_config(path)).seed is not None
+
+    def test_python_m_ngnet(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        res = subprocess.run([sys.executable, "-m", "ngnet", "--help"],
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert "sweep" in res.stdout
 
     def test_grad_check_wrapped_and_plain(self, capsys):
         assert cli_main(["grad-check", "--layers", "2", "--width", "6"]) == 0

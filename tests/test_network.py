@@ -279,9 +279,23 @@ class TestBatchNorm:
         assert not np.array_equal(before, params[bn_idx]["running_mean"])
 
 
+def set_shifts_below_preactivations(spec, params, batch, margin=1.0):
+    """Lower every activation layer's shift below the minimum of its input
+    on a probe batch, putting the whole network in its linear regime.
+
+    Processed front to back because lowering an earlier shift changes the
+    inputs of later layers.  Mutates params in place.
+    """
+    for i, layer in enumerate(spec.layers):
+        if not isinstance(layer, Activation):
+            continue
+        _, _, cache = forward(spec, params, batch, mode="eval")
+        x = cache["layers"][i]["x"]
+        params[i]["t"].fill(float(x.min()) - margin)
+
+
 class TestLinearityAtInit:
     def test_logits_match_identity_twin(self):
-        from ngnet.instrumentation import set_shifts_below_preactivations
         ng_spec = build_plain_cnn(8, 4, 3, False, NG_RELU, input_hw=8)
         id_spec = build_plain_cnn(8, 4, 3, False, IDENT, input_hw=8)
         scheme = InitScheme("xavier", 21)
