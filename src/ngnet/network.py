@@ -141,15 +141,6 @@ def infer_shapes(spec: NetworkSpec) -> list:
     return shapes
 
 
-def conv_layer_count(spec: NetworkSpec) -> int:
-    return sum(isinstance(l, Conv) for l in spec.layers)
-
-
-def depth_of(spec: NetworkSpec) -> int:
-    """Conv layers plus the dense classifier, the usual depth convention."""
-    return conv_layer_count(spec) + sum(isinstance(l, Dense) for l in spec.layers)
-
-
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
@@ -469,7 +460,9 @@ def backward(spec: NetworkSpec, params: dict, cache, labels=None,
                 out_grads[i] = grad
             if layer.bias:
                 gb = grad.sum(axis=(0, 2, 3))
-            grad, gw = conv2d_backward(grad, c["x"], params[i]["W"], layer.stride)
+            # nothing reads the gradient of the network input
+            grad, gw = conv2d_backward(grad, c["x"], params[i]["W"], layer.stride,
+                                       input_grad=i > 0)
             grads[i] = {"W": gw}
             if layer.bias:
                 grads[i]["b"] = gb

@@ -143,12 +143,3 @@ class ScheduleState:
         else:
             raise ValueError(f"unknown schedule {s!r}")
         return self.multiplier
-
-
-def schedule_lr(schedule, history) -> float:
-    """Multiplier after replaying a per-epoch metric history."""
-    state = ScheduleState(schedule)
-    mult = 1.0
-    for epoch, metric in enumerate(history):
-        mult = state.epoch_multiplier(epoch, metric)
-    return mult

@@ -6,16 +6,24 @@ restricted to 3x3 kernels with zero padding 1 and stride 1 or 2; pooling is
 ``(C, H, W)`` or a batch ``(B, C, H, W)``; single samples are promoted
 internally and the result is demoted back.
 
-Convolution is unfold + GEMM (Chellapilla, Puri & Simard 2006).  One unfold
-serves both directions: the input, padded channels-last, is copied into a
-contiguous ``(B*H'*W', C*9)`` matrix with columns in the kernel's
-``(C_in, 3, 3)`` order; the forward runs one GEMM on it, the backward two.
-These are the operands ``np.tensordot`` builds from channels-first patches,
-so the results are bitwise those of ``tensordot`` (for a batch of one, see
-``conv2d_forward`` and ``conv2d_backward``).  The nine tap copies run over
-blocks of samples whose unfold rows fit in ``UNFOLD_BLOCK_BYTES``, so an
-unfold larger than L2 (32x32 inputs) is not streamed from memory once per
-tap; at 8x8 and batch 32 the whole batch is one block.
+Convolution is unfold + GEMM (Chellapilla, Puri & Simard 2006).  The unfold
+copies the input, padded channels-last, into a contiguous
+``(B*H'*W', C*9)`` matrix with columns in the kernel's ``(C_in, 3, 3)``
+order.  These are the operands ``np.tensordot`` builds from channels-first
+patches, so the results are bitwise those of ``tensordot`` (for a batch of
+one, see ``conv2d_forward`` and ``conv2d_backward``).
+
+Both directions run over blocks of samples whose unfold rows fit in
+``UNFOLD_BLOCK_BYTES``, so an unfold larger than L2 (32x32 inputs) is
+neither streamed from memory once per tap nor read back by a batch-sized
+GEMM (Goto & van de Geijn 2008).  The forward unfolds a block into one
+reused buffer and multiplies it into that block's rows of the output; the
+backward's input gradient multiplies a block of output gradients into one
+reused taps buffer and scatter-adds it.  GEMM output rows do not depend on
+the other rows, so blocking these is bitwise neutral.  The kernel gradient
+contracts over all B*H'*W' rows, and splitting that sum would change its
+rounding, so it alone still reads a batch-sized unfold.  At 8x8 and batch
+32 the whole batch is one block.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import numpy as np
 from .errors import ShapeError
 
 # Half of a 2 MiB per-core L2, so one block of unfold rows and the input
-# samples it reads stay cached across the nine tap copies.
+# samples it reads stay cached across the nine tap copies and the GEMM.
 UNFOLD_BLOCK_BYTES = 1 << 20
 
 
@@ -48,21 +56,35 @@ def _conv_geometry(h, w, stride):
     return (h + 2 - 3) // stride + 1, (w + 2 - 3) // stride + 1
 
 
+def _block_samples(b, c, h_out, w_out):
+    """Samples per block: as many as keep a block of unfold rows within
+    UNFOLD_BLOCK_BYTES, at least one and at most the batch."""
+    return min(b, max(1, UNFOLD_BLOCK_BYTES // (h_out * w_out * c * 9 * 8)))
+
+
+def _unfold_block(x, stride, xp, cols):
+    """Fill cols (n, H', W', C, 3, 3) with the 3x3 patches of the n samples
+    x (n, C, H, W), staged channels-last in xp (n, H+2, W+2, C), whose
+    one-pixel border must be zero."""
+    h_out, w_out = cols.shape[1:3]
+    xp[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
+    for i in range(3):
+        for j in range(3):
+            cols[..., i, j] = xp[:, i:i + stride * h_out:stride,
+                                 j:j + stride * w_out:stride]
+
+
 def _unfold_channels_last(x, stride, h_out, w_out):
     """Gather the 3x3 patches of a (B, C, H, W) batch, padded by 1, into a
     contiguous (B*H'*W', C*9) matrix: one row per output position, columns
-    in the kernel's (C_in, 3, 3) order."""
+    in the kernel's (C_in, 3, 3) order.  Filled block by block."""
     b, c, h, w = x.shape
-    xp = np.zeros((b, h + 2, w + 2, c))
-    xp[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
+    step = _block_samples(b, c, h_out, w_out)
+    xp = np.zeros((step, h + 2, w + 2, c))
     cols = np.empty((b, h_out, w_out, c, 3, 3))
-    step = max(1, UNFOLD_BLOCK_BYTES // (h_out * w_out * c * 9 * x.itemsize))
     for s in range(0, b, step):
-        for i in range(3):
-            for j in range(3):
-                cols[s:s + step, ..., i, j] = xp[s:s + step,
-                                                 i:i + stride * h_out:stride,
-                                                 j:j + stride * w_out:stride]
+        n = min(step, b - s)
+        _unfold_block(x[s:s + n], stride, xp[:n], cols[s:s + n])
     return cols.reshape(b * h_out * w_out, c * 9)
 
 
@@ -70,10 +92,12 @@ def conv2d_forward(x, kernels, stride=1):
     """3x3 convolution with zero padding 1.
 
     x: (B, C_in, H, W) or (C_in, H, W); kernels: (C_out, C_in, 3, 3).
-    One GEMM of the unfold U (N, C_in*9) with the kernels as stored,
-    K (C_out, C_in*9): ``U @ K.T``, the BLAS call ``np.tensordot`` makes.
-    For a batch of one ``tensordot`` handed BLAS a column-major U, which
-    rounds differently in the last bit, so U is copied to that layout there.
+    Per block of samples, one GEMM of the block's unfold U (n*H'*W',
+    C_in*9) with the kernels as stored, K (C_out, C_in*9): ``U @ K.T``,
+    the BLAS call ``np.tensordot`` makes, written into the block's rows of
+    one channels-last output.  For a batch of one ``tensordot`` handed BLAS
+    a column-major U, which rounds differently in the last bit, so U is
+    copied to that layout there (the batch is then its only block).
     """
     x, squeeze = _promote(x)
     kernels = as_f64(kernels)
@@ -81,23 +105,32 @@ def conv2d_forward(x, kernels, stride=1):
         raise ShapeError(f"only 3x3 kernels are supported, got {kernels.shape}")
     if kernels.shape[1] != x.shape[1]:
         raise ShapeError(f"channel mismatch: input {x.shape} vs kernels {kernels.shape}")
-    b, _, h, w = x.shape
+    b, c, h, w = x.shape
     c_out = kernels.shape[0]
     h_out, w_out = _conv_geometry(h, w, stride)
-    cols = _unfold_channels_last(x, stride, h_out, w_out)
-    if b == 1:
-        cols = np.asfortranarray(cols)
-    out = (cols @ kernels.reshape(c_out, -1).T).reshape(b, h_out, w_out, c_out)
+    kt = kernels.reshape(c_out, -1).T
+    step = _block_samples(b, c, h_out, w_out)
+    xp = np.zeros((step, h + 2, w + 2, c))
+    cols = np.empty((step, h_out, w_out, c, 3, 3))
+    out = np.empty((b, h_out, w_out, c_out))
+    for s in range(0, b, step):
+        n = min(step, b - s)
+        _unfold_block(x[s:s + n], stride, xp[:n], cols[:n])
+        u = cols[:n].reshape(n * h_out * w_out, c * 9)
+        if b == 1:
+            u = np.asfortranarray(u)
+        np.matmul(u, kt, out=out[s:s + n].reshape(n * h_out * w_out, c_out))
     out = out.transpose(0, 3, 1, 2)
     return out[0] if squeeze else out
 
 
-def conv2d_backward(grad_out, x, kernels, stride=1):
+def conv2d_backward(grad_out, x, kernels, stride=1, input_grad=True):
     """Gradients of conv2d_forward w.r.t. its input and kernels.
 
-    Returns ``(grad_x, grad_k)`` shaped like ``x`` and ``kernels``.  With
-    N = B*H'*W' output positions, the input is unfolded once into the
-    channels-last (N, C_in*9) matrix U and
+    Returns ``(grad_x, grad_k)`` shaped like ``x`` and ``kernels``; with
+    ``input_grad=False`` grad_x is not computed and ``None`` is returned in
+    its place.  With N = B*H'*W' output positions, the input is unfolded
+    into the channels-last (N, C_in*9) matrix U and
 
         grad_k = G @ U          G:  (C_out, N),  grad_out as (C_out, B, H', W')
         taps   = Gt @ K         Gt: (N, C_out),  grad_out as (B, H', W', C_out)
@@ -108,10 +141,12 @@ def conv2d_backward(grad_out, x, kernels, stride=1):
     patches, so the BLAS calls, and hence the results, are bitwise the same
     for batched input.  For a batch of one ``tensordot`` reshapes the
     patches without copying and passes BLAS a transposed operand, so grad_k
-    may then differ in the last bit.  U is freed before the second GEMM.
-    The nine (N, C_in) taps are scatter-added in row-major tap order into
-    one zeroed channels-last padded buffer; grad_x is a (B, C, H, W) view
-    of its interior.
+    may then differ in the last bit.  grad_k sums over all N rows, so U is
+    unfolded whole and freed after that GEMM.  The taps GEMM runs per block
+    of samples into one reused buffer, and each block's nine (n*H'*W', C_in)
+    taps are scatter-added in row-major tap order into one zeroed
+    channels-last padded buffer; grad_x is a (B, C, H, W) view of its
+    interior.
     """
     x, squeeze = _promote(x)
     grad_out = as_f64(grad_out)
@@ -129,13 +164,21 @@ def conv2d_backward(grad_out, x, kernels, stride=1):
     g = grad_out.transpose(1, 0, 2, 3).reshape(c_out, -1)
     grad_k = (g @ cols).reshape(kernels.shape)
     del cols
-    gt = grad_out.transpose(0, 2, 3, 1).reshape(-1, c_out)
-    taps = (gt @ kernels.reshape(c_out, -1)).reshape(b, h_out, w_out, c, 3, 3)
+    if not input_grad:
+        return None, grad_k
+    k = kernels.reshape(c_out, -1)
+    step = _block_samples(b, c, h_out, w_out)
+    taps = np.empty((step, h_out, w_out, c, 3, 3))
     gxp = np.zeros((b, h + 2, w + 2, c))
-    for i in range(3):
-        for j in range(3):
-            gxp[:, i:i + stride * h_out:stride,
-                j:j + stride * w_out:stride] += taps[..., i, j]
+    for s in range(0, b, step):
+        n = min(step, b - s)
+        gt = grad_out[s:s + n].transpose(0, 2, 3, 1).reshape(-1, c_out)
+        np.matmul(gt, k, out=taps[:n].reshape(n * h_out * w_out, c * 9))
+        gblk = gxp[s:s + n]
+        for i in range(3):
+            for j in range(3):
+                gblk[:, i:i + stride * h_out:stride,
+                     j:j + stride * w_out:stride] += taps[:n, ..., i, j]
     grad_x = gxp[:, 1:-1, 1:-1].transpose(0, 3, 1, 2)
     return (grad_x[0] if squeeze else grad_x), grad_k
 

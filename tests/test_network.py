@@ -6,16 +6,21 @@ import math
 import numpy as np
 import pytest
 
+from ngnet import network
 from ngnet.errors import ConfigError
 from ngnet.network import (Activation, ActivationSpec, BatchNorm, Conv,
-                           InitScheme, accuracy, backward, build_mlp,
+                           Dense, InitScheme, accuracy, backward, build_mlp,
                            build_plain_cnn, build_resnet, build_toy_cnn,
-                           conv_layer_count, depth_of, forward, infer_shapes,
-                           init_params)
+                           forward, infer_shapes, init_params)
+from ngnet.tensor import conv2d_backward
 
 RELU = ActivationSpec(base="relu")
 NG_RELU = ActivationSpec(base="relu", ng=True, t_init=-1.0)
 IDENT = ActivationSpec(base="identity")
+
+
+def count(spec, kind):
+    return sum(isinstance(l, kind) for l in spec.layers)
 
 
 def whole_net_fd_check(spec, params, x, y, tol=1e-4, h=1e-5, stride=3):
@@ -40,15 +45,15 @@ def whole_net_fd_check(spec, params, x, y, tol=1e-4, h=1e-5, stride=3):
 class TestBuilders:
     def test_plain_cnn_table_pattern(self):
         spec = build_plain_cnn(44, 16, 10, False, RELU, input_hw=32)
-        assert conv_layer_count(spec) == 43
-        assert depth_of(spec) == 44
+        assert count(spec, Conv) == 43
+        assert count(spec, Dense) == 1
         pools = [l for l in spec.layers if type(l).__name__ == "MaxPool"]
         assert len(pools) == 2
 
     def test_plain_cnn_small(self):
         spec = build_plain_cnn(8, 4, 3, False, RELU, input_hw=8)
-        assert conv_layer_count(spec) == 7  # stem + [2, 2, 2]
-        assert depth_of(spec) == 8
+        assert count(spec, Conv) == 7  # stem + [2, 2, 2]
+        assert count(spec, Dense) == 1
 
     def test_plain_cnn_bad_depth(self):
         with pytest.raises(ConfigError):
@@ -66,7 +71,7 @@ class TestBuilders:
         spec = build_resnet(56, 16, 10, RELU)
         starts = [l for l in spec.layers if type(l).__name__ == "ResBlockStart"]
         assert len(starts) == 27  # 9 per stage
-        assert depth_of(spec) == 56
+        assert count(spec, Conv) + count(spec, Dense) == 56
 
     def test_resnet_small(self):
         spec = build_resnet(20, 8, 10, RELU)
@@ -222,6 +227,30 @@ class TestBackward:
                     assert key not in grads.get(i, {})
                 else:
                     assert grads[i][key].shape == w.shape, f"layer {i} {key}"
+
+    def test_stem_skips_input_grad(self, monkeypatch):
+        """Only the stem conv, whose input gradient nothing reads, is asked
+        for kernel gradients alone; every conv's kernel gradient is still
+        the full call's."""
+        calls = []
+
+        def spy(grad, x, k, stride, input_grad=True):
+            calls.append(input_grad)
+            gx, gk = conv2d_backward(grad, x, k, stride)
+            assert np.array_equal(
+                conv2d_backward(grad, x, k, stride, input_grad=False)[1], gk)
+            return (gx if input_grad else None), gk
+
+        monkeypatch.setattr(network, "conv2d_backward", spy)
+        spec = build_resnet(8, 2, 3, NG_RELU, with_bn=True, input_hw=8)
+        params = init_params(spec, InitScheme("msra", 3))
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((4, 3, 8, 8))
+        y = rng.integers(0, 3, 4)
+        _, _, cache = forward(spec, params, x, y)
+        backward(spec, params, cache, y)
+        assert isinstance(spec.layers[0], Conv)
+        assert calls == [True] * (count(spec, Conv) - 1) + [False]
 
     def test_nontrainable_t_grad_zero(self):
         act = ActivationSpec(base="relu", ng=True, trainable=False)

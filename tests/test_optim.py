@@ -6,7 +6,7 @@ import pytest
 from ngnet.errors import DivergenceError
 from ngnet.network import Activation, ActivationSpec, NetworkSpec
 from ngnet.optim import (OptimConfig, PlateauSchedule, ScheduleState,
-                         StepSchedule, schedule_lr, sgd_step, zero_velocities)
+                         StepSchedule, sgd_step, zero_velocities)
 
 
 def one_layer(w):
@@ -139,6 +139,15 @@ class TestTStep:
         assert params[0]["t"][0] == -1.0 and vel[0]["t"][0] == 0.0
 
 
+def replay(schedule, history):
+    """Multiplier after feeding ScheduleState one metric per epoch, as
+    train_run does."""
+    state = ScheduleState(schedule)
+    for epoch, metric in enumerate(history):
+        state.epoch_multiplier(epoch, metric)
+    return state.multiplier
+
+
 class TestSchedules:
     def test_step_schedule_epochs(self):
         sched = StepSchedule(epochs=[80, 120, 160])
@@ -151,12 +160,12 @@ class TestSchedules:
     def test_plateau_improving_stays(self):
         sched = PlateauSchedule(patience=10)
         history = [1.0 - 0.01 * e for e in range(30)]
-        assert schedule_lr(sched, history) == 1.0
+        assert replay(sched, history) == 1.0
 
     def test_plateau_flat_cuts_once(self):
         sched = PlateauSchedule(patience=10)
         history = [1.0] + [1.0] * 10
-        assert schedule_lr(sched, history) == pytest.approx(0.1)
+        assert replay(sched, history) == pytest.approx(0.1)
 
     def test_plateau_counter_resets(self):
         sched = PlateauSchedule(patience=3)

@@ -1,5 +1,7 @@
 """Kernel semantics pinned by independent brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,65 @@ def tensordot_conv2d_forward(x, k, stride):
     return out.transpose(0, 3, 1, 2)
 
 
+def batch_conv2d_backward(g, x, k, stride):
+    """Reference for conv2d_backward, which must match it bitwise: both
+    GEMMs on one batch-sized channels-last unfold and one batch-sized taps
+    array, scatter-added in row-major tap order."""
+    b, c, h, w = x.shape
+    c_out = k.shape[0]
+    h_out, w_out = _conv_geometry(h, w, stride)
+    xp = np.zeros((b, h + 2, w + 2, c))
+    xp[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
+    cols = np.empty((b, h_out, w_out, c, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            cols[..., i, j] = xp[:, i:i + stride * h_out:stride,
+                                 j:j + stride * w_out:stride]
+    cols = cols.reshape(b * h_out * w_out, c * 9)
+    g = np.ascontiguousarray(g)
+    gk = (g.transpose(1, 0, 2, 3).reshape(c_out, -1) @ cols).reshape(k.shape)
+    gt = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
+    taps = (gt @ k.reshape(c_out, -1)).reshape(b, h_out, w_out, c, 3, 3)
+    gxp = np.zeros((b, h + 2, w + 2, c))
+    for i in range(3):
+        for j in range(3):
+            gxp[:, i:i + stride * h_out:stride,
+                j:j + stride * w_out:stride] += taps[..., i, j]
+    return gxp[:, 1:-1, 1:-1].transpose(0, 3, 1, 2), gk
+
+
+# (B, C_in, H, W, C_out, stride): the toy CNN under grad_check; the
+# critical-depth sweep (widths 6/12/24 at 8/4/2, one block) and its
+# 80-sample eval batch (three blocks); the ResNet-8 convs at 32/16/8 at
+# batch 32 and at the 96-sample eval batch; five samples at 32x32 (one
+# sample per block at 8 channels, a short last block at 3); odd sizes; a
+# batch of one.
+CONV_SHAPES = [
+    (16, 3, 8, 8, 3, 1),
+    (32, 3, 8, 8, 6, 1), (32, 6, 8, 8, 6, 1), (32, 6, 4, 4, 12, 1),
+    (32, 12, 4, 4, 12, 1), (32, 12, 2, 2, 24, 1), (32, 24, 2, 2, 24, 1),
+    (80, 6, 8, 8, 6, 1),
+] + [(b,) + conv for b in (32, 96) for conv in [
+    (3, 32, 32, 8, 1), (8, 32, 32, 8, 1), (8, 32, 32, 16, 2),
+    (16, 16, 16, 16, 1), (16, 16, 16, 32, 2), (32, 8, 8, 32, 1)]] + [
+    (5, 8, 32, 32, 8, 1), (5, 3, 32, 32, 8, 1),
+    (3, 5, 7, 5, 4, 1), (3, 5, 7, 5, 4, 2),
+    (1, 6, 8, 8, 6, 1), (1, 12, 2, 2, 24, 1), (1, 4, 7, 5, 3, 2),
+]
+
+
+def conv_case(shape):
+    """x, kernels and a channels-last view of grad_out, as the network's
+    conv output gradients are laid out."""
+    b, c, h, w, c_out, stride = shape
+    rng = np.random.default_rng(b * c * h + c_out)
+    x = rng.standard_normal((b, c, h, w))
+    k = rng.standard_normal((c_out, c, 3, 3))
+    h_out, w_out = _conv_geometry(h, w, stride)
+    g = rng.standard_normal((b, h_out, w_out, c_out)).transpose(0, 3, 1, 2)
+    return x, k, g, stride
+
+
 def naive_conv2d_backward(g, x, k, stride):
     """Both gradients of naive_conv2d by direct sums, one sample (C, H, W)."""
     c_out, c_in = k.shape[:2]
@@ -88,30 +149,31 @@ class TestConv2d:
                                    naive_conv2d(x, k, stride),
                                    rtol=0, atol=1e-12)
 
-    # (B, C_in, H, W, C_out, stride): the toy CNN under grad_check, the
-    # critical-depth sweep (widths 6/12/24 at 8/4/2) and its 80-sample eval
-    # batch, the ResNet-8 convs at 32/16/8, and odd sizes.
-    @pytest.mark.parametrize("shape", [
-        (16, 3, 8, 8, 3, 1),
-        (32, 3, 8, 8, 6, 1), (32, 6, 8, 8, 6, 1), (32, 6, 4, 4, 12, 1),
-        (32, 12, 4, 4, 12, 1), (32, 12, 2, 2, 24, 1), (32, 24, 2, 2, 24, 1),
-        (80, 6, 8, 8, 6, 1),
-        (32, 3, 32, 32, 8, 1), (32, 8, 32, 32, 8, 1), (32, 8, 32, 32, 16, 2),
-        (32, 16, 16, 16, 16, 1), (32, 16, 16, 16, 32, 2), (32, 32, 8, 8, 32, 1),
-        (3, 5, 7, 5, 4, 1), (3, 5, 7, 5, 4, 2),
-        (1, 6, 8, 8, 6, 1), (1, 12, 2, 2, 24, 1), (1, 4, 7, 5, 3, 2),
-    ])
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
     def test_bitwise_equals_tensordot(self, shape):
         """A batch of one, and a single (C, H, W) sample, included: there
         tensordot handed BLAS a column-major operand."""
-        b, c, h, w, c_out, stride = shape
-        rng = np.random.default_rng(b * c * h + c_out)
-        x = rng.standard_normal((b, c, h, w))
-        k = rng.standard_normal((c_out, c, 3, 3))
+        x, k, _, stride = conv_case(shape)
         want = tensordot_conv2d_forward(x, k, stride)
         assert np.array_equal(conv2d_forward(x, k, stride), want)
-        if b == 1:
+        if x.shape[0] == 1:
             assert np.array_equal(conv2d_forward(x[0], k, stride), want[0])
+
+    def test_forward_peak_memory(self):
+        """The 96-sample eval forward at 8 channels and 32x32 holds no
+        batch-sized unfold: its peak stays below the output, a padded copy
+        of the input and two unfold blocks (a whole unfold is 54 MiB)."""
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((96, 8, 32, 32))
+        k = rng.standard_normal((8, 8, 3, 3))
+        tracemalloc.start()
+        try:
+            out = conv2d_forward(x, k, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = 96 * 8 * 34 * 34 * x.itemsize
+        assert peak < out.nbytes + padded + 2 * UNFOLD_BLOCK_BYTES
 
     def test_rejects_non_3x3(self):
         with pytest.raises(ShapeError):
@@ -141,6 +203,27 @@ class TestConv2dBackward:
         _, gk = conv2d_backward(g, x, k)
         patch = x[0, 1:4, 1:4]
         np.testing.assert_allclose(gk[0, 0], patch, atol=1e-15)
+
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_bitwise_equals_batch_reference(self, shape):
+        """Blocking the taps GEMM and the scatter-add changes no bit of
+        either gradient; a batch of one also as a single sample."""
+        x, k, g, stride = conv_case(shape)
+        want_x, want_k = batch_conv2d_backward(g, x, k, stride)
+        gx, gk = conv2d_backward(g, x, k, stride)
+        assert np.array_equal(gx, want_x) and np.array_equal(gk, want_k)
+        if x.shape[0] == 1:
+            gx, gk = conv2d_backward(g[0], x[0], k, stride)
+            assert np.array_equal(gx, want_x[0]) and np.array_equal(gk, want_k)
+
+    @pytest.mark.parametrize("shape", [(32, 3, 32, 32, 8, 1),
+                                       (32, 3, 8, 8, 6, 1),
+                                       (1, 4, 7, 5, 3, 2)])
+    def test_without_input_grad(self, shape):
+        x, k, g, stride = conv_case(shape)
+        gx, gk = conv2d_backward(g, x, k, stride, input_grad=False)
+        assert gx is None
+        assert np.array_equal(gk, conv2d_backward(g, x, k, stride)[1])
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("batch", [None, 1, 3])
