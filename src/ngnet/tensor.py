@@ -58,8 +58,8 @@ def _conv_geometry(h, w, stride):
 
 def _block_samples(b, c, h_out, w_out):
     """Samples per block: as many as keep a block of unfold rows within
-    UNFOLD_BLOCK_BYTES, at least one and at most the batch."""
-    return min(b, max(1, UNFOLD_BLOCK_BYTES // (h_out * w_out * c * 9 * 8)))
+    UNFOLD_BLOCK_BYTES, at most the batch and at least one."""
+    return max(1, min(b, UNFOLD_BLOCK_BYTES // (h_out * w_out * c * 9 * 8)))
 
 
 def _unfold_block(x, stride, xp, cols):
@@ -173,12 +173,12 @@ def conv2d_backward(grad_out, x, kernels, stride=1, input_grad=True):
     for s in range(0, b, step):
         n = min(step, b - s)
         gt = grad_out[s:s + n].transpose(0, 2, 3, 1).reshape(-1, c_out)
-        np.matmul(gt, k, out=taps[:n].reshape(n * h_out * w_out, c * 9))
-        gblk = gxp[s:s + n]
+        tblk, gblk = taps[:n], gxp[s:s + n]
+        np.matmul(gt, k, out=tblk.reshape(n * h_out * w_out, c * 9))
         for i in range(3):
             for j in range(3):
                 gblk[:, i:i + stride * h_out:stride,
-                     j:j + stride * w_out:stride] += taps[:n, ..., i, j]
+                     j:j + stride * w_out:stride] += tblk[..., i, j]
     grad_x = gxp[:, 1:-1, 1:-1].transpose(0, 3, 1, 2)
     return (grad_x[0] if squeeze else grad_x), grad_k
 

@@ -175,6 +175,12 @@ class TestConv2d:
         padded = 96 * 8 * 34 * 34 * x.itemsize
         assert peak < out.nbytes + padded + 2 * UNFOLD_BLOCK_BYTES
 
+    def test_empty_batch(self):
+        x, k = np.zeros((0, 3, 8, 8)), np.ones((4, 3, 3, 3))
+        assert conv2d_forward(x, k).shape == (0, 4, 8, 8)
+        gx, gk = conv2d_backward(np.zeros((0, 4, 8, 8)), x, k)
+        assert gx.shape == x.shape and not gk.any()
+
     def test_rejects_non_3x3(self):
         with pytest.raises(ShapeError):
             conv2d_forward(np.ones((1, 4, 4)), np.ones((1, 1, 5, 5)))
