@@ -222,16 +222,14 @@ def ng_backward_input(base: BaseActivation, t, x, m, grad_out, a=None):
     return np.multiply(grad_out, df, out=np.empty(m.shape))
 
 
-def reduce_to_param(g, param_shape, batched):
+def reduce_to_param(g, param_shape):
     """Sum a full-shape gradient down to a parameter's storage shape.
 
-    Sums over the batch axis (if present) and over every broadcast axis of
-    the parameter.  With a batch-mean loss upstream this yields the exact
-    gradient of that loss.
+    Sums over every leading axis the parameter lacks (the batch axis among
+    them) and over every broadcast axis of the parameter.  With a
+    batch-mean loss upstream this yields the exact gradient of that loss.
     """
     g = as_f64(g)
-    if batched:
-        g = g.sum(axis=0)
     extra = g.ndim - len(param_shape)
     if extra:
         g = g.sum(axis=tuple(range(extra)))
@@ -241,8 +239,7 @@ def reduce_to_param(g, param_shape, batched):
     return g.reshape(param_shape)
 
 
-def ng_grad_t(base: BaseActivation, t, x, m, grad_out, trainable, a=None,
-              batched=None):
+def ng_grad_t(base: BaseActivation, t, x, m, grad_out, trainable, a=None):
     """Gradient of the loss w.r.t. the shift t.
 
     Per element the factor is ``1 - f'(x - t)``; contributions sharing one t
@@ -252,21 +249,17 @@ def ng_grad_t(base: BaseActivation, t, x, m, grad_out, trainable, a=None,
     """
     if not trainable:
         return np.zeros_like(t)
-    if batched is None:
-        batched = m.ndim == t.ndim + 1
     factor = ~m if isinstance(base, ReLU) else 1.0 - _dfdx(base, t, x, m, a)
     g = np.multiply(grad_out, factor, out=np.empty(m.shape))
-    return reduce_to_param(g, t.shape, batched)
+    return reduce_to_param(g, t.shape)
 
 
-def prelu_grad_a(base: BaseActivation, t, x, grad_out, a, batched=None):
+def prelu_grad_a(base: BaseActivation, t, x, grad_out, a):
     """Gradient w.r.t. the PReLU slope, evaluated on the shifted input."""
     if not isinstance(base, PReLU):
         raise ContractError("slope gradient is defined only for a PReLU base")
     x = as_f64(x)
     a = np.asarray(a, dtype=np.float64)
-    if batched is None:
-        batched = x.ndim == t.ndim + 1
     u = x - t
     g = as_f64(grad_out) * np.where(u < 0.0, u, 0.0)
-    return reduce_to_param(g, a.shape, batched)
+    return reduce_to_param(g, a.shape)

@@ -18,7 +18,8 @@ like one, lists as comma-separated values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import reduce
 
 from .activations import GRANULARITIES
 from .datasets import synthetic_train_count
@@ -53,6 +54,19 @@ def parse_value(s: str):
     return _parse_scalar(s)
 
 
+def _assign(cfg: dict, assignment: str, where: str):
+    """Set one dotted key=value on the nested dict `cfg`."""
+    key, value = assignment.split("=", 1)
+    node = cfg
+    parts = key.strip().split(".")
+    for part in parts[:-1]:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"{where}: {key.strip()!r} conflicts with an "
+                              "earlier scalar key")
+    node[parts[-1]] = parse_value(value)
+
+
 def parse_config_text(text: str) -> dict:
     """Flat key=value lines into a nested dict."""
     out: dict = {}
@@ -62,15 +76,7 @@ def parse_config_text(text: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        node = out
-        parts = key.strip().split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"line {lineno}: {key.strip()!r} conflicts "
-                                  "with an earlier scalar key")
-        node[parts[-1]] = parse_value(value)
+        _assign(out, line, f"line {lineno}")
     return out
 
 
@@ -80,17 +86,8 @@ def load_config(path: str, overrides=()) -> dict:
     for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"override must be key=value, got {ov!r}")
-        apply_override(cfg, ov)
+        _assign(cfg, ov, f"override {ov!r}")
     return cfg
-
-
-def apply_override(cfg: dict, assignment: str):
-    key, value = assignment.split("=", 1)
-    node = cfg
-    parts = key.strip().split(".")
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-    node[parts[-1]] = parse_value(value)
 
 
 @dataclass
@@ -141,12 +138,21 @@ class ExperimentConfig:
 
 
 def _fill(obj, d: dict, path=""):
+    """Set the keys of `d` on the dataclass `obj`, recursing into its
+    sections (nested dataclasses).  A section takes keys, never a value."""
+    names = {f.name for f in fields(obj)}
     for key, value in d.items():
-        if not hasattr(obj, key):
+        if key not in names:
             raise ConfigError(f"unknown config key {path + key!r}")
         current = getattr(obj, key)
-        if isinstance(value, dict):
+        if is_dataclass(current):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path + key!r} is a section; set its "
+                                  f"keys as {path + key}.<key>, got {value!r}")
             _fill(current, value, path + key + ".")
+        elif isinstance(value, dict) and not isinstance(current, dict):
+            raise ConfigError(f"unknown config key "
+                              f"{path + key + '.' + next(iter(value))!r}")
         else:
             setattr(obj, key, value)
 
@@ -155,19 +161,39 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_count(value, least):
+    return _is_number(value) and isinstance(value, int) and value >= least
+
+
+def _validate_schedule(s):
+    if s is None:
+        return
+    if not isinstance(s, (StepSchedule, PlateauSchedule)):
+        raise ConfigError(f"optim.schedule is set by the schedule.* keys, "
+                          f"got {s!r}")
+    checks = [("factor", _is_number(s.factor) and 0 < s.factor < math.inf,
+               "a finite number > 0")]
+    if isinstance(s, StepSchedule):
+        checks += [("epochs", all(_is_count(e, 0) for e in s.epochs),
+                    "integers >= 0")]
+    else:
+        checks += [("patience", _is_count(s.patience, 1), "a positive integer"),
+                   ("metric", s.metric in ("train_loss", "test_error"),
+                    "train_loss or test_error")]
+    for key, ok, what in checks:
+        if not ok:
+            raise ConfigError(f"schedule.{key} must be {what}, "
+                              f"got {getattr(s, key)!r}")
+
+
 def _validate(cfg: ExperimentConfig):
     """Reject types and ranges the run would otherwise trip over, or run
     with silently, once every override has been applied."""
-    for name, value in (("epochs", cfg.epochs), ("batch_size", cfg.batch_size),
-                        ("model.depth", cfg.model.depth),
-                        ("model.width", cfg.model.width),
-                        ("dataset.n", cfg.dataset.n),
-                        ("dataset.classes", cfg.dataset.classes),
-                        ("depth_start", cfg.depth_start),
-                        ("depth_step", cfg.depth_step),
-                        ("depth_count", cfg.depth_count),
-                        ("probe_steps", cfg.probe_steps)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    for name in ("epochs", "batch_size", "model.depth", "model.width",
+                 "dataset.n", "dataset.classes", "depth_start", "depth_step",
+                 "depth_count", "probe_steps"):
+        value = reduce(getattr, name.split("."), cfg)
+        if not _is_count(value, 1):
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
     d = cfg.dataset
     for name in ("spread", "noise"):
@@ -193,6 +219,7 @@ def _validate(cfg: ExperimentConfig):
         cfg.optim.validate()
     except ValueError as exc:
         raise ConfigError(f"optim: {exc}") from None
+    _validate_schedule(cfg.optim.schedule)
     act = cfg.activation
     if not _is_number(act.t_init):
         raise ConfigError(f"activation.t_init must be a number, got {act.t_init!r}")
@@ -205,34 +232,34 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"activation.base: {exc}") from None
 
 
+def _build_schedule(sched):
+    if not isinstance(sched, dict):
+        raise ConfigError(f"'schedule' is a section; set its keys as "
+                          f"schedule.<key>, got {sched!r}")
+    kind = sched.get("kind", "step")
+    if kind not in ("step", "plateau"):
+        raise ConfigError(f"unknown schedule kind {kind!r}")
+    keys = ("epochs",) if kind == "step" else ("patience", "metric")
+    for key in sched:
+        if key not in ("kind", "factor") + keys:
+            raise ConfigError(f"unknown config key 'schedule.{key}' for a "
+                              f"{kind} schedule")
+    factor = sched.get("factor", 0.1)
+    if kind == "plateau":
+        return PlateauSchedule(patience=sched.get("patience", 10), factor=factor,
+                               metric=sched.get("metric", "train_loss"))
+    epochs = sched.get("epochs", [])
+    return StepSchedule(epochs=epochs if isinstance(epochs, list) else [epochs],
+                        factor=factor)
+
+
 def build_experiment_config(raw: dict) -> ExperimentConfig:
     raw = dict(raw)
     cfg = ExperimentConfig()
-
     sched = raw.pop("schedule", None)
-    act_raw = raw.pop("activation", {})
     _fill(cfg, raw)
-
-    if isinstance(act_raw, dict):
-        for k, v in act_raw.items():
-            if not hasattr(cfg.activation, k):
-                raise ConfigError(f"unknown config key 'activation.{k}'")
-            setattr(cfg.activation, k, v)
-    if isinstance(sched, dict):
-        kind = sched.get("kind", "step")
-        if kind == "step":
-            epochs = sched.get("epochs", [])
-            if not isinstance(epochs, list):
-                epochs = [epochs]
-            cfg.optim.schedule = StepSchedule(epochs=epochs,
-                                             factor=sched.get("factor", 0.1))
-        elif kind == "plateau":
-            cfg.optim.schedule = PlateauSchedule(
-                patience=sched.get("patience", 10),
-                factor=sched.get("factor", 0.1),
-                metric=sched.get("metric", "train_loss"))
-        else:
-            raise ConfigError(f"unknown schedule kind {kind!r}")
+    if sched is not None:
+        cfg.optim.schedule = _build_schedule(sched)
 
     if cfg.experiment not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")

@@ -511,7 +511,3 @@ def _bn_backward(p, grad, c):
     else:
         dx = dxhat * _bn_reshape(inv_std, ndim)
     return dx, {"gamma": dgamma, "beta": dbeta}
-
-
-def accuracy(logits, labels) -> float:
-    return float((logits.argmax(axis=1) == np.asarray(labels)).mean())

@@ -3,6 +3,11 @@
 Every run is fully determined by (config, seed): dataset generation, weight
 init, shuffling, and augmentation all draw from seed-derived streams, so
 repeated runs emit bitwise-identical CSVs.
+
+A sweep is a list of run configs: deep copies of the sweep's config, each
+with its run's ``activation.*``, ``model.depth``, ``init`` and ``run_id``
+set, so a run config describes its run completely.  One loop,
+``train_runs``, trains the list in order on the sweep's one dataset.
 """
 
 from __future__ import annotations
@@ -14,13 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import instrumentation as instr
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _fill
 from .csvio import emit_csv
 from .datasets import Dataset, augment, make_blobs, make_spirals, load_cifar10_binary
 from .errors import ConfigError, DivergenceError
-from .network import (ActivationSpec, Activation, Dense, InitScheme,
-                      NetworkSpec, backward, build_mlp, build_plain_cnn,
-                      build_resnet, build_toy_cnn, forward, init_params)
+from .network import (Activation, Dense, InitScheme, NetworkSpec, backward,
+                      build_mlp, build_plain_cnn, build_resnet, build_toy_cnn,
+                      forward, init_params)
 from .optim import PlateauSchedule, ScheduleState, sgd_step, zero_velocities
 
 
@@ -45,9 +50,8 @@ def get_dataset(cfg: ExperimentConfig) -> Dataset:
     raise ConfigError(f"unknown dataset kind {d.kind!r}")
 
 
-def build_model(cfg: ExperimentConfig, num_classes: int,
-                activation: ActivationSpec = None) -> NetworkSpec:
-    act = activation if activation is not None else cfg.activation
+def build_model(cfg: ExperimentConfig, num_classes: int) -> NetworkSpec:
+    act = cfg.activation
     m = cfg.model
     if m.family == "mlp":
         if isinstance(m.hidden, list):
@@ -96,31 +100,32 @@ class RunResult:
         return len(self.rows) + 1
 
 
-def _eval_acc(spec, params, x, y, batch_size=256):
+EVAL_BATCH = 256
+
+
+def _eval_acc(spec, params, x, y):
     hits = 0
-    for s in range(0, len(y), batch_size):
-        logits, _, _ = forward(spec, params, x[s:s + batch_size], mode="eval")
-        hits += (logits.argmax(axis=1) == y[s:s + batch_size]).sum()
+    for s in range(0, len(y), EVAL_BATCH):
+        logits, _, _ = forward(spec, params, x[s:s + EVAL_BATCH], mode="eval")
+        hits += (logits.argmax(axis=1) == y[s:s + EVAL_BATCH]).sum()
     return float(hits) / len(y)
 
 
 def train_run(cfg: ExperimentConfig, data: Dataset = None,
-              spec: NetworkSpec = None, activation: ActivationSpec = None,
-              run_id: str = None, init_kind: str = None,
               collect_stats: bool = False) -> RunResult:
+    """Train the one run `cfg` describes, on `data` if given (it must be
+    ``get_dataset(cfg)``), else on the dataset the config builds."""
     data = data if data is not None else get_dataset(cfg)
-    spec = spec if spec is not None else build_model(cfg, data.num_classes, activation)
-    scheme = InitScheme(init_kind or cfg.init, cfg.seed)
-    params = init_params(spec, scheme)
+    spec = build_model(cfg, data.num_classes)
+    params = init_params(spec, InitScheme(cfg.init, cfg.seed))
     velocities = zero_velocities(params)
     sched = ScheduleState(cfg.optim.schedule)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(99,)))
-    res = RunResult(run_id or cfg.run_id, spec=spec, params=params)
+    res = RunResult(cfg.run_id, spec=spec, params=params)
 
     n = len(data.train_y)
     step = 0
     last_metric = None
-    mult = 1.0
     for epoch in range(cfg.epochs):
         mult = sched.epoch_multiplier(epoch, last_metric)
         perm = rng.permutation(n)
@@ -146,21 +151,19 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
             hits += (logits.argmax(axis=1) == yb).sum()
             seen += len(yb)
             step += 1
+        row = {"run_id": res.run_id, "epoch": epoch + 1, "step": step,
+               "lr_multiplier": float(mult)}
         if diverged or seen == 0:
             res.diverged = True
-            res.rows.append({"run_id": res.run_id, "epoch": epoch + 1,
-                             "step": step, "train_loss": float("nan"),
-                             "train_acc": 0.0, "test_acc": 0.0,
-                             "lr_multiplier": float(mult), "diverged": True})
+            res.rows.append(dict(row, train_loss=float("nan"), train_acc=0.0,
+                                 test_acc=0.0, diverged=True))
             break
         train_loss = loss_sum / seen
         train_acc = hits / seen
         test_acc = _eval_acc(spec, params, data.test_x, data.test_y)
-        res.rows.append({"run_id": res.run_id, "epoch": epoch + 1,
-                         "step": step, "train_loss": float(train_loss),
-                         "train_acc": float(train_acc),
-                         "test_acc": float(test_acc),
-                         "lr_multiplier": float(mult), "diverged": False})
+        res.rows.append(dict(row, train_loss=float(train_loss),
+                             train_acc=float(train_acc),
+                             test_acc=float(test_acc), diverged=False))
         res.max_train_acc = max(res.max_train_acc, float(train_acc))
         res.final_train_acc = float(train_acc)
         if isinstance(cfg.optim.schedule, PlateauSchedule) \
@@ -169,7 +172,7 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
         else:
             last_metric = train_loss
         if collect_stats:
-            _collect_epoch_stats(cfg, res, data, epoch + 1, step, mult)
+            _collect_epoch_stats(res, data, epoch + 1, step)
     res.final_mean_t = _mean_t(spec, params)
     return res
 
@@ -180,19 +183,18 @@ def _mean_t(spec, params):
     return float(np.mean(vals)) if vals else float("nan")
 
 
-def _collect_epoch_stats(cfg, res: RunResult, data, epoch, step, mult):
+def _collect_epoch_stats(res: RunResult, data, epoch, step):
     spec, params = res.spec, res.params
     probe_n = min(32, len(data.train_y))
     xb, yb = data.train_x[:probe_n], data.train_y[:probe_n]
     shift = instr.mean_shift_trace(spec, params, xb, yb)
     wvar = dict(instr.weight_variance_trace(spec, params))
+    probe_only = dict.fromkeys(("var_z", "var_g", "var_dw", "lower_bound",
+                                "upper_bound"), float("nan"))
     for layer_idx, mean_z, mean_g in shift:
-        res.layerstats_rows.append({
-            "run_id": res.run_id, "step": step, "layer": layer_idx,
-            "mean_z": mean_z, "var_z": float("nan"), "mean_g": mean_g,
-            "var_g": float("nan"), "var_dw": float("nan"),
-            "lower_bound": float("nan"), "upper_bound": float("nan"),
-            "weight_var": float(wvar[layer_idx])})
+        res.layerstats_rows.append(dict(
+            probe_only, run_id=res.run_id, step=step, layer=layer_idx,
+            mean_z=mean_z, mean_g=mean_g, weight_var=float(wvar[layer_idx])))
     for tt in instr.t_trace(spec, params, epoch):
         res.ttrace_rows.append({
             "run_id": res.run_id, "epoch": epoch, "layer": tt.layer_index,
@@ -211,17 +213,28 @@ def converged(res: RunResult, num_classes: int, margin: float) -> bool:
 # Experiment procedures
 # ---------------------------------------------------------------------------
 
-def _sub_cfg(cfg, **act_overrides) -> ActivationSpec:
-    act = copy.deepcopy(cfg.activation)
-    for k, v in act_overrides.items():
-        setattr(act, k, v)
-    return act
+# the wrapped and the plain variant of the sweep's activation
+VARIANTS = {"ng": {"ng": True}, "plain": {"ng": False}}
+
+
+def run_config(cfg: ExperimentConfig, name: str, **fields) -> ExperimentConfig:
+    """One run of the sweep `cfg`: a deep copy with `fields` set on it (a
+    section as a dict, e.g. ``model={"depth": 8}``) and the run id
+    ``<cfg.run_id>-<name>``."""
+    run = copy.deepcopy(cfg)
+    _fill(run, dict(fields, run_id=f"{cfg.run_id}-{name}"))
+    return run
+
+
+def train_runs(runs, data: Dataset, collect_stats: bool = False):
+    """Train each run config in order on the sweep's one dataset."""
+    return [train_run(run, data, collect_stats) for run in runs]
 
 
 def run_single(cfg: ExperimentConfig):
-    res = train_run(cfg, collect_stats=True)
-    _write_run(cfg, [res])
-    return [res]
+    results = train_runs([cfg], get_dataset(cfg), collect_stats=True)
+    _write_run(cfg, results)
+    return results
 
 
 def run_capacity_sweep(cfg: ExperimentConfig):
@@ -230,25 +243,16 @@ def run_capacity_sweep(cfg: ExperimentConfig):
     Emits one summary row per setting (max train accuracy; final mean t for
     the trainable run) alongside the usual per-epoch metrics.
     """
-    data = get_dataset(cfg)
-    settings = [("none", None)]
-    settings += [(f"t{t:g}", float(t)) for t in cfg.t_values]
-    settings += [("trainable", float(cfg.activation.t_init))]
-    results, summary = [], []
-    for name, t0 in settings:
-        if name == "none":
-            act = _sub_cfg(cfg, base="identity", ng=False)
-        elif name == "trainable":
-            act = _sub_cfg(cfg, ng=True, trainable=True, t_init=t0)
-        else:
-            act = _sub_cfg(cfg, ng=True, trainable=False, t_init=t0)
-        res = train_run(cfg, data=data, activation=act,
-                        run_id=f"{cfg.run_id}-{name}")
-        results.append(res)
-        summary.append({"run_id": res.run_id, "setting": name,
-                        "max_train_acc": res.max_train_acc,
-                        "final_mean_t": res.final_mean_t,
-                        "diverged": res.diverged})
+    settings = [("none", {"base": "identity", "ng": False})]
+    settings += [(f"t{t:g}", {"ng": True, "trainable": False, "t_init": t})
+                 for t in cfg.t_values]
+    settings += [("trainable", {"ng": True, "trainable": True})]
+    runs = [run_config(cfg, name, activation=act) for name, act in settings]
+    results = train_runs(runs, get_dataset(cfg))
+    summary = [{"run_id": res.run_id, "setting": name,
+                "max_train_acc": res.max_train_acc,
+                "final_mean_t": res.final_mean_t, "diverged": res.diverged}
+               for (name, _), res in zip(settings, results)]
     _write_run(cfg, results)
     emit_csv(summary, os.path.join(cfg.out, "capacity.csv"),
              schema=["run_id", "setting", "max_train_acc", "final_mean_t",
@@ -260,28 +264,21 @@ def run_critical_depth(cfg: ExperimentConfig):
     """Depth ladder on the plain CNN, wrapped vs unwrapped activation; the
     critical depth is the largest depth that still converges."""
     data = get_dataset(cfg)
-    depths = [cfg.depth_start + k * cfg.depth_step
-              for k in range(cfg.depth_count)]
-    variants = [("ng", _sub_cfg(cfg, ng=True)),
-                ("plain", _sub_cfg(cfg, ng=False))]
-    results, summary = [], []
-    critical = {}
-    for vname, act in variants:
-        for depth in depths:
-            sub = copy.deepcopy(cfg)
-            sub.model.depth = depth
-            spec = build_model(sub, data.num_classes, act)
-            res = train_run(sub, data=data, spec=spec,
-                            run_id=f"{cfg.run_id}-{vname}-d{depth}")
-            ok = converged(res, data.num_classes, cfg.convergence_margin)
-            results.append(res)
-            summary.append({"run_id": res.run_id, "variant": vname,
-                            "depth": depth, "converged": ok,
-                            "final_train_acc": res.final_train_acc,
-                            "diverged": res.diverged})
-            if ok:
-                critical[vname] = max(critical.get(vname, 0), depth)
-    for vname in dict(variants):
+    grid = [(vname, cfg.depth_start + k * cfg.depth_step)
+            for vname in VARIANTS for k in range(cfg.depth_count)]
+    runs = [run_config(cfg, f"{vname}-d{depth}", activation=VARIANTS[vname],
+                       model={"depth": depth}) for vname, depth in grid]
+    results = train_runs(runs, data)
+    summary, critical = [], {}
+    for (vname, depth), res in zip(grid, results):
+        ok = converged(res, data.num_classes, cfg.convergence_margin)
+        summary.append({"run_id": res.run_id, "variant": vname,
+                        "depth": depth, "converged": ok,
+                        "final_train_acc": res.final_train_acc,
+                        "diverged": res.diverged})
+        if ok:
+            critical[vname] = max(critical.get(vname, 0), depth)
+    for vname in VARIANTS:
         summary.append({"run_id": f"{cfg.run_id}-{vname}-critical",
                         "variant": vname, "depth": critical.get(vname, 0),
                         "converged": True, "final_train_acc": float("nan"),
@@ -296,29 +293,25 @@ def run_critical_depth(cfg: ExperimentConfig):
 def run_learning_behavior(cfg: ExperimentConfig):
     """Init-scheme grid (xavier/msra/orthogonal) for the wrapped and plain
     activation; summarizes epochs-to-threshold and its cross-init spread."""
-    data = get_dataset(cfg)
-    inits = ["xavier", "msra", "orthogonal"]
-    variants = [("ng", _sub_cfg(cfg, ng=True)),
-                ("plain", _sub_cfg(cfg, ng=False))]
-    results, summary = [], []
-    spread = {}
-    for vname, act in variants:
-        epochs_needed = []
-        for init in inits:
-            res = train_run(cfg, data=data, activation=act, init_kind=init,
-                            run_id=f"{cfg.run_id}-{vname}-{init}")
-            e = res.epochs_to_threshold()
-            epochs_needed.append(e)
-            results.append(res)
-            summary.append({"run_id": res.run_id, "variant": vname,
-                            "init": init, "epochs_to_threshold": e,
-                            "final_train_acc": res.final_train_acc,
-                            "diverged": res.diverged})
-        spread[vname] = max(epochs_needed) - min(epochs_needed)
-        summary.append({"run_id": f"{cfg.run_id}-{vname}-spread",
-                        "variant": vname, "init": "spread",
-                        "epochs_to_threshold": spread[vname],
-                        "final_train_acc": float("nan"), "diverged": False})
+    grid = [(vname, init) for vname in VARIANTS
+            for init in ("xavier", "msra", "orthogonal")]
+    runs = [run_config(cfg, f"{vname}-{init}", activation=VARIANTS[vname],
+                       init=init) for vname, init in grid]
+    results = train_runs(runs, get_dataset(cfg))
+    summary, spread = [], {}
+    for vname in VARIANTS:
+        rows = [{"run_id": res.run_id, "variant": v, "init": init,
+                 "epochs_to_threshold": res.epochs_to_threshold(),
+                 "final_train_acc": res.final_train_acc,
+                 "diverged": res.diverged}
+                for (v, init), res in zip(grid, results) if v == vname]
+        needed = [r["epochs_to_threshold"] for r in rows]
+        spread[vname] = max(needed) - min(needed)
+        summary += rows + [{"run_id": f"{cfg.run_id}-{vname}-spread",
+                            "variant": vname, "init": "spread",
+                            "epochs_to_threshold": spread[vname],
+                            "final_train_acc": float("nan"),
+                            "diverged": False}]
     _write_run(cfg, results)
     emit_csv(summary, os.path.join(cfg.out, "learning_behavior.csv"),
              schema=["run_id", "variant", "init", "epochs_to_threshold",
@@ -330,17 +323,13 @@ def run_variance_study(cfg: ExperimentConfig):
     """Wrapped vs plain run with per-epoch layer statistics, shift traces,
     and per-sample sandwich probes on the dense head."""
     data = get_dataset(cfg)
-    variants = [("ng", _sub_cfg(cfg, ng=True)),
-                ("plain", _sub_cfg(cfg, ng=False))]
-    results = {}
-    for vname, act in variants:
-        res = train_run(cfg, data=data, activation=act,
-                        run_id=f"{cfg.run_id}-{vname}", collect_stats=True)
-        probe_rows = sandwich_probes(res.spec, res.params, data,
-                                     cfg.optim.lr, cfg.probe_steps,
-                                     res.run_id)
-        res.layerstats_rows.extend(probe_rows)
-        results[vname] = res
+    runs = [run_config(cfg, vname, activation=act)
+            for vname, act in VARIANTS.items()]
+    results = dict(zip(VARIANTS, train_runs(runs, data, collect_stats=True)))
+    for res in results.values():
+        res.layerstats_rows.extend(sandwich_probes(
+            res.spec, res.params, data, cfg.optim.lr, cfg.probe_steps,
+            res.run_id))
     _write_run(cfg, list(results.values()))
     return results
 
@@ -372,16 +361,12 @@ def sandwich_probes(spec, params, data, lr, n_probes, run_id):
 
 def _write_run(cfg: ExperimentConfig, results):
     os.makedirs(cfg.out, exist_ok=True)
-    metrics = [row for res in results for row in res.rows]
-    if metrics:
-        emit_csv(metrics, os.path.join(cfg.out, "metrics.csv"), schema="metrics")
-    layerstats = [row for res in results for row in res.layerstats_rows]
-    if layerstats:
-        emit_csv(layerstats, os.path.join(cfg.out, "layerstats.csv"),
-                 schema="layerstats")
-    ttrace = [row for res in results for row in res.ttrace_rows]
-    if ttrace:
-        emit_csv(ttrace, os.path.join(cfg.out, "ttrace.csv"), schema="ttrace")
+    for schema, attr in (("metrics", "rows"), ("layerstats", "layerstats_rows"),
+                         ("ttrace", "ttrace_rows")):
+        rows = [row for res in results for row in getattr(res, attr)]
+        if rows:
+            emit_csv(rows, os.path.join(cfg.out, f"{schema}.csv"),
+                     schema=schema)
 
 
 EXPERIMENTS = {

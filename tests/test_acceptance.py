@@ -20,8 +20,9 @@ from ngnet.instrumentation import (grad_check, stability_score,
                                    variance_bounds, weight_variance_trace)
 from ngnet.network import (ActivationSpec, InitScheme, build_mlp, forward,
                            init_params)
-from ngnet.runner import (get_dataset, run_capacity_sweep, run_critical_depth,
-                          run_experiment, run_learning_behavior, train_run)
+from ngnet.runner import (run_capacity_sweep, run_critical_depth,
+                          run_experiment, run_learning_behavior,
+                          run_variance_study)
 
 SEED = 7
 
@@ -203,11 +204,8 @@ def test_accept_7_variance_stability(tmp_path):
     cfg.init = "msra"
     cfg.optim.lr = 0.02
     cfg.activation.trainable = True
-    data = get_dataset(cfg)
     scores = {}
-    for vname, act in [("ng", cfg.activation),
-                       ("plain", ActivationSpec(base="relu"))]:
-        res = train_run(cfg, data=data, activation=act, run_id=vname)
+    for vname, res in run_variance_study(cfg).items():
         assert not res.diverged
         scores[vname] = stability_score(weight_variance_trace(res.spec,
                                                               res.params))

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from ngnet.activations import (GRANULARITIES, SELU, SELU_ALPHA, SELU_LAMBDA,
                                LeakyReLU, PReLU, ReLU, make_base,
                                ng_backward_input, ng_forward, ng_grad_t,
-                               prelu_grad_a, reduce_to_param, shift_shape)
+                               prelu_grad_a, shift_shape)
 from ngnet.errors import ContractError
 
 BASES = ("identity", "relu", "lrelu", "prelu", "selu")
@@ -35,6 +35,21 @@ def ref_backward_input(base, t, x, grad_out, a=None):
     return np.ascontiguousarray(grad_out) * base.df(u, a)
 
 
+def ref_reduce_to_param(g, param_shape, batched):
+    """Reference for reduce_to_param: the version that took the batch axis
+    as an argument and summed it first, on its own."""
+    g = np.ascontiguousarray(g, dtype=np.float64)
+    if batched:
+        g = g.sum(axis=0)
+    extra = g.ndim - len(param_shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, d in enumerate(param_shape) if d == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(param_shape)
+
+
 def ref_grad_t(base, t, x, grad_out, a=None):
     """Reference for ng_grad_t: grad_out * (1 - f'(x - t)) summed down to
     t's storage shape, with a batch axis wherever x has one more axis than
@@ -42,7 +57,7 @@ def ref_grad_t(base, t, x, grad_out, a=None):
     x = np.ascontiguousarray(x, dtype=np.float64)
     u = x - np.broadcast_to(t, x.shape)
     g = np.ascontiguousarray(grad_out) * (1.0 - base.df(u, a))
-    return reduce_to_param(g, t.shape, x.ndim == t.ndim + 1)
+    return ref_reduce_to_param(g, t.shape, x.ndim == t.ndim + 1)
 
 
 def t_arr(t):
@@ -59,11 +74,11 @@ def bwd_x(base, t, x, grad_out, a=None):
     return ng_backward_input(base, t, x, m, np.asarray(grad_out, dtype=float), a)
 
 
-def grad_t(base, t, x, grad_out, trainable=True, batched=None):
+def grad_t(base, t, x, grad_out, trainable=True):
     t, x = t_arr(t), np.asarray(x, dtype=float)
     _, m = ng_forward(base, t, x)
     return ng_grad_t(base, t, x, m, np.asarray(grad_out, dtype=float),
-                     trainable, batched=batched)
+                     trainable)
 
 
 def assert_bitwise(got, want):
@@ -142,7 +157,7 @@ class TestLinearRegion:
     def test_zero_t_gradient(self):
         rng = np.random.default_rng(5)
         x = np.abs(rng.standard_normal(40)) + 0.1
-        assert grad_t(ReLU(), [0.0], x, np.ones(40), batched=False)[0] == 0.0
+        assert grad_t(ReLU(), [0.0], x, np.ones(40))[0] == 0.0
 
 
 class TestBackwardInput:
@@ -174,22 +189,22 @@ class TestBackwardInput:
 
 class TestGradT:
     def test_active_branch_factor_zero(self):
-        assert grad_t(ReLU(), [0.0], [2.0], [1.0], batched=False)[0] == 0.0
+        assert grad_t(ReLU(), [0.0], [2.0], [1.0])[0] == 0.0
 
     def test_inactive_branch_factor_one(self):
-        assert grad_t(ReLU(), [0.0], [-1.0], [1.0], batched=False)[0] == 1.0
+        assert grad_t(ReLU(), [0.0], [-1.0], [1.0])[0] == 1.0
 
     def test_kink_belongs_to_t(self):
         # x == t sits on the linear branch (the mask x >= t holds there), so
         # it adds nothing to t, and the input gradient passes (next test)
-        assert grad_t(ReLU(), [0.5], [0.5], [1.0], batched=False)[0] == 0.0
+        assert grad_t(ReLU(), [0.5], [0.5], [1.0])[0] == 0.0
 
     def test_lrelu_general_factor(self):
-        g = grad_t(LeakyReLU(0.1), [0.0], [-1.0], [1.0], batched=False)
+        g = grad_t(LeakyReLU(0.1), [0.0], [-1.0], [1.0])
         assert np.isclose(g[0], 0.9)
 
     def test_nontrainable_returns_zero(self):
-        g = grad_t(ReLU(), [-1.0], [-5.0], [1.0], trainable=False, batched=False)
+        g = grad_t(ReLU(), [-1.0], [-5.0], [1.0], trainable=False)
         assert not g.any()
 
     @pytest.mark.parametrize("base", ["relu", "lrelu", "selu"])
@@ -205,7 +220,7 @@ class TestGradT:
         def loss(tv):
             return float((fwd(b, [tv], x) * proj).sum())
 
-        g = grad_t(b, [t0], x, proj, batched=False)
+        g = grad_t(b, [t0], x, proj)
         fd = (loss(t0 + h) - loss(t0 - h)) / (2 * h)
         assert abs(fd - g[0]) / max(abs(fd), abs(g[0]), 1e-8) < 1e-4
 
@@ -226,7 +241,7 @@ class TestPReLU:
     @staticmethod
     def slope_grad(t, x, grad_out, a):
         return prelu_grad_a(PReLU(), t_arr(t), np.asarray(x, dtype=float),
-                            np.asarray(grad_out, dtype=float), a, batched=False)
+                            np.asarray(grad_out, dtype=float), a)
 
     def test_positive_inputs_zero_slope_grad(self):
         g = self.slope_grad([0.0], [1.0, 2.0], np.ones(2), np.array([0.25]))

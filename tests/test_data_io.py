@@ -176,6 +176,17 @@ class TestConfig:
         cfg = build_experiment_config(raw)
         assert cfg.optim.schedule.epochs == [10, 20]
 
+    def test_base_kwargs_is_a_dict_key(self):
+        raw = parse_config_text("""
+        experiment = single_run
+        seed = 1
+        activation.base = lrelu
+        activation.base_kwargs.alpha = 0.2
+        """)
+        cfg = build_experiment_config(raw)
+        assert cfg.activation.base_kwargs == {"alpha": 0.2}
+        assert cfg.activation.make_base().alpha == 0.2
+
 
 class TestCsv:
     ROW = {"run_id": "r1", "epoch": 1, "step": 10, "train_loss": 1.234567891,

@@ -131,9 +131,9 @@ class TestTrainRun:
     def test_repeat_run_bitwise_identical(self, tmp_path):
         """(config, seed) fixes the whole trajectory: every float in the
         metric rows matches exactly across repeats."""
-        cfg = mlp_cfg(tmp_path)
-        a = train_run(cfg, run_id="a")
-        b = train_run(cfg, run_id="a")
+        cfg = mlp_cfg(tmp_path, run_id="a")
+        a = train_run(cfg)
+        b = train_run(cfg)
         assert len(a.rows) == cfg.epochs
         for ra, rb in zip(a.rows, b.rows):
             assert ra == rb
@@ -141,10 +141,10 @@ class TestTrainRun:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_terminates_series(self, tmp_path):
-        cfg = mlp_cfg(tmp_path)
+        cfg = mlp_cfg(tmp_path, run_id="blowup")
         cfg.optim.lr = 1e9
         cfg.epochs = 6
-        res = train_run(cfg, run_id="blowup")
+        res = train_run(cfg)
         assert res.diverged
         last = res.rows[-1]
         assert last["diverged"] is True
@@ -156,7 +156,7 @@ class TestTrainRun:
     def test_stats_collection_leaves_bn_training_unchanged(self, tmp_path):
         """Per-epoch probes must not touch the batch-norm running statistics,
         which feed every later eval-mode test accuracy."""
-        cfg = mlp_cfg(tmp_path)
+        cfg = mlp_cfg(tmp_path, run_id="bn")
         cfg.model.family = "plain_cnn"
         cfg.model.depth = 5
         cfg.model.width = 4
@@ -166,7 +166,7 @@ class TestTrainRun:
         cfg.epochs = 3
         runs = {}
         for collect in (False, True):
-            res = train_run(cfg, run_id="bn", collect_stats=collect)
+            res = train_run(cfg, collect_stats=collect)
             path = tmp_path / f"metrics_{collect}.csv"
             emit_csv(res.rows, str(path), schema="metrics")
             runs[collect] = (res.params, path.read_bytes())
@@ -178,8 +178,8 @@ class TestTrainRun:
                 assert np.array_equal(p_on[i][key], p_off[i][key]), (i, key)
 
     def test_flags_never_contradictory(self, tmp_path):
-        cfg = mlp_cfg(tmp_path)
-        res = train_run(cfg, run_id="ok")
+        cfg = mlp_cfg(tmp_path, run_id="ok")
+        res = train_run(cfg)
         assert not res.diverged
         assert all(np.isfinite(r["train_loss"]) for r in res.rows)
         assert all(0.0 <= r["train_acc"] <= 1.0 for r in res.rows)
@@ -301,6 +301,54 @@ class TestVarianceStudy:
             assert header == SCHEMAS[name]
 
 
+class TestSweepRunsStandAlone:
+    """A sweep run is its own config: training that config alone, on the
+    dataset it builds itself, gives the metrics rows the sweep wrote for
+    it, bitwise."""
+
+    @staticmethod
+    def run_of(cfg, name, ng):
+        run = copy.deepcopy(cfg)
+        run.activation.ng = ng
+        run.run_id = f"{cfg.run_id}-{name}"
+        return run
+
+    @staticmethod
+    def check(cfg, results, runs):
+        alone = [train_run(run).rows for run in runs]
+        assert alone == [res.rows for res in results]
+        path = os.path.join(cfg.out, "alone.csv")
+        emit_csv([row for rows in alone for row in rows], path,
+                 schema="metrics")
+        with open(path, "rb") as a, \
+                open(os.path.join(cfg.out, "metrics.csv"), "rb") as b:
+            assert a.read() == b.read()
+
+    def test_critical_depth(self, tmp_path):
+        cfg = mlp_cfg(tmp_path, experiment="critical_depth", run_id="cd",
+                      depth_start=2, depth_step=1, depth_count=2, epochs=2)
+        results, _ = run_critical_depth(cfg)
+        runs = []
+        for v in ("ng", "plain"):
+            for depth in (2, 3):
+                run = self.run_of(cfg, f"{v}-d{depth}", ng=v == "ng")
+                run.model.depth = depth
+                runs.append(run)
+        self.check(cfg, results, runs)
+
+    def test_learning_behavior(self, tmp_path):
+        cfg = mlp_cfg(tmp_path, experiment="learning_behavior", run_id="lb",
+                      epochs=2)
+        results, _ = run_learning_behavior(cfg)
+        runs = []
+        for v in ("ng", "plain"):
+            for init in ("xavier", "msra", "orthogonal"):
+                run = self.run_of(cfg, f"{v}-{init}", ng=v == "ng")
+                run.init = init
+                runs.append(run)
+        self.check(cfg, results, runs)
+
+
 class TestExperimentDispatch:
     def test_unknown_kind_rejected(self, tmp_path):
         cfg = mlp_cfg(tmp_path, experiment="ablation")
@@ -404,13 +452,34 @@ class TestCli:
         ("depth_count=2.5", "depth_count"),
         ("t_values=-1,abc", "t_values"),
         ("probe_steps=0", "probe_steps"),
+        ("model=3", "model"),
+        ("optim=0.1", "optim"),
+        ("dataset=blobs", "dataset"),
+        ("activation=relu", "activation"),
+        ("optim.schedule=foo", "optim.schedule"),
+        ("schedule=step", "schedule"),
+        ("schedule.pateince=3", "schedule.pateince"),
+        ("schedule.kind=plateau schedule.pateince=3", "schedule.pateince"),
+        ("schedule.factor=abc", "schedule.factor"),
+        ("schedule.epochs=1 schedule.factor=abc", "schedule.factor"),
+        ("schedule.factor=-1", "schedule.factor"),
+        ("schedule.factor=inf", "schedule.factor"),
+        ("schedule.kind=plateau schedule.metric=foo", "schedule.metric"),
+        ("schedule.epochs=abc", "schedule.epochs"),
+        ("schedule.epochs=1,-1", "schedule.epochs"),
+        ("schedule.kind=plateau schedule.patience=abc", "schedule.patience"),
+        ("schedule.kind=plateau schedule.patience=0", "schedule.patience"),
+        ("epochs.x=1", "epochs.x"),
     ])
     def test_invalid_config_is_a_clean_error(self, tmp_path, capsys,
                                              override, name):
+        """`override` holds one or more space-separated key=value pairs."""
         cfg = self.write_cfg(tmp_path)
         out = tmp_path / "out"
-        assert cli_main(["run", "--config", cfg, "--out", str(out),
-                         "--override", override]) == 2
+        argv = ["run", "--config", cfg, "--out", str(out)]
+        for assignment in override.split():
+            argv += ["--override", assignment]
+        assert cli_main(argv) == 2
         assert name in capsys.readouterr().err
         assert not out.exists()
 

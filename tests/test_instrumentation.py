@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngnet.errors import ContractError, RegimeError
-from ngnet.instrumentation import (grad_check, mean_shift_trace,
+from ngnet.instrumentation import (KINK_WINDOW, grad_check, mean_shift_trace,
                                    sandwich_check, stability_score,
                                    t_trace, variance_bounds,
                                    weight_variance_trace)
@@ -233,6 +233,27 @@ class TestGradCheck:
             ActivationSpec(base="prelu", ng=True, t_init=-0.5), seed=9)
         report = grad_check(spec, params, x, y, tolerance=1e-4)
         assert report.passed and "prelu_a" in report.max_rel_err
+
+    def test_kink_exclusion_matches_a_fresh_forward(self):
+        """Shift components near an input of their layer are excluded, as
+        a fresh forward on the caller's parameters sees those inputs."""
+        spec, params, x, y = self._probe(
+            ActivationSpec(base="relu", ng=True, t_init=-1.0,
+                           granularity="element"), seed=3)
+        # put two shifts of each activation layer on or near a kink
+        for i in (1, 3):
+            _, _, cache = forward(spec, params, x, y)
+            z = cache["layers"][i]["x"]
+            params[i]["t"][0] = z[0, 0]
+            params[i]["t"][1] = z[2, 1] + 0.5 * KINK_WINDOW
+        _, _, cache = forward(spec, params, x, y)
+        near = sum(int((np.abs(cache["layers"][i]["x"] - params[i]["t"])
+                        < KINK_WINDOW).any(axis=0).sum()) for i in (1, 3))
+        report = grad_check(spec, params, x, y)
+        assert near >= 4
+        assert report.excluded_kink == near
+        trainable = sum(v.size for p in params.values() for v in p.values())
+        assert report.checked + report.excluded_kink == trainable
 
     def test_refuses_large_nets(self):
         spec, params, x, y = self._probe(IDENT, hidden=(64, 64))

@@ -9,7 +9,7 @@ import pytest
 from ngnet import network
 from ngnet.errors import ConfigError
 from ngnet.network import (Activation, ActivationSpec, BatchNorm, Conv,
-                           Dense, InitScheme, accuracy, backward, build_mlp,
+                           Dense, InitScheme, backward, build_mlp,
                            build_plain_cnn, build_resnet, build_toy_cnn,
                            forward, infer_shapes, init_params)
 from ngnet.tensor import conv2d_backward
@@ -163,10 +163,6 @@ class TestForward:
         single, _, _ = forward(spec, params, x[:1], mode="eval")
         batched, _, _ = forward(spec, params, x, mode="eval")
         np.testing.assert_allclose(single[0], batched[0], atol=1e-12)
-
-    def test_accuracy(self):
-        logits = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 0.0]])
-        assert accuracy(logits, [0, 1, 1]) == pytest.approx(2 / 3)
 
 
 class TestBackward:
