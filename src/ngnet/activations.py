@@ -22,6 +22,9 @@ base's negative slope elsewhere, and the t-gradient is ``grad * (1 - f')``.
 A tie ``x == t`` has ``m`` true: it sits on the linear branch for the
 input gradient and contributes nothing to ``t``.  SELU is not linear on
 ``u >= 0`` at the kink, so its gradients still evaluate ``f'(x - t)``.
+``BaseActivation.backward_reads_x`` says which bases' backward needs
+``x`` besides the mask; for the others the ``x`` argument of the backward
+kernels is not read and may be None.
 """
 
 from __future__ import annotations
@@ -60,6 +63,13 @@ class BaseActivation:
     def neg_slope(self, a=None):
         """f'(u) for u < 0, for linear_positive bases."""
         raise NotImplementedError
+
+    @property
+    def backward_reads_x(self) -> bool:
+        """Whether the backward reads the layer input ``x`` and not only the
+        mask: a base that is not linear_positive evaluates ``f'(x - t)``,
+        and the PReLU slope gradient reads ``x - t``."""
+        return self.has_slope_param or not self.linear_positive
 
 
 class Identity(BaseActivation):

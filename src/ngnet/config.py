@@ -24,7 +24,7 @@ from functools import reduce
 from .activations import GRANULARITIES
 from .datasets import synthetic_train_count
 from .errors import ConfigError
-from .network import ActivationSpec
+from .network import ActivationSpec, check_depth, check_input_hw
 from .optim import OptimConfig, PlateauSchedule, StepSchedule
 
 EXPERIMENT_KINDS = ("single_run", "capacity_sweep", "critical_depth",
@@ -186,15 +186,38 @@ def _validate_schedule(s):
                               f"got {getattr(s, key)!r}")
 
 
+def _built_depths(cfg: ExperimentConfig):
+    """The keys that set the depths the experiment builds, and the depths:
+    the whole ladder of a critical-depth sweep, else model.depth."""
+    if cfg.experiment == "critical_depth":
+        return "depth_start/depth_step/depth_count", [
+            cfg.depth_start + k * cfg.depth_step
+            for k in range(cfg.depth_count)]
+    return "model.depth", [cfg.model.depth]
+
+
+def _name_key(key, check, *args):
+    """Run a builder's check, naming the config key a refusal comes from."""
+    try:
+        check(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _validate(cfg: ExperimentConfig):
     """Reject types and ranges the run would otherwise trip over, or run
     with silently, once every override has been applied."""
     for name in ("epochs", "batch_size", "model.depth", "model.width",
-                 "dataset.n", "dataset.classes", "depth_start", "depth_step",
-                 "depth_count", "probe_steps"):
+                 "model.input_hw", "dataset.n", "dataset.classes",
+                 "depth_start", "depth_step", "depth_count", "probe_steps"):
         value = reduce(getattr, name.split("."), cfg)
         if not _is_count(value, 1):
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    family = cfg.model.family
+    where, depths = _built_depths(cfg)
+    for depth in depths:
+        _name_key(where, check_depth, family, depth)
+    _name_key("model.input_hw", check_input_hw, family, cfg.model.input_hw)
     d = cfg.dataset
     for name in ("spread", "noise"):
         value = getattr(d, name)

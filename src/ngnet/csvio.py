@@ -39,18 +39,15 @@ def emit_csv(rows, path, schema):
     """
     columns = SCHEMAS[schema] if isinstance(schema, str) else list(schema)
 
-    exists = os.path.exists(path) and os.path.getsize(path) > 0
+    exists = _has_rows(path)
     if exists:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != columns:
-                raise NgnetError(f"{path}: existing header {reader.fieldnames} "
-                                 f"differs from {columns}")
-            seen = {r.get("run_id") for r in reader}
-        new = {str(r.get("run_id")) for r in rows if "run_id" in r}
-        clash = seen & new
-        if clash:
-            raise NgnetError(f"{path}: run_id already present: {sorted(clash)}")
+            header = next(csv.reader(fh))
+        if header != columns:
+            raise NgnetError(f"{path}: existing header {header} "
+                             f"differs from {columns}")
+        refuse_present_run_ids(path, [r["run_id"] for r in rows
+                                      if "run_id" in r])
     try:
         with open(path, "a", newline="") as fh:
             writer = csv.writer(fh)
@@ -60,6 +57,20 @@ def emit_csv(rows, path, schema):
                 writer.writerow([_fmt(row.get(col, "")) for col in columns])
     except OSError as exc:
         raise NgnetError(f"cannot write {path}: {exc}") from exc
+
+
+def _has_rows(path):
+    return os.path.exists(path) and os.path.getsize(path) > 0
+
+
+def refuse_present_run_ids(path, run_ids):
+    """Raise NgnetError if the CSV at `path` already holds any of `run_ids`;
+    a missing or empty file holds none."""
+    if not _has_rows(path):
+        return
+    clash = {r.get("run_id") for r in read_csv(path)} & set(map(str, run_ids))
+    if clash:
+        raise NgnetError(f"{path}: run_id already present: {sorted(clash)}")
 
 
 def read_csv(path):

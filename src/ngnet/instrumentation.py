@@ -162,7 +162,8 @@ def _param_group(key):
 
 
 def _loss_of(spec, params, batch, labels):
-    _, loss, _ = forward(spec, params, batch, labels, mode="train")
+    _, loss, _ = forward(spec, params, batch, labels, mode="train",
+                         keep_cache=False)
     return loss
 
 
@@ -183,7 +184,9 @@ def grad_check(spec: NetworkSpec, params: dict, batch, labels,
     if n_params > max_params:
         raise ContractError(f"grad_check is for small nets ({n_params} params)")
     params = copy.deepcopy(params)  # BN running stats mutate; keep caller's intact
-    _, _, cache = forward(spec, params, batch, labels, mode="train")
+    act_inputs: dict = {}
+    _, _, cache = forward(spec, params, batch, labels, mode="train",
+                          act_inputs=act_inputs)
     analytic = backward(spec, params, cache, labels)
 
     worst: dict = {}
@@ -202,7 +205,7 @@ def grad_check(spec: NetworkSpec, params: dict, batch, labels,
                 # difference; the slope parameter never moves the kink.
                 # Every parameter checked so far is restored exactly, so
                 # the first forward's input to this layer is still current
-                kink = _kink_mask(cache["layers"][i]["x"], w)
+                kink = _kink_mask(act_inputs[i], w)
             g_an = analytic[i][key]
             flat = w.ravel()
             for j in range(flat.size):

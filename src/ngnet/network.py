@@ -3,14 +3,16 @@
 A network is a flat sequence of layer specs (convs, dense, batch norm,
 activations, pooling, residual-block markers, softmax head).  Parameters
 live outside the spec in a per-layer-index dict, so a spec is reusable
-across seeds and schemes.  ``forward`` caches everything ``backward``
-needs; both are pure apart from batch-norm running statistics, which are
-updated in train mode.
+across seeds and schemes.  ``forward`` caches what ``backward`` reads,
+or nothing for a loss-only or accuracy forward; both are pure apart from
+batch-norm running statistics, which are updated in train mode.
 
 A plain (unwrapped) activation is represented internally as the shifted
 wrapper with a fixed t = 0, which is exactly ``f(x)``; this keeps a single
 code path for all activation gradients.  An activation layer's cache holds
-its input ``x`` and the branch mask ``x >= t`` its forward returned.
+the branch mask ``x >= t`` its forward returned, and its input ``x`` only
+when the base's backward reads it (``BaseActivation.backward_reads_x``:
+SELU and PReLU).
 """
 
 from __future__ import annotations
@@ -145,16 +147,35 @@ def infer_shapes(spec: NetworkSpec) -> list:
 # Builders
 # ---------------------------------------------------------------------------
 
+# family -> s in its depth rule, depth = 2 + s*k with k >= 1
+DEPTH_STEPS = {"plain_cnn": 3, "resnet": 6}
+
+
+def check_depth(family, depth):
+    """Raise ConfigError unless `family` builds at `depth`: plain CNN
+    2 + 3k, ResNet 2 + 6k; other families take any depth."""
+    step = DEPTH_STEPS.get(family)
+    if step is not None and (depth < 2 + step or (depth - 2) % step):
+        raise ConfigError(f"{family} depth must be 2 + {step}k with k >= 1, "
+                          f"got {depth}")
+
+
+def check_input_hw(family, input_hw):
+    """Raise ConfigError unless `family` builds on this input side: the
+    plain CNN's two max pools need a multiple of 4."""
+    if family == "plain_cnn" and input_hw % 4:
+        raise ConfigError(f"plain_cnn input side must be divisible by 4 "
+                          f"(two max pools), got {input_hw}")
+
+
 def build_plain_cnn(depth, base_width, num_classes, with_bn, activation,
                     input_hw=32, in_channels=3) -> NetworkSpec:
     """VGG-style stack: stem conv + three equal stages at widths w, 2w, 4w
     separated by 2x2 max pools, then global average pooling and a softmax
     classifier.  depth = 2 + 3k (stem + 3k convs + classifier)."""
-    if depth < 5 or (depth - 2) % 3 != 0:
-        raise ConfigError(f"plain-cnn depth must be 2 + 3k with k >= 1, got {depth}")
+    check_depth("plain_cnn", depth)
+    check_input_hw("plain_cnn", input_hw)
     k = (depth - 2) // 3
-    if input_hw % 4:
-        raise ConfigError("input side must be divisible by 4 (two max pools)")
 
     def conv_act(ch, layers):
         layers.append(Conv(ch, bias=not with_bn))
@@ -183,8 +204,7 @@ def build_resnet(depth, base_width, num_classes, activation, with_bn=True,
                  input_hw=32, in_channels=3) -> NetworkSpec:
     """Three stages of two-conv identity blocks; downsampling blocks use
     stride 2 and a zero-padded strided identity shortcut.  depth = 6k + 2."""
-    if depth < 8 or (depth - 2) % 6 != 0:
-        raise ConfigError(f"resnet depth must be 6k + 2 with k >= 1, got {depth}")
+    check_depth("resnet", depth)
     k = (depth - 2) // 6
     layers: list = [Conv(base_width, bias=not with_bn)]
     if with_bn:
@@ -327,12 +347,17 @@ def _bn_reshape(p, ndim):
     return p.reshape((1, -1) + (1,) * (ndim - 2))
 
 
-def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train"):
+def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train",
+            keep_cache=True, act_inputs: dict = None):
     """Run the network; returns (logits, loss, cache).
 
     loss is None when labels are absent.  train mode uses batch statistics
     for batch norm and updates the running ones; eval mode reads the
-    running statistics only.
+    running statistics only.  With `keep_cache` false the cache is None and
+    each layer's intermediates are freed as the walk moves on, for forwards
+    that only want the logits or the loss.  When `act_inputs` is a dict, it
+    also receives, by layer index, the input of each Activation layer (the
+    cache keeps it only where the backward reads it).
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be train or eval, got {mode!r}")
@@ -354,7 +379,10 @@ def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train"):
         elif isinstance(layer, BatchNorm):
             x = _bn_forward(params[i], x, mode, c)
         elif isinstance(layer, Activation):
-            c["x"] = x
+            if act_inputs is not None:
+                act_inputs[i] = x
+            if layer.base.backward_reads_x:
+                c["x"] = x
             x, c["mask"] = ng_forward(layer.base, params[i]["t"], x,
                                       params[i].get("a"))
         elif isinstance(layer, MaxPool):
@@ -380,9 +408,12 @@ def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train"):
                 c["labels"] = labels
         else:
             raise ConfigError(f"unknown layer {layer!r}")
-        caches.append(c)
+        if keep_cache:
+            caches.append(c)
     if logits is None:
         raise ConfigError("network has no softmax head")
+    if not keep_cache:
+        return logits, loss, None
     return logits, loss, {"layers": caches, "n_layers": len(spec.layers)}
 
 
@@ -478,11 +509,12 @@ def backward(spec: NetworkSpec, params: dict, cache, labels=None,
             grads[i] = g
         elif isinstance(layer, Activation):
             t, a = params[i]["t"], params[i].get("a")
-            g: dict = {"t": ng_grad_t(layer.base, t, c["x"], c["mask"], grad,
+            x = c.get("x")  # None where the backward reads only the mask
+            g: dict = {"t": ng_grad_t(layer.base, t, x, c["mask"], grad,
                                       layer.trains_t, a)}
             if a is not None:
-                g["a"] = prelu_grad_a(layer.base, t, c["x"], grad, a)
-            grad = ng_backward_input(layer.base, t, c["x"], c["mask"], grad, a)
+                g["a"] = prelu_grad_a(layer.base, t, x, grad, a)
+            grad = ng_backward_input(layer.base, t, x, c["mask"], grad, a)
             grads[i] = g
         elif isinstance(layer, MaxPool):
             grad = maxpool2_backward(grad, c["idx"], c["in_shape"])

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import instrumentation as instr
 from .config import ExperimentConfig, _fill
-from .csvio import emit_csv
+from .csvio import emit_csv, refuse_present_run_ids
 from .datasets import Dataset, augment, make_blobs, make_spirals, load_cifar10_binary
 from .errors import ConfigError, DivergenceError
 from .network import (Activation, Dense, InitScheme, NetworkSpec, backward,
@@ -106,7 +106,8 @@ EVAL_BATCH = 256
 def _eval_acc(spec, params, x, y):
     hits = 0
     for s in range(0, len(y), EVAL_BATCH):
-        logits, _, _ = forward(spec, params, x[s:s + EVAL_BATCH], mode="eval")
+        logits, _, _ = forward(spec, params, x[s:s + EVAL_BATCH], mode="eval",
+                               keep_cache=False)
         hits += (logits.argmax(axis=1) == y[s:s + EVAL_BATCH]).sum()
     return float(hits) / len(y)
 
@@ -232,6 +233,7 @@ def train_runs(runs, data: Dataset, collect_stats: bool = False):
 
 
 def run_single(cfg: ExperimentConfig):
+    _refuse_present(cfg, [cfg])
     results = train_runs([cfg], get_dataset(cfg), collect_stats=True)
     _write_run(cfg, results)
     return results
@@ -248,13 +250,14 @@ def run_capacity_sweep(cfg: ExperimentConfig):
                  for t in cfg.t_values]
     settings += [("trainable", {"ng": True, "trainable": True})]
     runs = [run_config(cfg, name, activation=act) for name, act in settings]
+    _refuse_present(cfg, runs, "capacity")
     results = train_runs(runs, get_dataset(cfg))
     summary = [{"run_id": res.run_id, "setting": name,
                 "max_train_acc": res.max_train_acc,
                 "final_mean_t": res.final_mean_t, "diverged": res.diverged}
                for (name, _), res in zip(settings, results)]
     _write_run(cfg, results)
-    emit_csv(summary, os.path.join(cfg.out, "capacity.csv"),
+    emit_csv(summary, _csv_path(cfg, "capacity"),
              schema=["run_id", "setting", "max_train_acc", "final_mean_t",
                      "diverged"])
     return results, summary
@@ -268,6 +271,9 @@ def run_critical_depth(cfg: ExperimentConfig):
             for vname in VARIANTS for k in range(cfg.depth_count)]
     runs = [run_config(cfg, f"{vname}-d{depth}", activation=VARIANTS[vname],
                        model={"depth": depth}) for vname, depth in grid]
+    critical_ids = {vname: f"{cfg.run_id}-{vname}-critical"
+                    for vname in VARIANTS}
+    _refuse_present(cfg, runs, "critical_depth", critical_ids.values())
     results = train_runs(runs, data)
     summary, critical = [], {}
     for (vname, depth), res in zip(grid, results):
@@ -279,12 +285,12 @@ def run_critical_depth(cfg: ExperimentConfig):
         if ok:
             critical[vname] = max(critical.get(vname, 0), depth)
     for vname in VARIANTS:
-        summary.append({"run_id": f"{cfg.run_id}-{vname}-critical",
+        summary.append({"run_id": critical_ids[vname],
                         "variant": vname, "depth": critical.get(vname, 0),
                         "converged": True, "final_train_acc": float("nan"),
                         "diverged": False})
     _write_run(cfg, results)
-    emit_csv(summary, os.path.join(cfg.out, "critical_depth.csv"),
+    emit_csv(summary, _csv_path(cfg, "critical_depth"),
              schema=["run_id", "variant", "depth", "converged",
                      "final_train_acc", "diverged"])
     return results, critical
@@ -297,6 +303,8 @@ def run_learning_behavior(cfg: ExperimentConfig):
             for init in ("xavier", "msra", "orthogonal")]
     runs = [run_config(cfg, f"{vname}-{init}", activation=VARIANTS[vname],
                        init=init) for vname, init in grid]
+    spread_ids = {vname: f"{cfg.run_id}-{vname}-spread" for vname in VARIANTS}
+    _refuse_present(cfg, runs, "learning_behavior", spread_ids.values())
     results = train_runs(runs, get_dataset(cfg))
     summary, spread = [], {}
     for vname in VARIANTS:
@@ -307,13 +315,13 @@ def run_learning_behavior(cfg: ExperimentConfig):
                 for (v, init), res in zip(grid, results) if v == vname]
         needed = [r["epochs_to_threshold"] for r in rows]
         spread[vname] = max(needed) - min(needed)
-        summary += rows + [{"run_id": f"{cfg.run_id}-{vname}-spread",
+        summary += rows + [{"run_id": spread_ids[vname],
                             "variant": vname, "init": "spread",
                             "epochs_to_threshold": spread[vname],
                             "final_train_acc": float("nan"),
                             "diverged": False}]
     _write_run(cfg, results)
-    emit_csv(summary, os.path.join(cfg.out, "learning_behavior.csv"),
+    emit_csv(summary, _csv_path(cfg, "learning_behavior"),
              schema=["run_id", "variant", "init", "epochs_to_threshold",
                      "final_train_acc", "diverged"])
     return results, spread
@@ -325,6 +333,7 @@ def run_variance_study(cfg: ExperimentConfig):
     data = get_dataset(cfg)
     runs = [run_config(cfg, vname, activation=act)
             for vname, act in VARIANTS.items()]
+    _refuse_present(cfg, runs)
     results = dict(zip(VARIANTS, train_runs(runs, data, collect_stats=True)))
     for res in results.values():
         res.layerstats_rows.extend(sandwich_probes(
@@ -359,14 +368,31 @@ def sandwich_probes(spec, params, data, lr, n_probes, run_id):
     return rows
 
 
+# per-run CSV schema -> the RunResult attribute holding its rows
+RUN_CSVS = {"metrics": "rows", "layerstats": "layerstats_rows",
+            "ttrace": "ttrace_rows"}
+
+
+def _csv_path(cfg: ExperimentConfig, name):
+    return os.path.join(cfg.out, f"{name}.csv")
+
+
+def _refuse_present(cfg: ExperimentConfig, runs, summary=None,
+                    summary_ids=()):
+    """Refuse, before the first run trains, run ids that the output
+    directory already holds in a CSV this sweep writes: the per-run CSVs
+    and the sweep's `summary` CSV, whose extra rows carry `summary_ids`."""
+    ids = [run.run_id for run in runs] + list(summary_ids)
+    for name in list(RUN_CSVS) + ([summary] if summary else []):
+        refuse_present_run_ids(_csv_path(cfg, name), ids)
+
+
 def _write_run(cfg: ExperimentConfig, results):
     os.makedirs(cfg.out, exist_ok=True)
-    for schema, attr in (("metrics", "rows"), ("layerstats", "layerstats_rows"),
-                         ("ttrace", "ttrace_rows")):
+    for schema, attr in RUN_CSVS.items():
         rows = [row for res in results for row in getattr(res, attr)]
         if rows:
-            emit_csv(rows, os.path.join(cfg.out, f"{schema}.csv"),
-                     schema=schema)
+            emit_csv(rows, _csv_path(cfg, schema), schema=schema)
 
 
 EXPERIMENTS = {

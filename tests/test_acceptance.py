@@ -8,6 +8,7 @@ settings were chosen once and are not free parameters of the gate.
 """
 
 import copy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,7 +231,7 @@ def test_accept_8_determinism_and_formats(tmp_path):
         cfg = copy.deepcopy(base)
         cfg.out = str(tmp_path / sub)
         run_experiment(cfg)
-        files.append({name: open(f"{cfg.out}/{name}", "rb").read()
+        files.append({name: Path(cfg.out, name).read_bytes()
                       for name in ("metrics.csv", "layerstats.csv",
                                    "ttrace.csv")})
     identical = files[0] == files[1]

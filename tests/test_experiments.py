@@ -18,12 +18,15 @@ from ngnet.cli import main as cli_main
 from ngnet.config import ExperimentConfig, build_experiment_config, load_config
 from ngnet.csvio import SCHEMAS, emit_csv, read_csv
 from ngnet.datasets import write_cifar10_records
-from ngnet.errors import ConfigError
+from ngnet import runner
+from ngnet.errors import ConfigError, NgnetError
 from ngnet.network import ActivationSpec, Dense
 from ngnet.runner import (RunResult, build_model, converged, get_dataset,
                           run_capacity_sweep, run_critical_depth,
                           run_experiment, run_learning_behavior,
                           run_variance_study, train_run)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def mlp_cfg(tmp_path, **kw):
@@ -45,6 +48,18 @@ def mlp_cfg(tmp_path, **kw):
     for k, v in kw.items():
         setattr(cfg, k, v)
     return cfg
+
+
+def count_training(monkeypatch):
+    """Record every train_run call a sweep makes from here on."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].run_id)
+        return train_run(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "train_run", counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +378,28 @@ class TestExperimentDispatch:
             cfg = copy.deepcopy(base)
             cfg.out = str(tmp_path / sub)
             run_experiment(cfg)
-            blobs.append({name: open(os.path.join(cfg.out, name), "rb").read()
+            blobs.append({name: Path(cfg.out, name).read_bytes()
                           for name in os.listdir(cfg.out)})
         assert blobs[0].keys() == blobs[1].keys()
         assert blobs[0] == blobs[1]
+
+    def test_summary_run_id_refused_before_training(self, tmp_path,
+                                                    monkeypatch):
+        """A run id only the sweep's summary CSV holds stops it too."""
+        cfg = mlp_cfg(tmp_path, experiment="critical_depth", run_id="cd",
+                      depth_start=2, depth_step=1, depth_count=1, epochs=1)
+        os.makedirs(cfg.out)
+        path = os.path.join(cfg.out, "critical_depth.csv")
+        emit_csv([{"run_id": "cd-ng-critical"}], path,
+                 schema=["run_id", "variant", "depth", "converged",
+                         "final_train_acc", "diverged"])
+        before = Path(path).read_bytes()
+        calls = count_training(monkeypatch)
+        with pytest.raises(NgnetError, match="cd-ng-critical"):
+            run_experiment(cfg)
+        assert calls == []
+        assert os.listdir(cfg.out) == ["critical_depth.csv"]
+        assert Path(path).read_bytes() == before
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +503,12 @@ class TestCli:
         ("schedule.kind=plateau schedule.patience=abc", "schedule.patience"),
         ("schedule.kind=plateau schedule.patience=0", "schedule.patience"),
         ("epochs.x=1", "epochs.x"),
+        ("model.input_hw=0", "model.input_hw"),
+        ("model.family=plain_cnn model.depth=8 model.input_hw=6",
+         "model.input_hw"),
+        ("model.family=resnet model.depth=9", "model.depth"),
+        ("experiment=critical_depth model.family=plain_cnn model.depth=8 "
+         "depth_step=5", "depth_step"),
     ])
     def test_invalid_config_is_a_clean_error(self, tmp_path, capsys,
                                              override, name):
@@ -493,6 +532,28 @@ class TestCli:
                          "--override", "probe_steps=121"]) == 2
         assert "probe_steps" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bad_ladder_depth_refused_before_training(self, tmp_path, capsys,
+                                                      monkeypatch):
+        calls = count_training(monkeypatch)
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", str(CONFIGS / "critical_depth.cfg"),
+                         "--out", str(out), "--override", "depth_step=5"]) == 2
+        assert "depth_step" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    def test_repeated_run_id_refused_before_training(self, tmp_path, capsys,
+                                                     monkeypatch):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        calls = count_training(monkeypatch)
+        assert cli_main(["run", "--config", cfg, "--out", str(out),
+                         "--override", "epochs=3"]) == 2
+        assert "run_id already present" in capsys.readouterr().err
+        assert calls == []
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_single_t_value_is_a_list(self, tmp_path):
         cfg = self.write_cfg(tmp_path, CONFIG_TEXT + "t_values = -0.5\n")

@@ -242,12 +242,13 @@ class TestGradCheck:
                            granularity="element"), seed=3)
         # put two shifts of each activation layer on or near a kink
         for i in (1, 3):
-            _, _, cache = forward(spec, params, x, y)
-            z = cache["layers"][i]["x"]
-            params[i]["t"][0] = z[0, 0]
-            params[i]["t"][1] = z[2, 1] + 0.5 * KINK_WINDOW
-        _, _, cache = forward(spec, params, x, y)
-        near = sum(int((np.abs(cache["layers"][i]["x"] - params[i]["t"])
+            z: dict = {}
+            forward(spec, params, x, y, act_inputs=z)
+            params[i]["t"][0] = z[i][0, 0]
+            params[i]["t"][1] = z[i][2, 1] + 0.5 * KINK_WINDOW
+        z = {}
+        forward(spec, params, x, y, act_inputs=z)
+        near = sum(int((np.abs(z[i] - params[i]["t"])
                         < KINK_WINDOW).any(axis=0).sum()) for i in (1, 3))
         report = grad_check(spec, params, x, y)
         assert near >= 4
