@@ -39,7 +39,7 @@ def emit_csv(rows, path, schema):
     """
     columns = SCHEMAS[schema] if isinstance(schema, str) else list(schema)
 
-    exists = _has_rows(path)
+    exists = _nonempty(path)
     if exists:
         with open(path, newline="") as fh:
             header = next(csv.reader(fh))
@@ -59,14 +59,14 @@ def emit_csv(rows, path, schema):
         raise NgnetError(f"cannot write {path}: {exc}") from exc
 
 
-def _has_rows(path):
+def _nonempty(path):
     return os.path.exists(path) and os.path.getsize(path) > 0
 
 
 def refuse_present_run_ids(path, run_ids):
     """Raise NgnetError if the CSV at `path` already holds any of `run_ids`;
     a missing or empty file holds none."""
-    if not _has_rows(path):
+    if not _nonempty(path):
         return
     clash = {r.get("run_id") for r in read_csv(path)} & set(map(str, run_ids))
     if clash:

@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ngnet import runner
 from ngnet.cli import main as cli_main
 from ngnet.config import ExperimentConfig, build_experiment_config, load_config
 from ngnet.csvio import SCHEMAS, emit_csv, read_csv
 from ngnet.datasets import write_cifar10_records
-from ngnet import runner
 from ngnet.errors import ConfigError, NgnetError
 from ngnet.network import ActivationSpec, Dense
 from ngnet.runner import (RunResult, build_model, converged, get_dataset,

@@ -242,7 +242,7 @@ class TestGradCheck:
                            granularity="element"), seed=3)
         # put two shifts of each activation layer on or near a kink
         for i in (1, 3):
-            z: dict = {}
+            z = {}
             forward(spec, params, x, y, act_inputs=z)
             params[i]["t"][0] = z[i][0, 0]
             params[i]["t"][1] = z[i][2, 1] + 0.5 * KINK_WINDOW
