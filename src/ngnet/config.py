@@ -232,6 +232,13 @@ def _validate(cfg: ExperimentConfig):
         if cfg.experiment == "variance_study" and cfg.probe_steps > n_train:
             raise ConfigError(f"probe_steps={cfg.probe_steps} exceeds the "
                               f"{n_train} training samples")
+        # the families whose builders take with_bn; cifar10_binary's size is
+        # unknown here, so batch norm checks its batch when it trains
+        bn = cfg.model.with_bn and family in ("plain_cnn", "resnet")
+        if bn and (cfg.batch_size == 1 or n_train % cfg.batch_size == 1):
+            raise ConfigError(
+                f"batch_size={cfg.batch_size} leaves a training batch of one "
+                f"of the {n_train} samples; batch norm needs batch size >= 2")
     if not all(_is_number(t) and math.isfinite(t) for t in cfg.t_values):
         raise ConfigError(f"t_values must be finite numbers, got {cfg.t_values!r}")
     for name in ("lr", "momentum", "weight_decay", "t_lr", "t_momentum"):

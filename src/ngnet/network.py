@@ -13,6 +13,11 @@ code path for all activation gradients.  An activation layer's cache holds
 the branch mask ``x >= t`` its forward returned, and its input ``x`` only
 when the base's backward reads it (``BaseActivation.backward_reads_x``:
 SELU and PReLU).
+
+Batch norm runs on one channels-last row per sample (``_bn_rows``), a free
+view of a conv output, and takes its per-channel statistics as column
+reductions; each direction allocates two full-size arrays, and the cache
+keeps ``xhat`` as those rows.
 """
 
 from __future__ import annotations
@@ -343,10 +348,6 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _bn_reshape(p, ndim):
-    return p.reshape((1, -1) + (1,) * (ndim - 2))
-
-
 def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train",
             keep_cache=True, act_inputs: dict = None):
     """Run the network; returns (logits, loss, cache).
@@ -417,25 +418,66 @@ def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train",
     return logits, loss, {"layers": caches, "n_layers": len(spec.layers)}
 
 
+def _bn_rows(x):
+    """One channels-last row per sample, (B, H*W*C), of a (B, C) or
+    (B, C, H, W) batch: a view of a conv output, whose memory is
+    channels-last; a copy of a C-contiguous 4-D input."""
+    return np.moveaxis(x, 1, -1).reshape(x.shape[0], -1)
+
+
+def _bn_unrows(rows, shape):
+    """The (B, C, ...) view of sample rows, for a batch of `shape`."""
+    return np.moveaxis(rows.reshape((shape[0],) + shape[2:] + (shape[1],)),
+                       -1, 1)
+
+
+def _colsum(rows, ch):
+    """Per-channel sums of sample rows: one BLAS product over their (N, C)
+    view, several times faster than (N, C).sum(axis=0)."""
+    cols = rows.reshape(-1, ch)
+    return np.ones(cols.shape[0]) @ cols
+
+
+def _coldot(a, b, ch):
+    """Per-channel sums of a*b over sample rows, with no temporary."""
+    return np.einsum("ij,ij->j", a.reshape(-1, ch), b.reshape(-1, ch))
+
+
+def _wide(v, rows):
+    """Per-channel `v` repeated along one sample row.  Elementwise ops with
+    it run NumPy's inner loop over a whole row; `v` broadcast over the
+    (N, C) view runs it C elements at a time, 2-3x slower at C = 8."""
+    return np.tile(v, rows.shape[1] // v.size)
+
+
 def _bn_forward(p, x, mode, c):
-    axes = (0,) if x.ndim == 2 else (0, 2, 3)
-    gamma, beta = p["gamma"], p["beta"]
+    """Batch norm on the sample rows of `x` (_bn_rows).  Allocates two
+    full-size arrays: the centred rows, normalised in place and cached as
+    xhat, and the output, returned as a (B, C, ...) view of channels-last
+    memory like a conv output."""
+    ch = x.shape[1]
+    rows = _bn_rows(x)
     if mode == "train":
         if x.shape[0] < 2:
             raise ConfigError("batch norm needs batch size >= 2 in train mode")
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
+        n = rows.size // ch
+        mean = _colsum(rows, ch) / n
+        xhat = rows - _wide(mean, rows)
+        # two passes: E[x^2] - E[x]^2 would cancel catastrophically
+        var = _coldot(xhat, xhat, ch) / n
         p["running_mean"] = BN_MOMENTUM * p["running_mean"] + (1 - BN_MOMENTUM) * mean
         p["running_var"] = BN_MOMENTUM * p["running_var"] + (1 - BN_MOMENTUM) * var
     else:
-        mean, var = p["running_mean"], p["running_var"]
+        xhat = rows - _wide(p["running_mean"], rows)
+        var = p["running_var"]
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - _bn_reshape(mean, x.ndim)) * _bn_reshape(inv_std, x.ndim)
+    xhat *= _wide(inv_std, rows)
     c["xhat"] = xhat
     c["inv_std"] = inv_std
-    c["axes"] = axes
     c["train_stats"] = mode == "train"
-    return xhat * _bn_reshape(gamma, x.ndim) + _bn_reshape(beta, x.ndim)
+    y = xhat * _wide(p["gamma"], rows)
+    y += _wide(p["beta"], rows)
+    return _bn_unrows(y, x.shape)
 
 
 def _shortcut(skip, out_shape):
@@ -530,16 +572,23 @@ def backward(spec: NetworkSpec, params: dict, cache, labels=None,
 
 
 def _bn_backward(p, grad, c):
-    xhat, inv_std, axes = c["xhat"], c["inv_std"], c["axes"]
-    ndim = grad.ndim
-    dgamma = (grad * xhat).sum(axis=axes)
-    dbeta = grad.sum(axis=axes)
-    dxhat = grad * _bn_reshape(p["gamma"], ndim)
+    """Input, gamma and beta gradients of _bn_forward, on sample rows.
+    Allocates two full-size arrays: the gradient's rows (a copy, since
+    `grad` may also feed a shortcut) and the C-contiguous input gradient,
+    whose memory holds the train-mode temporary until it is written."""
+    xhat, inv_std = c["xhat"], c["inv_std"]
+    ch = grad.shape[1]
+    g = np.array(np.moveaxis(grad, 1, -1), order="C").reshape(xhat.shape)
+    dbeta = _colsum(g, ch)
+    dgamma = _coldot(g, xhat, ch)
+    dx = np.empty(grad.shape)
     if c["train_stats"]:
-        mean_dxhat = dxhat.mean(axis=axes)
-        mean_dxhat_xhat = (dxhat * xhat).mean(axis=axes)
-        dx = (dxhat - _bn_reshape(mean_dxhat, ndim)
-              - xhat * _bn_reshape(mean_dxhat_xhat, ndim)) * _bn_reshape(inv_std, ndim)
-    else:
-        dx = dxhat * _bn_reshape(inv_std, ndim)
+        # dx = gamma/sigma * (g - dbeta/n - xhat*dgamma/n); until the result
+        # is copied in, dx's memory holds the temporary t
+        n = g.size // ch
+        t = np.multiply(xhat, _wide(dgamma / n, g), out=dx.reshape(g.shape))
+        t += _wide(dbeta / n, g)
+        g -= t
+    g *= _wide(p["gamma"] * inv_std, g)
+    np.copyto(dx, _bn_unrows(g, grad.shape))
     return dx, {"gamma": dgamma, "beta": dbeta}

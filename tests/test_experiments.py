@@ -509,6 +509,11 @@ class TestCli:
         ("model.family=resnet model.depth=9", "model.depth"),
         ("experiment=critical_depth model.family=plain_cnn model.depth=8 "
          "depth_step=5", "depth_step"),
+        # batch norm on a batch of one: every batch, or the last of 120 = 7*17 + 1
+        ("model.family=resnet model.depth=8 model.with_bn=true batch_size=1",
+         "batch_size"),
+        ("model.family=plain_cnn model.depth=8 model.with_bn=true batch_size=7",
+         "batch_size"),
     ])
     def test_invalid_config_is_a_clean_error(self, tmp_path, capsys,
                                              override, name):
@@ -521,6 +526,17 @@ class TestCli:
         assert cli_main(argv) == 2
         assert name in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("override", [
+        "model.family=plain_cnn model.depth=8 model.with_bn=true batch_size=8",
+        "model.family=resnet model.depth=8 model.with_bn=false batch_size=7",
+        "model.family=mlp model.with_bn=true batch_size=1",
+    ])
+    def test_config_without_a_batch_norm_batch_of_one_loads(self, tmp_path,
+                                                            override):
+        raw = load_config(self.write_cfg(tmp_path), override.split())
+        assert build_experiment_config(raw).batch_size == \
+            int(override.rsplit("=", 1)[1])
 
     def test_probes_beyond_training_split_are_a_clean_error(self, tmp_path,
                                                              capsys):

@@ -13,7 +13,7 @@ from ngnet.network import (Activation, ActivationSpec, BatchNorm, Conv,
                            Dense, InitScheme, backward, build_mlp,
                            build_plain_cnn, build_resnet, build_toy_cnn,
                            forward, infer_shapes, init_params)
-from ngnet.tensor import conv2d_backward
+from ngnet.tensor import conv2d_backward, conv2d_forward
 
 RELU = ActivationSpec(base="relu")
 NG_RELU = ActivationSpec(base="relu", ng=True, t_init=-1.0)
@@ -277,6 +277,15 @@ class TestBackward:
         y = rng.integers(0, 3, 3)
         whole_net_fd_check(spec, params, x, y, stride=17)
 
+    def test_resnet_bn_finite_differences(self):
+        """Batch norm behind the stride-2 zero-padded shortcut."""
+        spec = build_resnet(8, 2, 3, NG_RELU, with_bn=True, input_hw=8)
+        params = init_params(spec, InitScheme("msra", 9))
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((4, 3, 8, 8))
+        y = rng.integers(0, 3, 4)
+        whole_net_fd_check(spec, params, x, y, stride=7)
+
     def test_prelu_and_selu_finite_differences(self):
         for base in ("prelu", "selu"):
             act = ActivationSpec(base=base, ng=True, t_init=-0.5)
@@ -341,7 +350,138 @@ class TestBackward:
                 assert not grads[i]["t"].any()
 
 
+def _ref_reshape(p, ndim):
+    return p.reshape((1, -1) + (1,) * (ndim - 2))
+
+
+def ref_bn_forward(p, x, mode, c):
+    """Batch norm as it was computed before it ran on channels-last rows:
+    NumPy reductions over the batch and spatial axes and broadcast per-channel
+    arithmetic, about five full-size temporaries."""
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+    if mode == "train":
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        p["running_mean"] = 0.9 * p["running_mean"] + 0.1 * mean
+        p["running_var"] = 0.9 * p["running_var"] + 0.1 * var
+    else:
+        mean, var = p["running_mean"], p["running_var"]
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - _ref_reshape(mean, x.ndim)) * _ref_reshape(inv_std, x.ndim)
+    c.update(xhat=xhat, inv_std=inv_std, axes=axes,
+             train_stats=mode == "train")
+    return xhat * _ref_reshape(p["gamma"], x.ndim) \
+        + _ref_reshape(p["beta"], x.ndim)
+
+
+def ref_bn_backward(p, grad, c):
+    xhat, inv_std, axes = c["xhat"], c["inv_std"], c["axes"]
+    ndim = grad.ndim
+    dgamma = (grad * xhat).sum(axis=axes)
+    dbeta = grad.sum(axis=axes)
+    dxhat = grad * _ref_reshape(p["gamma"], ndim)
+    if c["train_stats"]:
+        mean_dxhat = dxhat.mean(axis=axes)
+        mean_dxhat_xhat = (dxhat * xhat).mean(axis=axes)
+        dx = (dxhat - _ref_reshape(mean_dxhat, ndim)
+              - xhat * _ref_reshape(mean_dxhat_xhat, ndim)) \
+            * _ref_reshape(inv_std, ndim)
+    else:
+        dx = dxhat * _ref_reshape(inv_std, ndim)
+    return dx, {"gamma": dgamma, "beta": dbeta}
+
+
+def bn_params(ch, rng):
+    return {"gamma": rng.uniform(0.5, 1.5, ch), "beta": rng.standard_normal(ch),
+            "running_mean": rng.standard_normal(ch),
+            "running_var": rng.uniform(0.5, 2.0, ch)}
+
+
+def bn_inputs():
+    """(x, mode) pairs: a conv output (a channels-last view), C-contiguous
+    4-D and 2-D batches, and the eval-mode batch of one sandwich_probes
+    runs."""
+    rng = np.random.default_rng(17)
+    conv_out = conv2d_forward(rng.standard_normal((6, 4, 8, 8)),
+                              rng.standard_normal((5, 4, 3, 3)))
+    assert not conv_out.flags.c_contiguous
+    cases = []
+    for mode in ("train", "eval"):
+        cases += [
+            pytest.param(conv_out, mode, id=f"conv_out-{mode}"),
+            pytest.param(rng.standard_normal((6, 5, 4, 4)) * 3 + 2, mode,
+                         id=f"c_contiguous-{mode}"),
+            pytest.param(rng.standard_normal((7, 5)) - 1, mode,
+                         id=f"rows-{mode}"),
+        ]
+    cases.append(pytest.param(conv_out[:1], "eval", id="probe-eval"))
+    return cases
+
+
 class TestBatchNorm:
+    # reduction order differs from the reference: sums over up to ~400
+    # values, so outputs may move in their last digits
+    RTOL, ATOL = 1e-12, 1e-12
+
+    @pytest.mark.parametrize("x, mode", bn_inputs())
+    def test_matches_reference(self, x, mode):
+        from ngnet.network import _bn_backward, _bn_forward
+        p = bn_params(x.shape[1], np.random.default_rng(x.size))
+        p_ref = copy.deepcopy(p)
+        c, c_ref = {}, {}
+        y = _bn_forward(p, x, mode, c)
+        y_ref = ref_bn_forward(p_ref, x, mode, c_ref)
+        grad = np.random.default_rng(1).standard_normal(x.shape)
+        grad_in = grad.copy()
+        dx, g = _bn_backward(p, grad, c)
+        dx_ref, g_ref = ref_bn_backward(p_ref, grad, c_ref)
+        assert np.array_equal(grad, grad_in)  # a shortcut may share it
+        assert y.shape == dx.shape == x.shape
+        for got, want in [(y, y_ref), (dx, dx_ref),
+                          (g["gamma"], g_ref["gamma"]),
+                          (g["beta"], g_ref["beta"])] + [
+                (p[k], p_ref[k]) for k in ("running_mean", "running_var")]:
+            np.testing.assert_allclose(got, want, rtol=self.RTOL,
+                                       atol=self.ATOL)
+
+    @pytest.mark.parametrize("x, mode", bn_inputs())
+    def test_repeat_is_bitwise(self, x, mode):
+        from ngnet.network import _bn_backward, _bn_forward
+        p = bn_params(x.shape[1], np.random.default_rng(3))
+        grad = np.random.default_rng(4).standard_normal(x.shape)
+        outs = []
+        for _ in range(2):
+            q, c = copy.deepcopy(p), {}
+            y = _bn_forward(q, x, mode, c)
+            dx, g = _bn_backward(q, grad, c)
+            outs.append([y, dx, g["gamma"], g["beta"], q["running_mean"],
+                         q["running_var"]])
+        for a, b in zip(*outs):
+            assert np.array_equal(a, b)
+
+    def test_allocates_two_full_size_arrays(self):
+        """A channels-last conv output at (32, 8, 32, 32): the reference
+        peaks at 3x the input's bytes in each direction."""
+        from ngnet.network import _bn_backward, _bn_forward
+        rng = np.random.default_rng(5)
+        x = conv2d_forward(rng.standard_normal((32, 8, 32, 32)),
+                           rng.standard_normal((8, 8, 3, 3)))
+        grad = rng.standard_normal(x.shape)
+        p = bn_params(8, rng)
+        peaks = []
+        c: dict = {}
+        tracemalloc.start()
+        try:
+            _bn_forward(p, x, "train", c)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            handed = tracemalloc.get_traced_memory()[0]
+            _bn_backward(p, grad, c)
+            peaks.append(tracemalloc.get_traced_memory()[1] - handed)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 2.5 * x.nbytes, [p / x.nbytes for p in peaks]
+
     def _bn_net(self):
         spec = build_plain_cnn(8, 2, 3, True, IDENT, input_hw=8)
         return spec
