@@ -425,15 +425,14 @@ class TestBatchNorm:
 
     @pytest.mark.parametrize("x, mode", bn_inputs())
     def test_matches_reference(self, x, mode):
-        from ngnet.network import _bn_backward, _bn_forward
         p = bn_params(x.shape[1], np.random.default_rng(x.size))
         p_ref = copy.deepcopy(p)
         c, c_ref = {}, {}
-        y = _bn_forward(p, x, mode, c)
+        y = network._bn_forward(p, x, mode, c)
         y_ref = ref_bn_forward(p_ref, x, mode, c_ref)
         grad = np.random.default_rng(1).standard_normal(x.shape)
         grad_in = grad.copy()
-        dx, g = _bn_backward(p, grad, c)
+        dx, g = network._bn_backward(p, grad, c)
         dx_ref, g_ref = ref_bn_backward(p_ref, grad, c_ref)
         assert np.array_equal(grad, grad_in)  # a shortcut may share it
         assert y.shape == dx.shape == x.shape
@@ -446,14 +445,13 @@ class TestBatchNorm:
 
     @pytest.mark.parametrize("x, mode", bn_inputs())
     def test_repeat_is_bitwise(self, x, mode):
-        from ngnet.network import _bn_backward, _bn_forward
         p = bn_params(x.shape[1], np.random.default_rng(3))
         grad = np.random.default_rng(4).standard_normal(x.shape)
         outs = []
         for _ in range(2):
             q, c = copy.deepcopy(p), {}
-            y = _bn_forward(q, x, mode, c)
-            dx, g = _bn_backward(q, grad, c)
+            y = network._bn_forward(q, x, mode, c)
+            dx, g = network._bn_backward(q, grad, c)
             outs.append([y, dx, g["gamma"], g["beta"], q["running_mean"],
                          q["running_var"]])
         for a, b in zip(*outs):
@@ -462,7 +460,6 @@ class TestBatchNorm:
     def test_allocates_two_full_size_arrays(self):
         """A channels-last conv output at (32, 8, 32, 32): the reference
         peaks at 3x the input's bytes in each direction."""
-        from ngnet.network import _bn_backward, _bn_forward
         rng = np.random.default_rng(5)
         x = conv2d_forward(rng.standard_normal((32, 8, 32, 32)),
                            rng.standard_normal((8, 8, 3, 3)))
@@ -472,15 +469,15 @@ class TestBatchNorm:
         c: dict = {}
         tracemalloc.start()
         try:
-            _bn_forward(p, x, "train", c)
+            network._bn_forward(p, x, "train", c)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             handed = tracemalloc.get_traced_memory()[0]
-            _bn_backward(p, grad, c)
+            network._bn_backward(p, grad, c)
             peaks.append(tracemalloc.get_traced_memory()[1] - handed)
         finally:
             tracemalloc.stop()
-        assert max(peaks) < 2.5 * x.nbytes, [p / x.nbytes for p in peaks]
+        assert max(peaks) < 2.5 * x.nbytes, [b / x.nbytes for b in peaks]
 
     def _bn_net(self):
         spec = build_plain_cnn(8, 2, 3, True, IDENT, input_hw=8)
