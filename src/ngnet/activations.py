@@ -249,16 +249,13 @@ def reduce_to_param(g, param_shape):
     return g.reshape(param_shape)
 
 
-def ng_grad_t(base: BaseActivation, t, x, m, grad_out, trainable, a=None):
+def ng_grad_t(base: BaseActivation, t, x, m, grad_out, a=None):
     """Gradient of the loss w.r.t. the shift t.
 
     Per element the factor is ``1 - f'(x - t)``; contributions sharing one t
     (spatial positions, batch samples) are summed, which is the exact
-    derivative of the upstream (batch-mean) loss.  Non-trainable shifts get
-    a zero gradient.
+    derivative of the upstream (batch-mean) loss.
     """
-    if not trainable:
-        return np.zeros_like(t)
     factor = ~m if isinstance(base, ReLU) else 1.0 - _dfdx(base, t, x, m, a)
     g = np.multiply(grad_out, factor, out=np.empty(m.shape))
     return reduce_to_param(g, t.shape)

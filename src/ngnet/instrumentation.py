@@ -43,7 +43,6 @@ class LayerStats:
     var_dw: float
     lower_bound: float
     upper_bound: float
-    weight_var: float = float("nan")
 
 
 @dataclass
@@ -177,8 +176,10 @@ def _kink_mask(x, t):
 def grad_check(spec: NetworkSpec, params: dict, batch, labels,
                tolerance=1e-4, h=FD_STEP, max_params=2000) -> GradCheckReport:
     """Compare analytic gradients against central differences, parameter by
-    parameter.  Shift components within the kink window of any probe input
-    are excluded and counted rather than checked."""
+    parameter, skipping those backward gives no gradient (batch-norm
+    running statistics, a shift that does not train).  Shift components
+    within the kink window of any probe input are excluded and counted
+    rather than checked."""
     n_params = sum(v.size for p in params.values() for k, v in p.items()
                    if k not in ("running_mean", "running_var"))
     if n_params > max_params:
@@ -193,11 +194,7 @@ def grad_check(spec: NetworkSpec, params: dict, batch, labels,
     checked = excluded = 0
     for i, p in params.items():
         for key, w in p.items():
-            if key in ("running_mean", "running_var"):
-                continue
-            layer = spec.layers[i]
-            if key == "t" and isinstance(layer, Activation) \
-                    and not layer.trains_t:
+            if key not in analytic.get(i, {}):
                 continue
             kink = None
             if key == "t":

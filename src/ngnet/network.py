@@ -9,10 +9,11 @@ batch-norm running statistics, which are updated in train mode.
 
 A plain (unwrapped) activation is represented internally as the shifted
 wrapper with a fixed t = 0, which is exactly ``f(x)``; this keeps a single
-code path for all activation gradients.  An activation layer's cache holds
-the branch mask ``x >= t`` its forward returned, and its input ``x`` only
-when the base's backward reads it (``BaseActivation.backward_reads_x``:
-SELU and PReLU).
+code path for all activation gradients.  A shift that does not train gets
+no gradient entry, so the optimizer never sees it.  An activation layer's
+cache holds the branch mask ``x >= t`` its forward returned, and its input
+``x`` only when the base's backward reads it
+(``BaseActivation.backward_reads_x``: SELU and PReLU).
 
 Batch norm runs on one channels-last row per sample (``_bn_rows``), a free
 view of a conv output, and takes its per-channel statistics as column
@@ -31,7 +32,7 @@ from .activations import (BaseActivation, PReLU, make_base,
                           ng_backward_input, ng_forward, ng_grad_t,
                           prelu_grad_a, shift_shape)
 from .errors import ConfigError, ContractError, ShapeError
-from .tensor import (as_f64, conv2d_backward, conv2d_forward,
+from .tensor import (_conv_geometry, as_f64, conv2d_backward, conv2d_forward,
                      global_avg_pool_backward, global_avg_pool_forward,
                      maxpool2_backward, maxpool2_forward)
 
@@ -131,10 +132,7 @@ def infer_shapes(spec: NetworkSpec) -> list:
     for layer in spec.layers:
         shapes.append(shape)
         if isinstance(layer, Conv):
-            c, h, w = shape
-            h = (h + 2 - 3) // layer.stride + 1
-            w = (w + 2 - 3) // layer.stride + 1
-            shape = (layer.channels, h, w)
+            shape = (layer.channels,) + _conv_geometry(*shape[1:], layer.stride)
         elif isinstance(layer, Dense):
             shape = (layer.units,)
         elif isinstance(layer, MaxPool):
@@ -296,12 +294,6 @@ def draw_weight(kind, shape, rng) -> np.ndarray:
     raise ConfigError(f"unknown init scheme {kind!r}")
 
 
-def _slope_shape(sample_shape):
-    if len(sample_shape) == 3:
-        return (sample_shape[0], 1, 1)
-    return tuple(sample_shape)
-
-
 def init_params(spec: NetworkSpec, scheme: InitScheme) -> dict:
     """Per-layer parameter dict; bitwise-deterministic in (spec, scheme)."""
     shapes = infer_shapes(spec)
@@ -332,7 +324,7 @@ def init_params(spec: NetworkSpec, scheme: InitScheme) -> dict:
             else:
                 p["t"] = np.zeros((1,))
             if a_spec.base == "prelu":
-                p["a"] = np.full(_slope_shape(shapes[i]), PReLU.A_INIT)
+                p["a"] = np.full(shift_shape("channel", shapes[i]), PReLU.A_INIT)
         if p:
             params[i] = p
     return params
@@ -505,10 +497,11 @@ def backward(spec: NetworkSpec, params: dict, cache, labels=None,
              out_grads: dict = None) -> dict:
     """Gradients of the batch-mean loss for every trainable tensor.
 
-    Returns {layer_index: {name: grad}}; non-trainable shifts get exact
-    zeros, batch-norm running stats are excluded.  When `out_grads` is a
-    dict, it also receives, by layer index, the loss gradient arriving at
-    each Conv/Dense output (its pre-activation, before any batch norm).
+    Returns {layer_index: {name: grad}}; a shift that does not train
+    (plain, or `trainable` false) and batch-norm running stats get no
+    entry.  When `out_grads` is a dict, it also receives, by layer index,
+    the loss gradient arriving at each Conv/Dense output (its
+    pre-activation, before any batch norm).
     """
     caches = cache["layers"]
     if cache.get("n_layers") != len(spec.layers):
@@ -552,8 +545,9 @@ def backward(spec: NetworkSpec, params: dict, cache, labels=None,
         elif isinstance(layer, Activation):
             t, a = params[i]["t"], params[i].get("a")
             x = c.get("x")  # None where the backward reads only the mask
-            g: dict = {"t": ng_grad_t(layer.base, t, x, c["mask"], grad,
-                                      layer.trains_t, a)}
+            g: dict = {}
+            if layer.trains_t:
+                g["t"] = ng_grad_t(layer.base, t, x, c["mask"], grad, a)
             if a is not None:
                 g["a"] = prelu_grad_a(layer.base, t, x, grad, a)
             grad = ng_backward_input(layer.base, t, x, c["mask"], grad, a)

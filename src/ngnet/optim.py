@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError
-from .network import Activation, NetworkSpec
 
 DECAYED_KEYS = {"W"}
 NON_GRADIENT_KEYS = {"running_mean", "running_var"}
@@ -82,12 +81,13 @@ def _check_finite(grads: dict):
 
 
 def sgd_step(params: dict, grads: dict, velocities: dict, cfg: OptimConfig,
-             spec: NetworkSpec = None, lr_multiplier: float = 1.0):
+             lr_multiplier: float = 1.0):
     """One in-place momentum-SGD step over every gradient in `grads`.
 
     Shift parameters t (and only they) follow the t recurrence with
-    t_lr/t_momentum; non-trainable shifts are skipped entirely.  Raises
-    DivergenceError before touching anything if any gradient is non-finite.
+    t_lr/t_momentum; a shift that does not train has no gradient and is
+    left alone.  Raises DivergenceError before touching anything if any
+    gradient is non-finite.
     """
     _check_finite(grads)
     lr = cfg.lr * lr_multiplier
@@ -97,10 +97,6 @@ def sgd_step(params: dict, grads: dict, velocities: dict, cfg: OptimConfig,
             w = params[i][key]
             v = velocities[i][key]
             if key == "t":
-                layer = spec.layers[i] if spec is not None else None
-                if layer is not None and isinstance(layer, Activation) \
-                        and not layer.trains_t:
-                    continue
                 v *= cfg.t_momentum
                 v += t_lr * g
                 w -= v

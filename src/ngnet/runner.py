@@ -144,7 +144,7 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
                 break
             try:
                 grads = backward(spec, params, cache, yb)
-                sgd_step(params, grads, velocities, cfg.optim, spec, mult)
+                sgd_step(params, grads, velocities, cfg.optim, mult)
             except DivergenceError:
                 diverged = True
                 break

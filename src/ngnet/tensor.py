@@ -2,9 +2,14 @@
 
 All arrays are float64 and all kernels are pure functions.  Convolution is
 restricted to 3x3 kernels with zero padding 1 and stride 1 or 2; pooling is
-2x2 non-overlapping max or global average.  Inputs may be a single sample
-``(C, H, W)`` or a batch ``(B, C, H, W)``; single samples are promoted
-internally and the result is demoted back.
+2x2 non-overlapping max or global average.  Every kernel takes batches only:
+``(B, C, H, W)`` in, with a single sample passed as ``(1, C, H, W)``, and
+global average pooling's gradient ``(B, C)``.
+
+Max pool compares the four strided views ``x[:, :, i::2, j::2]`` of its
+windows in row-major order and keeps the rules of ``np.argmax`` over a
+window: the first maximum wins, so a tie of -0.0 and +0.0 keeps the first,
+and the first NaN wins.
 
 Convolution is unfold + GEMM (Chellapilla, Puri & Simard 2006).  The unfold
 copies the input, padded channels-last, into a contiguous
@@ -39,15 +44,6 @@ UNFOLD_BLOCK_BYTES = 1 << 20
 
 def as_f64(x) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-
-
-def _promote(x):
-    x = as_f64(x)
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise ShapeError(f"expected (C,H,W) or (B,C,H,W), got {x.shape}")
 
 
 def _conv_geometry(h, w, stride):
@@ -91,7 +87,7 @@ def _unfold_channels_last(x, stride, h_out, w_out):
 def conv2d_forward(x, kernels, stride=1):
     """3x3 convolution with zero padding 1.
 
-    x: (B, C_in, H, W) or (C_in, H, W); kernels: (C_out, C_in, 3, 3).
+    x: (B, C_in, H, W); kernels: (C_out, C_in, 3, 3).
     Per block of samples, one GEMM of the block's unfold U (n*H'*W',
     C_in*9) with the kernels as stored, K (C_out, C_in*9): ``U @ K.T``,
     the BLAS call ``np.tensordot`` makes, written into the block's rows of
@@ -99,7 +95,7 @@ def conv2d_forward(x, kernels, stride=1):
     a column-major U, which rounds differently in the last bit, so U is
     copied to that layout there (the batch is then its only block).
     """
-    x, squeeze = _promote(x)
+    x = as_f64(x)
     kernels = as_f64(kernels)
     if kernels.ndim != 4 or kernels.shape[2:] != (3, 3):
         raise ShapeError(f"only 3x3 kernels are supported, got {kernels.shape}")
@@ -120,8 +116,7 @@ def conv2d_forward(x, kernels, stride=1):
         if b == 1:
             u = np.asfortranarray(u)
         np.matmul(u, kt, out=out[s:s + n].reshape(n * h_out * w_out, c_out))
-    out = out.transpose(0, 3, 1, 2)
-    return out[0] if squeeze else out
+    return out.transpose(0, 3, 1, 2)
 
 
 def conv2d_backward(grad_out, x, kernels, stride=1, input_grad=True):
@@ -148,10 +143,8 @@ def conv2d_backward(grad_out, x, kernels, stride=1, input_grad=True):
     channels-last padded buffer; grad_x is a (B, C, H, W) view of its
     interior.
     """
-    x, squeeze = _promote(x)
+    x = as_f64(x)
     grad_out = as_f64(grad_out)
-    if grad_out.ndim == 3:
-        grad_out = grad_out[None]
     kernels = as_f64(kernels)
     b, c, h, w = x.shape
     c_out = kernels.shape[0]
@@ -179,55 +172,54 @@ def conv2d_backward(grad_out, x, kernels, stride=1, input_grad=True):
             for j in range(3):
                 gblk[:, i:i + stride * h_out:stride,
                      j:j + stride * w_out:stride] += tblk[..., i, j]
-    grad_x = gxp[:, 1:-1, 1:-1].transpose(0, 3, 1, 2)
-    return (grad_x[0] if squeeze else grad_x), grad_k
+    return gxp[:, 1:-1, 1:-1].transpose(0, 3, 1, 2), grad_k
+
+
+def _windows(x):
+    """The four strided views of x's 2x2 windows, in row-major order."""
+    return [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
 
 
 def maxpool2_forward(x):
-    """2x2 non-overlapping max pool; ties go to the first element in
-    row-major window order (numpy argmax convention)."""
-    x, squeeze = _promote(x)
-    b, c, h, w = x.shape
+    """2x2 non-overlapping max pool: (B, C, H, W) -> the maxima and their
+    window indices 0-3, both (B, C, H/2, W/2).  A later window element
+    replaces the running maximum only where it is strictly greater, or NaN
+    where the running maximum is not (the rules of np.argmax)."""
+    x = as_f64(x)
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    win = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = win.reshape(b, c, h // 2, w // 2, 4)
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    if squeeze:
-        return out[0], idx[0]
+    first, *rest = _windows(x)
+    out = first.copy()
+    idx = np.zeros(out.shape, dtype=np.intp)
+    for k, v in enumerate(rest, start=1):
+        # ~(v <= out) is v > out or either is NaN; out == out keeps a NaN out
+        wins = ~(v <= out) & (out == out)
+        np.copyto(out, v, where=wins)
+        np.copyto(idx, k, where=wins)
     return out, idx
 
 
 def maxpool2_backward(grad_out, idx, in_shape):
-    """Route grad_out to the stored argmax positions."""
+    """Route grad_out to the window elements idx names: one strided write
+    per window position, the four of which tile the input-shaped result."""
     grad_out = as_f64(grad_out)
-    squeeze = grad_out.ndim == 3
-    if squeeze:
-        grad_out, idx = grad_out[None], idx[None]
     b, c, h2, w2 = grad_out.shape
-    gwin = np.zeros((b, c, h2, w2, 4))
-    np.put_along_axis(gwin, idx[..., None], grad_out[..., None], axis=-1)
-    gx = gwin.reshape(b, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    gx = gx.reshape(b, c, h2 * 2, w2 * 2)
-    if gx.shape[2:] != tuple(in_shape[-2:]):
-        raise ShapeError(f"pool backward shape {gx.shape} vs input {in_shape}")
-    return gx[0] if squeeze else gx
+    if (2 * h2, 2 * w2) != tuple(in_shape[-2:]):
+        raise ShapeError(f"pool backward shape {grad_out.shape} vs input {in_shape}")
+    gx = np.empty((b, c, 2 * h2, 2 * w2))
+    for k, view in enumerate(_windows(gx)):
+        view[...] = np.where(idx == k, grad_out, 0.0)
+    return gx
 
 
 def global_avg_pool_forward(x):
     """Per-channel spatial mean: (B, C, H, W) -> (B, C)."""
-    x, squeeze = _promote(x)
-    out = x.mean(axis=(2, 3))
-    return out[0] if squeeze else out
+    return as_f64(x).mean(axis=(2, 3))
 
 
 def global_avg_pool_backward(grad_out, in_shape):
     grad_out = as_f64(grad_out)
-    squeeze = grad_out.ndim == 1
-    if squeeze:
-        grad_out = grad_out[None]
     h, w = in_shape[-2:]
-    gx = np.broadcast_to(grad_out[:, :, None, None] / (h * w),
-                         grad_out.shape + (h, w)).copy()
-    return gx[0] if squeeze else gx
+    return np.broadcast_to(grad_out[:, :, None, None] / (h * w),
+                           grad_out.shape + (h, w)).copy()

@@ -74,11 +74,10 @@ def bwd_x(base, t, x, grad_out, a=None):
     return ng_backward_input(base, t, x, m, np.asarray(grad_out, dtype=float), a)
 
 
-def grad_t(base, t, x, grad_out, trainable=True):
+def grad_t(base, t, x, grad_out):
     t, x = t_arr(t), np.asarray(x, dtype=float)
     _, m = ng_forward(base, t, x)
-    return ng_grad_t(base, t, x, m, np.asarray(grad_out, dtype=float),
-                     trainable)
+    return ng_grad_t(base, t, x, m, np.asarray(grad_out, dtype=float))
 
 
 def assert_bitwise(got, want):
@@ -202,10 +201,6 @@ class TestGradT:
     def test_lrelu_general_factor(self):
         g = grad_t(LeakyReLU(0.1), [0.0], [-1.0], [1.0])
         assert np.isclose(g[0], 0.9)
-
-    def test_nontrainable_returns_zero(self):
-        g = grad_t(ReLU(), [-1.0], [-5.0], [1.0], trainable=False)
-        assert not g.any()
 
     @pytest.mark.parametrize("base", ["relu", "lrelu", "selu"])
     def test_finite_differences_on_t(self, base):
@@ -332,7 +327,7 @@ def check_against_reference(base, t, x, grad_out, a=None):
     reference, with C-contiguous full-shape results."""
     y, m = ng_forward(base, t, x, a)
     dx = ng_backward_input(base, t, x, m, grad_out, a)
-    dt = ng_grad_t(base, t, x, m, grad_out, True, a)
+    dt = ng_grad_t(base, t, x, m, grad_out, a)
     for arr in (y, m, dx):
         assert arr.flags.c_contiguous
     assert_bitwise(y, ref_forward(base, t, x, a))

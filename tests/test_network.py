@@ -337,17 +337,22 @@ class TestBackward:
         assert calls == [True] * (count(spec, Conv) - 1) + [False]
 
     def test_nontrainable_t_grad_zero(self):
-        act = ActivationSpec(base="relu", ng=True, trainable=False)
-        spec = build_mlp([5], 3, act, input_dim=4)
-        params = init_params(spec, InitScheme("msra", 2))
+        """A shift that does not train, fixed or plain, gets no gradient
+        entry at all (and so no update); a PReLU slope still does."""
         rng = np.random.default_rng(2)
         x = rng.standard_normal((6, 4))
         y = rng.integers(0, 3, 6)
-        _, _, cache = forward(spec, params, x, y)
-        grads = backward(spec, params, cache, y)
-        for i, layer in enumerate(spec.layers):
-            if isinstance(layer, Activation):
-                assert not grads[i]["t"].any()
+        for act in (ActivationSpec(base="relu", ng=True, trainable=False),
+                    ActivationSpec(base="prelu", ng=False)):
+            spec = build_mlp([5], 3, act, input_dim=4)
+            params = init_params(spec, InitScheme("msra", 2))
+            _, _, cache = forward(spec, params, x, y)
+            grads = backward(spec, params, cache, y)
+            acts = [i for i, layer in enumerate(spec.layers)
+                    if isinstance(layer, Activation)]
+            assert acts and all("t" not in grads[i] for i in acts)
+            assert all(("a" in grads[i]) == (act.base == "prelu")
+                       for i in acts)
 
 
 def _ref_reshape(p, ndim):
@@ -571,7 +576,7 @@ class TestShapes:
             for _ in range(2):
                 _, _, cache = forward(spec, params, x, y)
                 grads = backward(spec, params, cache, y)
-                sgd_step(params, grads, vel, cfg, spec)
+                sgd_step(params, grads, vel, cfg)
             outs.append(params)
         for i in outs[0]:
             for k in outs[0][i]:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ngnet.errors import DivergenceError
-from ngnet.network import Activation, ActivationSpec, NetworkSpec
+from ngnet.network import (Activation, ActivationSpec, NetworkSpec,
+                           SoftmaxCrossEntropy, backward, forward)
 from ngnet.optim import (OptimConfig, PlateauSchedule, ScheduleState,
                          StepSchedule, sgd_step, zero_velocities)
 
@@ -84,58 +85,66 @@ class TestSgdStep:
 
 
 class TestTStep:
-    """The shift rule of sgd_step, on a one-activation net."""
-
-    def _net(self, t=-1.0, trainable=True):
-        act = ActivationSpec(ng=True, trainable=trainable, granularity="layer")
-        spec = NetworkSpec([Activation(act)], (1,), 2)
-        params = {0: {"t": np.array([t])}}
-        return spec, params, zero_velocities(params)
+    """The shift rule of sgd_step, on one layer-wide shift."""
 
     @staticmethod
-    def _step(spec, params, vel, g, cfg):
-        sgd_step(params, {0: {"t": np.array([g])}}, vel, cfg, spec)
+    def _net(t=-1.0):
+        params = {0: {"t": np.array([t])}}
+        return params, zero_velocities(params)
+
+    @staticmethod
+    def _step(params, vel, g, cfg):
+        sgd_step(params, {0: {"t": np.array([g])}}, vel, cfg)
 
     def test_substitution(self):
-        spec, params, vel = self._net()
+        params, vel = self._net()
         cfg = OptimConfig(lr=0.01, momentum=0.9, t_lr=0.01, t_momentum=0.9)
-        self._step(spec, params, vel, 1.0, cfg)
+        self._step(params, vel, 1.0, cfg)
         assert np.isclose(vel[0]["t"][0], 0.01)
         assert np.isclose(params[0]["t"][0], -1.01)
 
     def test_geometric_decay(self):
-        spec, params, vel = self._net()
+        params, vel = self._net()
         cfg = OptimConfig(lr=0.01, t_momentum=0.9)
-        self._step(spec, params, vel, 1.0, cfg)
+        self._step(params, vel, 1.0, cfg)
         v0 = vel[0]["t"][0]
         for _ in range(3):
-            self._step(spec, params, vel, 0.0, cfg)
+            self._step(params, vel, 0.0, cfg)
         assert np.isclose(vel[0]["t"][0], v0 * 0.9 ** 3)
 
     def test_matches_sgd_recurrence(self):
         # same recurrence as the weight rule at constant lr, no decay
-        spec, params, vel = self._net(0.0)
+        params, vel = self._net(0.0)
         cfg = OptimConfig(lr=0.05, momentum=0.7, weight_decay=0.0)
         w_params = one_layer([0.0])
         w_vel = zero_velocities(w_params)
         rng = np.random.default_rng(0)
         for _ in range(5):
             g = rng.standard_normal()
-            self._step(spec, params, vel, g, cfg)
+            self._step(params, vel, g, cfg)
             sgd_step(w_params, one_layer([g]), w_vel, cfg)
             assert np.isclose(params[0]["t"][0], w_params[0]["W"][0],
                               atol=1e-15)
 
     def test_no_decay_on_t(self):
-        spec, params, vel = self._net(-2.0)
+        params, vel = self._net(-2.0)
         cfg = OptimConfig(lr=0.1, weight_decay=0.5)
         for _ in range(5):
-            self._step(spec, params, vel, 0.0, cfg)
+            self._step(params, vel, 0.0, cfg)
         assert params[0]["t"][0] == -2.0  # bitwise constant under zero gradient
 
     def test_non_trainable_untouched(self):
-        spec, params, vel = self._net(-1.0, trainable=False)
-        self._step(spec, params, vel, 1.0, OptimConfig(lr=0.1))
+        """Through backward and sgd_step, as training runs: a shift that
+        does not train gets no gradient, so neither it nor its velocity
+        moves."""
+        act = ActivationSpec(ng=True, trainable=False, granularity="layer")
+        spec = NetworkSpec([Activation(act), SoftmaxCrossEntropy()], (2,), 2)
+        params = {0: {"t": np.array([-1.0])}}
+        vel = zero_velocities(params)
+        x = np.array([[-3.0, 3.0], [-2.0, 2.0], [0.5, -0.5]])  # some below t
+        _, _, cache = forward(spec, params, x, [0, 1, 0])
+        sgd_step(params, backward(spec, params, cache), vel,
+                 OptimConfig(lr=0.1))
         assert params[0]["t"][0] == -1.0 and vel[0]["t"][0] == 0.0
 
 

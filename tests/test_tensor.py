@@ -126,14 +126,14 @@ def naive_conv2d_backward(g, x, k, stride):
 
 class TestConv2d:
     def test_all_ones_center(self):
-        x = np.ones((1, 3, 3))
+        x = np.ones((1, 1, 3, 3))
         k = np.ones((1, 1, 3, 3))
         out = conv2d_forward(x, k, stride=1)
-        assert out[0, 1, 1] == 9.0
+        assert out[0, 0, 1, 1] == 9.0
 
     def test_delta_kernel_identity(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((2, 6, 6))
+        x = rng.standard_normal((1, 2, 6, 6))
         k = np.zeros((2, 2, 3, 3))
         k[0, 0, 1, 1] = 1.0
         k[1, 1, 1, 1] = 1.0
@@ -143,21 +143,19 @@ class TestConv2d:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_against_six_loop_oracle(self, stride):
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((2, 8, 8))
+        x = rng.standard_normal((1, 2, 8, 8))
         k = rng.standard_normal((3, 2, 3, 3))
-        np.testing.assert_allclose(conv2d_forward(x, k, stride),
-                                   naive_conv2d(x, k, stride),
+        np.testing.assert_allclose(conv2d_forward(x, k, stride)[0],
+                                   naive_conv2d(x[0], k, stride),
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("shape", CONV_SHAPES)
     def test_bitwise_equals_tensordot(self, shape):
-        """A batch of one, and a single (C, H, W) sample, included: there
-        tensordot handed BLAS a column-major operand."""
+        """A batch of one included: there tensordot handed BLAS a
+        column-major operand."""
         x, k, _, stride = conv_case(shape)
         want = tensordot_conv2d_forward(x, k, stride)
         assert np.array_equal(conv2d_forward(x, k, stride), want)
-        if x.shape[0] == 1:
-            assert np.array_equal(conv2d_forward(x[0], k, stride), want[0])
 
     def test_forward_peak_memory(self):
         """The 96-sample eval forward at 8 channels and 32x32 holds no
@@ -183,7 +181,7 @@ class TestConv2d:
 
     def test_rejects_non_3x3(self):
         with pytest.raises(ShapeError):
-            conv2d_forward(np.ones((1, 4, 4)), np.ones((1, 1, 5, 5)))
+            conv2d_forward(np.ones((1, 1, 4, 4)), np.ones((1, 1, 5, 5)))
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -195,32 +193,29 @@ class TestConv2d:
 class TestConv2dBackward:
     def test_zero_grad(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((2, 4, 4))
+        x = rng.standard_normal((1, 2, 4, 4))
         k = rng.standard_normal((3, 2, 3, 3))
-        gx, gk = conv2d_backward(np.zeros((3, 4, 4)), x, k)
+        gx, gk = conv2d_backward(np.zeros((1, 3, 4, 4)), x, k)
         assert not gx.any() and not gk.any()
 
     def test_one_hot_adjoint(self):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((1, 5, 5))
+        x = rng.standard_normal((1, 1, 5, 5))
         k = rng.standard_normal((1, 1, 3, 3))
-        g = np.zeros((1, 5, 5))
-        g[0, 2, 2] = 1.0
+        g = np.zeros((1, 1, 5, 5))
+        g[0, 0, 2, 2] = 1.0
         _, gk = conv2d_backward(g, x, k)
-        patch = x[0, 1:4, 1:4]
+        patch = x[0, 0, 1:4, 1:4]
         np.testing.assert_allclose(gk[0, 0], patch, atol=1e-15)
 
     @pytest.mark.parametrize("shape", CONV_SHAPES)
     def test_bitwise_equals_batch_reference(self, shape):
         """Blocking the taps GEMM and the scatter-add changes no bit of
-        either gradient; a batch of one also as a single sample."""
+        either gradient."""
         x, k, g, stride = conv_case(shape)
         want_x, want_k = batch_conv2d_backward(g, x, k, stride)
         gx, gk = conv2d_backward(g, x, k, stride)
         assert np.array_equal(gx, want_x) and np.array_equal(gk, want_k)
-        if x.shape[0] == 1:
-            gx, gk = conv2d_backward(g[0], x[0], k, stride)
-            assert np.array_equal(gx, want_x[0]) and np.array_equal(gk, want_k)
 
     @pytest.mark.parametrize("shape", [(32, 3, 32, 32, 8, 1),
                                        (32, 3, 8, 8, 6, 1),
@@ -232,11 +227,10 @@ class TestConv2dBackward:
         assert np.array_equal(gk, conv2d_backward(g, x, k, stride)[1])
 
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("batch", [None, 1, 3])
-    def test_against_loop_oracle(self, stride, batch):
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_against_loop_oracle(self, stride, b):
         """Odd, unequal H and W; grad_out arrives as a transposed view."""
         rng = np.random.default_rng(7 + stride)
-        b = batch or 1
         x = rng.standard_normal((b, 2, 7, 5))
         k = rng.standard_normal((3, 2, 3, 3))
         h_out, w_out = (7 - 1) // stride + 1, (5 - 1) // stride + 1
@@ -245,8 +239,6 @@ class TestConv2dBackward:
         want = [naive_conv2d_backward(g[n], x[n], k, stride) for n in range(b)]
         want_x = np.stack([gx for gx, _ in want])
         want_k = sum(gk for _, gk in want)
-        if batch is None:
-            x, g, want_x = x[0], g[0], want_x[0]
         gx, gk = conv2d_backward(g, x, k, stride)
         assert gx.shape == x.shape and gk.shape == k.shape
         np.testing.assert_allclose(gx, want_x, rtol=1e-12, atol=0)
@@ -275,7 +267,7 @@ class TestConv2dBackward:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_finite_differences(self, seed, stride):
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((2, 4, 4))
+        x = rng.standard_normal((1, 2, 4, 4))
         k = rng.standard_normal((2, 2, 3, 3))
         proj = rng.standard_normal(conv2d_forward(x, k, stride).shape)
 
@@ -311,64 +303,135 @@ class TestUnfold:
         assert np.array_equal(cols, want)
 
 
+def argmax_maxpool2_forward(x):
+    """Reference for maxpool2_forward, which must match it bitwise: the
+    window copy (B, C, H/2, W/2, 4), its argmax and take_along_axis."""
+    b, c, h, w = x.shape
+    win = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    win = win.reshape(b, c, h // 2, w // 2, 4)
+    idx = win.argmax(axis=-1)
+    return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], idx
+
+
+def argmax_maxpool2_backward(grad_out, idx):
+    """Reference for maxpool2_backward: put_along_axis into zeroed windows,
+    transposed back to (B, C, H, W)."""
+    b, c, h2, w2 = grad_out.shape
+    gwin = np.zeros((b, c, h2, w2, 4))
+    np.put_along_axis(gwin, idx[..., None], grad_out[..., None], axis=-1)
+    gx = gwin.reshape(b, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return gx.reshape(b, c, h2 * 2, w2 * 2)
+
+
+def pool_case(seed):
+    """A random even-sized batch whose windows hold ties, signed zeros,
+    NaN and infinities; every third case integer-valued, so ties are
+    common; odd seeds laid out channels-last, like a conv output."""
+    rng = np.random.default_rng(seed)
+    b, c = rng.integers(1, 5, 2)
+    h, w = 2 * rng.integers(1, 5, 2)
+    if seed % 3:
+        x = rng.standard_normal((b, c, h, w))
+    else:
+        x = rng.integers(-2, 3, (b, c, h, w)).astype(float)
+    special = rng.random(x.shape) < 0.3
+    x[special] = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf],
+                            special.sum())
+    if seed % 2:
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    g = rng.standard_normal((b, c, h // 2, w // 2))
+    g[rng.random(g.shape) < 0.2] = -0.0
+    g[rng.random(g.shape) < 0.1] = np.nan
+    return x, g
+
+
 class TestMaxPool:
     def test_single_window(self):
-        out, _ = maxpool2_forward(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-        assert out[0, 0, 0] == 4.0
+        out, _ = maxpool2_forward(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+        assert out[0, 0, 0, 0] == 4.0
 
     def test_tie_routes_top_left(self):
-        x = np.ones((1, 2, 2))
+        x = np.ones((1, 1, 2, 2))
         out, idx = maxpool2_forward(x)
-        g = maxpool2_backward(np.ones((1, 1, 1)), idx, x.shape)
-        assert g[0, 0, 0] == 1.0 and g.sum() == 1.0
+        g = maxpool2_backward(np.ones((1, 1, 1, 1)), idx, x.shape)
+        assert g[0, 0, 0, 0] == 1.0 and g.sum() == 1.0
 
     def test_window_scan_oracle(self):
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((1, 4, 4))
+        x = rng.standard_normal((1, 1, 4, 4))
         out, _ = maxpool2_forward(x)
         for i in range(2):
             for j in range(2):
-                assert out[0, i, j] == x[0, 2 * i:2 * i + 2, 2 * j:2 * j + 2].max()
+                assert out[0, 0, i, j] == x[0, 0, 2 * i:2 * i + 2,
+                                            2 * j:2 * j + 2].max()
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
-            maxpool2_forward(np.ones((1, 3, 4)))
+            maxpool2_forward(np.ones((1, 1, 3, 4)))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_bitwise_equals_argmax_reference(self, seed):
+        x, g = pool_case(seed)
+        out, idx = maxpool2_forward(x)
+        want_out, want_idx = argmax_maxpool2_forward(x)
+        assert out.tobytes() == want_out.tobytes()  # NaN and -0.0 included
+        assert idx.dtype == want_idx.dtype and np.array_equal(idx, want_idx)
+        gx = maxpool2_backward(g, idx, x.shape)
+        assert gx.tobytes() == argmax_maxpool2_backward(g, idx).tobytes()
+
+    @pytest.mark.parametrize("window, want", [
+        ([-0.0, 0.0, 0.0, -0.0], 0), ([0.0, -0.0, -0.0, 0.0], 0),
+        ([1.0, np.nan, 2.0, np.nan], 1), ([np.nan, np.inf, 1.0, 0.0], 0),
+        ([-np.inf, -np.inf, -np.inf, -np.inf], 0), ([1.0, 3.0, 3.0, 2.0], 1),
+        ([-np.inf, 0.0, np.inf, np.inf], 2), ([1.0, 1.0, 1.0, np.nan], 3)])
+    def test_tie_and_nan_rules(self, window, want):
+        """First maximum wins, a -0.0/+0.0 tie keeps the first, first NaN
+        wins; the window is [x00, x01, x10, x11]."""
+        x = np.array(window).reshape(1, 1, 2, 2)
+        out, idx = maxpool2_forward(x)
+        assert idx[0, 0, 0, 0] == want
+        assert out.tobytes() == x.reshape(4)[want:want + 1].tobytes()
 
     @pytest.mark.parametrize("seed", range(20))
     def test_backward_finite_differences(self, seed):
+        """A probe whose +h or -h forward picks other window elements than
+        the base forward is skipped; every other probe is asserted."""
         rng = np.random.default_rng(100 + seed)
-        x = rng.standard_normal((2, 4, 4))
-        proj = rng.standard_normal((2, 2, 2))
+        x = rng.standard_normal((1, 2, 4, 4))
+        proj = rng.standard_normal((1, 2, 2, 2))
         out, idx = maxpool2_forward(x)
         g = maxpool2_backward(proj, idx, x.shape)
         h = 1e-5
         flat = x.ravel()
+        skipped = 0
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + h
-            lp = float((maxpool2_forward(x)[0] * proj).sum())
+            out_p, idx_p = maxpool2_forward(x)
             flat[j] = orig - h
-            lm = float((maxpool2_forward(x)[0] * proj).sum())
+            out_m, idx_m = maxpool2_forward(x)
             flat[j] = orig
-            fd = (lp - lm) / (2 * h)
-            if abs(fd - g.ravel()[j]) > 1e-6:  # argmax switch across h: skip
+            if not (np.array_equal(idx_p, idx) and np.array_equal(idx_m, idx)):
+                skipped += 1
                 continue
+            fd = float(((out_p - out_m) * proj).sum()) / (2 * h)
             assert abs(fd - g.ravel()[j]) <= 1e-6
+        assert skipped < flat.size
 
 
 class TestGlobalAvgPool:
     def test_constant_channel(self):
-        assert global_avg_pool_forward(np.full((1, 3, 3), 7.0))[0] == 7.0
+        assert global_avg_pool_forward(np.full((1, 1, 3, 3), 7.0))[0, 0] == 7.0
 
     def test_small_mean(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        assert global_avg_pool_forward(x)[0] == 2.5
+        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
+        assert global_avg_pool_forward(x)[0, 0] == 2.5
 
     @pytest.mark.parametrize("seed", range(20))
     def test_backward_finite_differences(self, seed):
         rng = np.random.default_rng(200 + seed)
-        x = rng.standard_normal((3, 2, 2))
-        proj = rng.standard_normal(3)
+        x = rng.standard_normal((1, 3, 2, 2))
+        proj = rng.standard_normal((1, 3))
         g = global_avg_pool_backward(proj, x.shape)
         h = 1e-5
         flat = x.ravel()
