@@ -32,29 +32,6 @@ KINK_WINDOW = 1e-3
 FD_STEP = 1e-5
 
 
-@dataclass
-class LayerStats:
-    layer_index: int
-    step: int
-    mean_z: float
-    var_z: float
-    mean_g: float
-    var_g: float
-    var_dw: float
-    lower_bound: float
-    upper_bound: float
-
-
-@dataclass
-class TTrace:
-    layer_index: int
-    epoch: int
-    t_mean: float
-    t_std: float
-    t_min: float
-    t_max: float
-
-
 def _pop_var(x):
     x = np.asarray(x, dtype=np.float64)
     return float(x.var())  # numpy default ddof=0 is the population variance
@@ -73,12 +50,13 @@ def variance_bounds(z, g, lr):
     return lower, upper
 
 
-def sandwich_check(z, g, lr, layer_index=0, step=0, slack=1e-9) -> LayerStats:
+def sandwich_check(z, g, lr, slack=1e-9) -> dict:
     """Verify the bounds against the realized update of one sample.
 
     z is the dense layer's input vector (n,), g the loss gradient at its
-    pre-activation (m,).  Raises RegimeError if either carries a batch axis
-    of more than one sample.
+    pre-activation (m,).  Returns the seven ``layerstats.csv`` columns the
+    check measures.  Raises RegimeError if either carries a batch axis of
+    more than one sample.
     """
     z = np.asarray(z, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
@@ -96,8 +74,9 @@ def sandwich_check(z, g, lr, layer_index=0, step=0, slack=1e-9) -> LayerStats:
     if not (lower <= var_dw * (1 + slack) and var_dw <= upper * (1 + slack) + 0.0):
         raise AssertionError(
             f"variance sandwich violated: {lower} <= {var_dw} <= {upper}")
-    return LayerStats(layer_index, step, float(z.mean()), _pop_var(z),
-                      float(g.mean()), _pop_var(g), var_dw, lower, upper)
+    return {"mean_z": float(z.mean()), "var_z": _pop_var(z),
+            "mean_g": float(g.mean()), "var_g": _pop_var(g), "var_dw": var_dw,
+            "lower_bound": lower, "upper_bound": upper}
 
 
 def weight_variance_trace(spec: NetworkSpec, params: dict):
@@ -116,30 +95,61 @@ def stability_score(weight_vars) -> float:
     return float(np.log(v).std())
 
 
-def t_trace(spec: NetworkSpec, params: dict, epoch: int):
+def t_trace(spec: NetworkSpec, params: dict):
+    """Per shifted activation: its ``ttrace.csv`` columns but run id and
+    epoch."""
     rows = []
     for i, layer in enumerate(spec.layers):
         if isinstance(layer, Activation) and layer.spec.ng:
             t = params[i]["t"]
-            rows.append(TTrace(i, epoch, float(t.mean()), float(t.std()),
-                               float(t.min()), float(t.max())))
+            rows.append({"layer": i, "t_mean": float(t.mean()),
+                         "t_std": float(t.std()), "t_min": float(t.min()),
+                         "t_max": float(t.max())})
     return rows
 
 
+def _linear_zg(spec, params, batch, labels, mode):
+    """Forward and backward on `batch`: per Conv/Dense layer index, in
+    order, its input z and the loss gradient g at its pre-activation (the
+    batch-norm output where batch norm follows)."""
+    _, _, cache = forward(spec, params, batch, labels, mode=mode)
+    out_grads: dict = {}
+    backward(spec, params, cache, out_grads=out_grads)
+    return [(i, cache["layers"][i]["x"], out_grads[i])
+            for i in sorted(out_grads)]
+
+
+# layerstats.csv columns only the batch-of-one probes fill
+_PROBE_ONLY = dict.fromkeys(("var_z", "var_g", "var_dw", "lower_bound",
+                            "upper_bound"), float("nan"))
+
+
 def mean_shift_trace(spec: NetworkSpec, params: dict, batch, labels):
-    """Per linear layer: mean of its input z and of the loss gradient at its
-    pre-activation, the two quantities the bounds depend on.
+    """Per linear layer, its ``layerstats.csv`` columns but run id and
+    step: the mean of its input z and of the loss gradient g at its
+    pre-activation, the two quantities the bounds depend on, and its
+    weight variance; NaN in the probe-only columns.
 
     Runs on a copy of params, so the train-mode forward leaves the caller's
     batch-norm running statistics untouched."""
     params = copy.deepcopy(params)
-    _, _, cache = forward(spec, params, batch, labels, mode="train")
-    out_grads: dict = {}
-    backward(spec, params, cache, out_grads=out_grads)
-    return [(i, float(np.mean(cache["layers"][i]["x"])),
-             float(np.mean(out_grads[i])))
-            for i, layer in enumerate(spec.layers)
-            if isinstance(layer, (Conv, Dense))]
+    return [dict(_PROBE_ONLY, layer=i, mean_z=float(np.mean(z)),
+                 mean_g=float(np.mean(g)), weight_var=_pop_var(params[i]["W"]))
+            for i, z, g in _linear_zg(spec, params, batch, labels, "train")]
+
+
+def sandwich_probes(spec: NetworkSpec, params: dict, xs, ys, lr):
+    """Batch-size-1 eval-mode updates of each sample of `xs` on each dense
+    layer, checked against the analytic variance bounds: the
+    ``layerstats.csv`` rows but run id, with the sample's index as step."""
+    rows = []
+    for k in range(len(ys)):
+        for i, z, g in _linear_zg(spec, params, xs[k:k + 1], ys[k:k + 1],
+                                  "eval"):
+            if isinstance(spec.layers[i], Dense):
+                rows.append(dict(sandwich_check(z, g, lr), step=k, layer=i,
+                                 weight_var=_pop_var(params[i]["W"])))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +198,7 @@ def grad_check(spec: NetworkSpec, params: dict, batch, labels,
     act_inputs: dict = {}
     _, _, cache = forward(spec, params, batch, labels, mode="train",
                           act_inputs=act_inputs)
-    analytic = backward(spec, params, cache, labels)
+    analytic = backward(spec, params, cache)
 
     worst: dict = {}
     checked = excluded = 0

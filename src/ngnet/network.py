@@ -122,31 +122,6 @@ class NetworkSpec:
 
 
 # ---------------------------------------------------------------------------
-# Shape inference
-# ---------------------------------------------------------------------------
-
-def infer_shapes(spec: NetworkSpec) -> list:
-    """Per-layer input sample shapes (no batch axis)."""
-    shapes = []
-    shape = tuple(spec.input_shape)
-    for layer in spec.layers:
-        shapes.append(shape)
-        if isinstance(layer, Conv):
-            shape = (layer.channels,) + _conv_geometry(*shape[1:], layer.stride)
-        elif isinstance(layer, Dense):
-            shape = (layer.units,)
-        elif isinstance(layer, MaxPool):
-            c, h, w = shape
-            if h % 2 or w % 2:
-                raise ConfigError(f"max pool on odd spatial dims {shape}")
-            shape = (c, h // 2, w // 2)
-        elif isinstance(layer, GlobalAvgPool):
-            shape = (shape[0],)
-        # BatchNorm, Activation, markers, softmax: shape-preserving
-    return shapes
-
-
-# ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
 
@@ -188,9 +163,8 @@ def build_plain_cnn(depth, base_width, num_classes, with_bn, activation,
 
     layers: list = []
     conv_act(base_width, layers)          # stem
-    for _ in range(k - 1):
+    for _ in range(k):
         conv_act(base_width, layers)
-    conv_act(base_width, layers)          # stage 1 has k convs after the stem
     layers.append(MaxPool())
     for _ in range(k):
         conv_act(2 * base_width, layers)
@@ -295,23 +269,25 @@ def draw_weight(kind, shape, rng) -> np.ndarray:
 
 
 def init_params(spec: NetworkSpec, scheme: InitScheme) -> dict:
-    """Per-layer parameter dict; bitwise-deterministic in (spec, scheme)."""
-    shapes = infer_shapes(spec)
+    """Per-layer parameter dict; bitwise-deterministic in (spec, scheme).
+    Tracks each layer's input sample shape (no batch axis) as it walks."""
     params: dict = {}
+    shape = tuple(spec.input_shape)
     for i, layer in enumerate(spec.layers):
         rng = np.random.default_rng(np.random.SeedSequence(scheme.seed, spawn_key=(i,)))
         p: dict = {}
         if isinstance(layer, Conv):
-            c_in = shapes[i][0]
-            p["W"] = draw_weight(scheme.kind, (layer.channels, c_in, 3, 3), rng)
+            p["W"] = draw_weight(scheme.kind, (layer.channels, shape[0], 3, 3), rng)
             if layer.bias:
                 p["b"] = np.zeros(layer.channels)
+            shape = (layer.channels,) + _conv_geometry(*shape[1:], layer.stride)
         elif isinstance(layer, Dense):
-            in_dim = int(np.prod(shapes[i]))
+            in_dim = int(np.prod(shape))
             p["W"] = draw_weight(scheme.kind, (layer.units, in_dim), rng)
             p["b"] = np.zeros(layer.units)
+            shape = (layer.units,)
         elif isinstance(layer, BatchNorm):
-            c = shapes[i][0]
+            c = shape[0]
             p["gamma"] = np.ones(c)
             p["beta"] = np.zeros(c)
             p["running_mean"] = np.zeros(c)
@@ -319,12 +295,20 @@ def init_params(spec: NetworkSpec, scheme: InitScheme) -> dict:
         elif isinstance(layer, Activation):
             a_spec = layer.spec
             if a_spec.ng:
-                t_shape = shift_shape(a_spec.granularity, shapes[i])
+                t_shape = shift_shape(a_spec.granularity, shape)
                 p["t"] = np.full(t_shape, float(a_spec.t_init))
             else:
                 p["t"] = np.zeros((1,))
             if a_spec.base == "prelu":
-                p["a"] = np.full(shift_shape("channel", shapes[i]), PReLU.A_INIT)
+                p["a"] = np.full(shift_shape("channel", shape), PReLU.A_INIT)
+        elif isinstance(layer, MaxPool):
+            c, h, w = shape
+            if h % 2 or w % 2:
+                raise ConfigError(f"max pool on odd spatial dims {shape}")
+            shape = (c, h // 2, w // 2)
+        elif isinstance(layer, GlobalAvgPool):
+            shape = (shape[0],)
+        # markers and softmax: shape-preserving, no parameters
         if p:
             params[i] = p
     return params
@@ -493,15 +477,18 @@ def _shortcut_backward(grad_out, skip_shape):
     return g
 
 
-def backward(spec: NetworkSpec, params: dict, cache, labels=None,
+def backward(spec: NetworkSpec, params: dict, cache,
              out_grads: dict = None) -> dict:
-    """Gradients of the batch-mean loss for every trainable tensor.
+    """Gradients of the batch-mean loss, against the labels the forward
+    cached, for every trainable tensor.
 
     Returns {layer_index: {name: grad}}; a shift that does not train
     (plain, or `trainable` false) and batch-norm running stats get no
     entry.  When `out_grads` is a dict, it also receives, by layer index,
-    the loss gradient arriving at each Conv/Dense output (its
-    pre-activation, before any batch norm).
+    the loss gradient at each Conv/Dense layer's pre-activation: its
+    output, or, for a conv followed by batch norm, the batch norm's output.
+    (The batch-norm backward subtracts the per-channel mean, so the mean
+    of the gradient at the conv output itself is 0 in exact arithmetic.)
     """
     caches = cache["layers"]
     if cache.get("n_layers") != len(spec.layers):
@@ -513,7 +500,7 @@ def backward(spec: NetworkSpec, params: dict, cache, labels=None,
         layer = spec.layers[i]
         c = caches[i]
         if isinstance(layer, SoftmaxCrossEntropy):
-            lab = c.get("labels") if labels is None else np.asarray(labels)
+            lab = c.get("labels")
             if lab is None:
                 raise ContractError("backward needs labels (none cached)")
             probs = c["probs"]
@@ -523,7 +510,7 @@ def backward(spec: NetworkSpec, params: dict, cache, labels=None,
             grad /= n
         elif isinstance(layer, Conv):
             if out_grads is not None:
-                out_grads[i] = grad
+                out_grads.setdefault(i, grad)  # unless batch norm follows
             if layer.bias:
                 gb = grad.sum(axis=(0, 2, 3))
             # nothing reads the gradient of the network input
@@ -540,6 +527,8 @@ def backward(spec: NetworkSpec, params: dict, cache, labels=None,
             grad = (grad @ params[i]["W"]).reshape(c["in_shape"])
             grads[i] = {"W": gw, "b": gb}
         elif isinstance(layer, BatchNorm):
+            if out_grads is not None:
+                out_grads[i - 1] = grad  # the conv it normalises
             grad, g = _bn_backward(params[i], grad, c)
             grads[i] = g
         elif isinstance(layer, Activation):

@@ -23,9 +23,9 @@ from .config import ExperimentConfig, _fill
 from .csvio import emit_csv, refuse_present_run_ids
 from .datasets import Dataset, augment, make_blobs, make_spirals, load_cifar10_binary
 from .errors import ConfigError, DivergenceError
-from .network import (Activation, Dense, InitScheme, NetworkSpec, backward,
-                      build_mlp, build_plain_cnn, build_resnet, build_toy_cnn,
-                      forward, init_params)
+from .network import (InitScheme, NetworkSpec, backward, build_mlp,
+                      build_plain_cnn, build_resnet, build_toy_cnn, forward,
+                      init_params)
 from .optim import PlateauSchedule, ScheduleState, sgd_step, zero_velocities
 
 
@@ -143,7 +143,7 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
                 diverged = True
                 break
             try:
-                grads = backward(spec, params, cache, yb)
+                grads = backward(spec, params, cache)
                 sgd_step(params, grads, velocities, cfg.optim, mult)
             except DivergenceError:
                 diverged = True
@@ -174,33 +174,19 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
             last_metric = train_loss
         if collect_stats:
             _collect_epoch_stats(res, data, epoch + 1, step)
-    res.final_mean_t = _mean_t(spec, params)
+    t_means = [row["t_mean"] for row in instr.t_trace(spec, params)]
+    res.final_mean_t = float(np.mean(t_means)) if t_means else float("nan")
     return res
 
 
-def _mean_t(spec, params):
-    vals = [params[i]["t"].mean() for i, l in enumerate(spec.layers)
-            if isinstance(l, Activation) and l.spec.ng]
-    return float(np.mean(vals)) if vals else float("nan")
-
-
 def _collect_epoch_stats(res: RunResult, data, epoch, step):
-    spec, params = res.spec, res.params
     probe_n = min(32, len(data.train_y))
-    xb, yb = data.train_x[:probe_n], data.train_y[:probe_n]
-    shift = instr.mean_shift_trace(spec, params, xb, yb)
-    wvar = dict(instr.weight_variance_trace(spec, params))
-    probe_only = dict.fromkeys(("var_z", "var_g", "var_dw", "lower_bound",
-                                "upper_bound"), float("nan"))
-    for layer_idx, mean_z, mean_g in shift:
-        res.layerstats_rows.append(dict(
-            probe_only, run_id=res.run_id, step=step, layer=layer_idx,
-            mean_z=mean_z, mean_g=mean_g, weight_var=float(wvar[layer_idx])))
-    for tt in instr.t_trace(spec, params, epoch):
-        res.ttrace_rows.append({
-            "run_id": res.run_id, "epoch": epoch, "layer": tt.layer_index,
-            "t_mean": tt.t_mean, "t_std": tt.t_std, "t_min": tt.t_min,
-            "t_max": tt.t_max})
+    shift = instr.mean_shift_trace(res.spec, res.params, data.train_x[:probe_n],
+                                   data.train_y[:probe_n])
+    res.layerstats_rows += [dict(row, run_id=res.run_id, step=step)
+                            for row in shift]
+    res.ttrace_rows += [dict(row, run_id=res.run_id, epoch=epoch)
+                        for row in instr.t_trace(res.spec, res.params)]
 
 
 def converged(res: RunResult, num_classes: int, margin: float) -> bool:
@@ -335,37 +321,14 @@ def run_variance_study(cfg: ExperimentConfig):
             for vname, act in VARIANTS.items()]
     _refuse_present(cfg, runs)
     results = dict(zip(VARIANTS, train_runs(runs, data, collect_stats=True)))
+    xs, ys = data.train_x[:cfg.probe_steps], data.train_y[:cfg.probe_steps]
     for res in results.values():
-        res.layerstats_rows.extend(sandwich_probes(
-            res.spec, res.params, data, cfg.optim.lr, cfg.probe_steps,
-            res.run_id))
+        res.layerstats_rows += [
+            dict(row, run_id=res.run_id)
+            for row in instr.sandwich_probes(res.spec, res.params, xs, ys,
+                                             cfg.optim.lr)]
     _write_run(cfg, list(results.values()))
     return results
-
-
-def sandwich_probes(spec, params, data, lr, n_probes, run_id):
-    """Batch-size-1 updates on each dense layer, checked against the
-    analytic variance bounds."""
-    rows = []
-    dense_idx = [i for i, l in enumerate(spec.layers) if isinstance(l, Dense)]
-    for k in range(n_probes):
-        x = data.train_x[k:k + 1]
-        y = data.train_y[k:k + 1]
-        _, _, cache = forward(spec, params, x, y, mode="eval")
-        out_grads: dict = {}
-        backward(spec, params, cache, out_grads=out_grads)
-        for i in dense_idx:
-            z = cache["layers"][i]["x"][0]
-            g = out_grads[i][0]
-            stats = instr.sandwich_check(z, g, lr, layer_index=i, step=k)
-            rows.append({"run_id": run_id, "step": k, "layer": i,
-                         "mean_z": stats.mean_z, "var_z": stats.var_z,
-                         "mean_g": stats.mean_g, "var_g": stats.var_g,
-                         "var_dw": stats.var_dw,
-                         "lower_bound": stats.lower_bound,
-                         "upper_bound": stats.upper_bound,
-                         "weight_var": float(np.var(params[i]["W"]))})
-    return rows
 
 
 # per-run CSV schema -> the RunResult attribute holding its rows

@@ -8,17 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngnet.errors import ContractError, RegimeError
+from ngnet.csvio import SCHEMAS
 from ngnet.instrumentation import (KINK_WINDOW, grad_check, mean_shift_trace,
-                                   sandwich_check, stability_score,
-                                   t_trace, variance_bounds,
+                                   sandwich_check, sandwich_probes,
+                                   stability_score, t_trace, variance_bounds,
                                    weight_variance_trace)
-from ngnet.network import (ActivationSpec, Conv, Dense, InitScheme,
-                           backward, build_mlp, build_plain_cnn, build_resnet,
-                           forward, init_params)
+from ngnet.network import (ActivationSpec, BatchNorm, Conv, Dense,
+                           InitScheme, backward, build_mlp, build_plain_cnn,
+                           build_resnet, forward, init_params)
 from ngnet.tensor import conv2d_backward
 
 NG_RELU = ActivationSpec(base="relu", ng=True, t_init=-1.0)
 IDENT = ActivationSpec(base="identity")
+
+# the columns an instrumentation row leaves to the runner
+LAYERSTATS_OWN = set(SCHEMAS["layerstats"]) - {"run_id", "step"}
+TTRACE_OWN = set(SCHEMAS["ttrace"]) - {"run_id", "epoch"}
 
 
 def brute_force_var_dw(z, g, lr):
@@ -84,14 +89,17 @@ class TestSandwichCheck:
         rng = np.random.default_rng(2)
         z = rng.standard_normal(8)
         g = rng.standard_normal(5)
-        stats = sandwich_check(z, g, 0.1, layer_index=3, step=7)
-        assert stats.layer_index == 3 and stats.step == 7
-        assert stats.lower_bound <= stats.var_dw <= stats.upper_bound * (1 + 1e-9)
-        assert stats.var_z >= 0 and stats.var_g >= 0
+        stats = sandwich_check(z, g, 0.1)
+        assert set(stats) == LAYERSTATS_OWN - {"layer", "weight_var"}
+        assert stats["lower_bound"] <= stats["var_dw"] \
+            <= stats["upper_bound"] * (1 + 1e-9)
+        assert stats["var_z"] >= 0 and stats["var_g"] >= 0
+        assert stats["mean_z"] == z.mean() and stats["var_g"] == g.var()
 
     def test_zero_gradient_all_zero(self):
         stats = sandwich_check(np.ones(4), np.zeros(3), 0.1)
-        assert stats.var_dw == 0.0 == stats.lower_bound == stats.upper_bound
+        assert stats["var_dw"] == 0.0 == stats["lower_bound"] \
+            == stats["upper_bound"]
 
     def test_batch_gt_one_rejected(self):
         with pytest.raises(RegimeError):
@@ -135,7 +143,7 @@ class TestMeanShiftTrace:
         y = rng.integers(0, 3, 32)
         rows = mean_shift_trace(spec, params, x, y)
         # the second dense layer consumes ReLU outputs: nonnegative mean
-        assert rows[1][1] > 0.0
+        assert rows[1]["mean_z"] > 0.0
 
     def test_zero_mean_linear_stem(self):
         spec = build_mlp([16], 3, IDENT, input_dim=8)
@@ -146,14 +154,27 @@ class TestMeanShiftTrace:
         y = rng.integers(0, 3, 200)
         rows = mean_shift_trace(spec, params, x, y)
         # |mean| within 3 sigma of the sample mean of a unit Gaussian
-        assert abs(rows[0][1]) < 3 / np.sqrt(200 * 8)
+        assert abs(rows[0]["mean_z"]) < 3 / np.sqrt(200 * 8)
 
     def test_zero_input(self):
         spec = build_mlp([16], 3, IDENT, input_dim=8)
         params = init_params(spec, InitScheme("xavier", 6))
         rows = mean_shift_trace(spec, params, np.zeros((4, 8)),
                                 np.zeros(4, dtype=int))
-        assert rows[0][1] == 0.0
+        assert rows[0]["mean_z"] == 0.0
+
+    def test_rows_hold_the_layerstats_columns(self):
+        spec = build_mlp([5], 3, NG_RELU, input_dim=4)
+        params = init_params(spec, InitScheme("msra", 2))
+        rng = np.random.default_rng(2)
+        rows = mean_shift_trace(spec, params, rng.standard_normal((6, 4)),
+                                rng.integers(0, 3, 6))
+        assert [r["layer"] for r in rows] == [0, 2]
+        for r in rows:
+            assert set(r) == LAYERSTATS_OWN
+            assert all(np.isnan(r[k]) for k in ("var_z", "var_g", "var_dw",
+                                                 "lower_bound", "upper_bound"))
+            assert r["weight_var"] == params[r["layer"]]["W"].var()
 
     @pytest.mark.parametrize("build", [
         lambda: build_mlp([6, 5], 3, NG_RELU, input_dim=4),
@@ -177,14 +198,46 @@ class TestMeanShiftTrace:
             if isinstance(layer, Dense):
                 assert np.array_equal(grads[i]["W"], g.T @ z)
                 assert np.array_equal(grads[i]["b"], g.sum(axis=0))
+            elif isinstance(spec.layers[i + 1], BatchNorm):
+                # the gradient at the batch-norm output, whose per-channel
+                # sums are the beta gradient
+                np.testing.assert_allclose(g.sum(axis=(0, 2, 3)),
+                                           grads[i + 1]["beta"], rtol=0,
+                                           atol=1e-12)
+                assert np.abs(g.mean(axis=(0, 2, 3))).max() > 1e-6
             else:
                 gw = conv2d_backward(g, z, params[i]["W"], layer.stride)[1]
                 assert np.array_equal(grads[i]["W"], gw)
                 assert ("b" in grads[i]) == layer.bias
         rows = mean_shift_trace(spec, params, x, y)
-        assert [r[0] for r in rows] == linear
-        assert [r[2] for r in rows] == [float(np.mean(out_grads[i]))
-                                        for i in linear]
+        assert [r["layer"] for r in rows] == linear
+        assert [r["mean_g"] for r in rows] == [float(np.mean(out_grads[i]))
+                                               for i in linear]
+
+
+class TestSandwichProbes:
+    def test_one_checked_row_per_sample_and_dense_layer(self):
+        spec = build_mlp([6, 5], 3, NG_RELU, input_dim=4)
+        params = init_params(spec, InitScheme("msra", 5))
+        rng = np.random.default_rng(5)
+        xs = rng.standard_normal((3, 4))
+        ys = rng.integers(0, 3, 3)
+        rows = sandwich_probes(spec, params, xs, ys, 0.1)
+        dense = [i for i, l in enumerate(spec.layers) if isinstance(l, Dense)]
+        assert [(r["step"], r["layer"]) for r in rows] == [
+            (k, i) for k in range(3) for i in dense]
+        for r in rows:
+            assert set(r) == LAYERSTATS_OWN | {"step"}
+            assert r["lower_bound"] <= r["var_dw"] \
+                <= r["upper_bound"] * (1 + 1e-9)
+        # a row is the check of its sample's dense input and output gradient
+        _, _, cache = forward(spec, params, xs[1:2], ys[1:2], mode="eval")
+        out_grads: dict = {}
+        backward(spec, params, cache, out_grads=out_grads)
+        i = dense[1]
+        assert rows[len(dense) + 1] == dict(
+            sandwich_check(cache["layers"][i]["x"], out_grads[i], 0.1),
+            step=1, layer=i, weight_var=float(params[i]["W"].var()))
 
 
 class TestTTrace:
@@ -194,9 +247,16 @@ class TestTTrace:
         act_idx = next(i for i, p in params.items() if "t" in p)
         params[act_idx]["t"] += np.random.default_rng(0).uniform(
             -0.3, 0.3, params[act_idx]["t"].shape)
-        for row in t_trace(spec, params, epoch=5):
-            assert row.t_min <= row.t_mean <= row.t_max
-            assert row.epoch == 5
+        rows = t_trace(spec, params)
+        assert [r["layer"] for r in rows] == [
+            i for i, p in params.items() if "t" in p]
+        for row in rows:
+            assert set(row) == TTRACE_OWN
+            assert row["t_min"] <= row["t_mean"] <= row["t_max"]
+
+    def test_plain_activations_have_no_row(self):
+        spec = build_mlp([5], 3, ActivationSpec(base="relu"), input_dim=4)
+        assert t_trace(spec, init_params(spec, InitScheme("msra", 0))) == []
 
 
 class TestGradCheck:

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from ngnet import network
-from ngnet.errors import ConfigError
+from ngnet.errors import ConfigError, ContractError
 from ngnet.network import (Activation, ActivationSpec, BatchNorm, Conv,
-                           Dense, InitScheme, backward, build_mlp,
-                           build_plain_cnn, build_resnet, build_toy_cnn,
-                           forward, infer_shapes, init_params)
+                           Dense, GlobalAvgPool, InitScheme, MaxPool,
+                           NetworkSpec, SoftmaxCrossEntropy, backward,
+                           build_mlp, build_plain_cnn, build_resnet,
+                           build_toy_cnn, forward, init_params)
 from ngnet.tensor import conv2d_backward, conv2d_forward
 
 RELU = ActivationSpec(base="relu")
@@ -26,7 +27,7 @@ def count(spec, kind):
 
 def whole_net_fd_check(spec, params, x, y, tol=1e-4, h=1e-5, stride=3):
     _, _, cache = forward(spec, params, x, y, mode="train")
-    grads = backward(spec, params, cache, y)
+    grads = backward(spec, params, cache)
     for i, p in grads.items():
         for key, g in p.items():
             w = params[i][key]
@@ -147,7 +148,7 @@ class TestForward:
         x = np.array([[1.0, -1.0]])
         y = np.array([0])
         _, loss0, cache = forward(spec, params, x, y)
-        grads = backward(spec, params, cache, y)
+        grads = backward(spec, params, cache)
         for i in grads:
             for k, g in grads[i].items():
                 params[i][k] -= 0.1 * g
@@ -304,7 +305,7 @@ class TestBackward:
         x = rng.standard_normal((4, 3, 8, 8))
         y = rng.integers(0, 3, 4)
         _, _, cache = forward(spec, params, x, y)
-        grads = backward(spec, params, cache, y)
+        grads = backward(spec, params, cache)
         for i, p in params.items():
             for key, w in p.items():
                 if key in ("running_mean", "running_var"):
@@ -332,9 +333,18 @@ class TestBackward:
         x = rng.standard_normal((4, 3, 8, 8))
         y = rng.integers(0, 3, 4)
         _, _, cache = forward(spec, params, x, y)
-        backward(spec, params, cache, y)
+        backward(spec, params, cache)
         assert isinstance(spec.layers[0], Conv)
         assert calls == [True] * (count(spec, Conv) - 1) + [False]
+
+    def test_needs_the_labels_the_forward_cached(self):
+        spec = build_mlp([5], 3, RELU, input_dim=4)
+        params = init_params(spec, InitScheme("msra", 2))
+        x = np.random.default_rng(2).standard_normal((6, 4))
+        _, loss, cache = forward(spec, params, x)
+        assert loss is None
+        with pytest.raises(ContractError, match="labels"):
+            backward(spec, params, cache)
 
     def test_nontrainable_t_grad_zero(self):
         """A shift that does not train, fixed or plain, gets no gradient
@@ -347,7 +357,7 @@ class TestBackward:
             spec = build_mlp([5], 3, act, input_dim=4)
             params = init_params(spec, InitScheme("msra", 2))
             _, _, cache = forward(spec, params, x, y)
-            grads = backward(spec, params, cache, y)
+            grads = backward(spec, params, cache)
             acts = [i for i, layer in enumerate(spec.layers)
                     if isinstance(layer, Activation)]
             assert acts and all("t" not in grads[i] for i in acts)
@@ -556,10 +566,34 @@ class TestLinearityAtInit:
 
 
 class TestShapes:
-    def test_infer_shapes_plain(self):
-        spec = build_plain_cnn(8, 4, 3, False, RELU, input_hw=8)
-        shapes = infer_shapes(spec)
-        assert shapes[0] == (3, 8, 8)
+    def test_param_shapes_follow_the_sample_shape_plain(self):
+        """init_params tracks each layer's input shape: channels through
+        convs and batch norm, spatial size through the max pools (seen in
+        per-element shifts), features into the classifier."""
+        act = ActivationSpec(base="relu", ng=True, granularity="element")
+        spec = build_plain_cnn(5, 4, 3, True, act, input_hw=8)
+        params = init_params(spec, InitScheme("msra", 0))
+        shapes = [(type(spec.layers[i]).__name__,
+                   {k: v.shape for k, v in p.items()})
+                  for i, p in params.items()]
+        bn = lambda c: {k: (c,) for k in ("gamma", "beta", "running_mean",
+                                          "running_var")}
+        assert shapes == [
+            ("Conv", {"W": (4, 3, 3, 3)}), ("BatchNorm", bn(4)),
+            ("Activation", {"t": (4, 8, 8)}),
+            ("Conv", {"W": (4, 4, 3, 3)}), ("BatchNorm", bn(4)),
+            ("Activation", {"t": (4, 8, 8)}),
+            ("Conv", {"W": (8, 4, 3, 3)}), ("BatchNorm", bn(8)),
+            ("Activation", {"t": (8, 4, 4)}),
+            ("Conv", {"W": (16, 8, 3, 3)}), ("BatchNorm", bn(16)),
+            ("Activation", {"t": (16, 2, 2)}),
+            ("Dense", {"W": (3, 16), "b": (3,)})]
+
+    def test_max_pool_on_odd_spatial_dims_rejected(self):
+        spec = NetworkSpec([Conv(2), MaxPool(), GlobalAvgPool(), Dense(3),
+                            SoftmaxCrossEntropy()], (1, 5, 5), 3)
+        with pytest.raises(ConfigError, match="odd spatial dims"):
+            init_params(spec, InitScheme("msra", 0))
 
     def test_determinism_bitwise_trajectory(self):
         # same seed and config: identical params after two training steps
@@ -575,7 +609,7 @@ class TestShapes:
             cfg = OptimConfig(lr=0.05)
             for _ in range(2):
                 _, _, cache = forward(spec, params, x, y)
-                grads = backward(spec, params, cache, y)
+                grads = backward(spec, params, cache)
                 sgd_step(params, grads, vel, cfg)
             outs.append(params)
         for i in outs[0]:
