@@ -3,16 +3,14 @@
     python tests/make_golden.py              # regenerate tests/golden/
     python tests/make_golden.py --out DIR    # write a fresh set to DIR
 
-Each config in ``configs/`` runs as ``ngnet sweep --override epochs=2``
-into its own subdirectory, with BLAS pinned to one thread, and
+Each config in ``configs/``, and ``perfbench/resnet_bn_32px.cfg`` (the one
+batch-norm config), runs as ``ngnet sweep --override epochs=2`` into its
+own subdirectory, with BLAS pinned to one thread, and
 ``stamp.json`` records the environment that wrote them: NumPy version,
 the BLAS library with the kernel it picked for this CPU, and the cores
 the process may use.  ``tests/test_golden.py`` reruns this script and
 compares its output with the committed set; regenerating that set is
 the one way to accept a change in what the configs write.
-
-``perfbench/resnet_bn_32px.cfg`` is left out: its ``layerstats.csv``
-``mean_g`` holds rounding noise for every conv that feeds batch norm.
 """
 
 from __future__ import annotations
@@ -31,7 +29,11 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
-CONFIGS = ("capacity", "critical_depth", "learning_behavior", "variance_study")
+# output subdirectory -> config file
+CONFIGS = {name: ROOT / "configs" / f"{name}.cfg"
+           for name in ("capacity", "critical_depth", "learning_behavior",
+                        "variance_study")}
+CONFIGS["resnet_bn_32px"] = ROOT / "perfbench" / "resnet_bn_32px.cfg"
 EPOCHS = 2
 
 
@@ -72,11 +74,11 @@ def write(out: Path):
     from ngnet.cli import main as cli_main
 
     out.mkdir(parents=True, exist_ok=True)
-    for name in CONFIGS:
+    for name, config in CONFIGS.items():
         run_dir = out / name
         if run_dir.exists():
             shutil.rmtree(run_dir)
-        code = cli_main(["sweep", "--config", str(ROOT / "configs" / f"{name}.cfg"),
+        code = cli_main(["sweep", "--config", str(config),
                          "--override", f"epochs={EPOCHS}", "--out", str(run_dir)])
         if code:
             raise SystemExit(f"{name}: ngnet exited {code}")
