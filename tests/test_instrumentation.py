@@ -254,10 +254,6 @@ class TestTTrace:
             assert set(row) == TTRACE_OWN
             assert row["t_min"] <= row["t_mean"] <= row["t_max"]
 
-    def test_plain_activations_have_no_row(self):
-        spec = build_mlp([5], 3, ActivationSpec(base="relu"), input_dim=4)
-        assert t_trace(spec, init_params(spec, InitScheme("msra", 0))) == []
-
 
 class TestGradCheck:
     def _probe(self, act, seed=0, hidden=(6, 6)):
