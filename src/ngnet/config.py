@@ -12,23 +12,29 @@ Example::
     seed = 7
 
 '#' starts a comment; values are parsed as bool/int/float when they look
-like one, lists as comma-separated values.
+like one, lists as comma-separated values.  The free-text keys (out,
+run_id, dataset.path) keep their text as written.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import reduce
 
 from .activations import GRANULARITIES
 from .datasets import synthetic_train_count
 from .errors import ConfigError
-from .network import ActivationSpec, check_depth, check_input_hw
+from .network import (INIT_SCHEMES, ActivationSpec, check_depth,
+                      check_input_hw)
 from .optim import OptimConfig, PlateauSchedule, StepSchedule
 
 EXPERIMENT_KINDS = ("single_run", "capacity_sweep", "critical_depth",
                     "learning_behavior", "variance_study")
+FAMILIES = ("mlp", "toy_cnn", "plain_cnn", "resnet")
+DATASET_KINDS = ("synthetic_blobs", "synthetic_spirals", "cifar10_binary")
+FREE_TEXT_KEYS = ("out", "run_id", "dataset.path")
 
 
 def _parse_scalar(s: str):
@@ -57,14 +63,16 @@ def parse_value(s: str):
 def _assign(cfg: dict, assignment: str, where: str):
     """Set one dotted key=value on the nested dict `cfg`."""
     key, value = assignment.split("=", 1)
+    key = key.strip()
     node = cfg
-    parts = key.strip().split(".")
+    parts = key.split(".")
     for part in parts[:-1]:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
-            raise ConfigError(f"{where}: {key.strip()!r} conflicts with an "
+            raise ConfigError(f"{where}: {key!r} conflicts with an "
                               "earlier scalar key")
-    node[parts[-1]] = parse_value(value)
+    node[parts[-1]] = value.strip() if key in FREE_TEXT_KEYS \
+        else parse_value(value)
 
 
 def parse_config_text(text: str) -> dict:
@@ -133,22 +141,36 @@ class ExperimentConfig:
     depth_start: int = 8
     depth_step: int = 6
     depth_count: int = 4
-    convergence_margin: float = 0.1
     probe_steps: int = 8
+
+
+def sample_shape(cfg: ExperimentConfig) -> tuple:
+    """The shape of one input sample, which the dataset is built at and
+    the model for: (3, 32, 32) for CIFAR; (in_channels, input_hw,
+    input_hw) for the image families and an MLP on images; else (dims,)
+    for blobs and (2,) for spirals."""
+    d, m = cfg.dataset, cfg.model
+    if d.kind == "cifar10_binary":
+        return (3, 32, 32)
+    if d.as_images or m.family != "mlp":
+        return (m.in_channels, m.input_hw, m.input_hw)
+    return (2,) if d.kind == "synthetic_spirals" else (d.dims,)
 
 
 def _fill(obj, d: dict, path=""):
     """Set the keys of `d` on the dataclass `obj`, recursing into its
-    sections (nested dataclasses).  A section takes keys, never a value."""
+    sections (nested dataclasses).  A section, or a dict such as
+    activation.base_kwargs, takes keys, never a value."""
     names = {f.name for f in fields(obj)}
     for key, value in d.items():
         if key not in names:
             raise ConfigError(f"unknown config key {path + key!r}")
         current = getattr(obj, key)
+        if (is_dataclass(current) or isinstance(current, dict)) \
+                and not isinstance(value, dict):
+            raise ConfigError(f"{path + key!r} is a section; set its "
+                              f"keys as {path + key}.<key>, got {value!r}")
         if is_dataclass(current):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{path + key!r} is a section; set its "
-                                  f"keys as {path + key}.<key>, got {value!r}")
             _fill(current, value, path + key + ".")
         elif isinstance(value, dict) and not isinstance(current, dict):
             raise ConfigError(f"unknown config key "
@@ -206,19 +228,49 @@ def _name_key(key, check, *args):
 
 def _validate(cfg: ExperimentConfig):
     """Reject types and ranges the run would otherwise trip over, or run
-    with silently, once every override has been applied."""
+    with silently, once every override has been applied.  Every key is
+    checked, also one the experiment does not read."""
+    def get(name):
+        return reduce(getattr, name.split("."), cfg)
+
+    if not _is_count(cfg.seed, 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {cfg.seed!r}")
     for name in ("epochs", "batch_size", "model.depth", "model.width",
-                 "model.input_hw", "dataset.n", "dataset.classes",
+                 "model.input_hw", "model.in_channels", "dataset.n",
+                 "dataset.classes", "dataset.dims", "dataset.subset",
                  "depth_start", "depth_step", "depth_count", "probe_steps"):
-        value = reduce(getattr, name.split("."), cfg)
-        if not _is_count(value, 1):
-            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if not _is_count(get(name), 1):
+            raise ConfigError(f"{name} must be a positive integer, "
+                              f"got {get(name)!r}")
+    hidden = cfg.model.hidden
+    if not all(_is_count(h, 1) for h in
+               (hidden if isinstance(hidden, list) else [hidden])):
+        raise ConfigError(f"model.hidden must be positive integers, "
+                          f"got {hidden!r}")
+    for name in ("model.with_bn", "dataset.augment", "dataset.as_images",
+                 "activation.ng", "activation.trainable"):
+        if not isinstance(get(name), bool):
+            raise ConfigError(f"{name} must be true or false, "
+                              f"got {get(name)!r}")
+    for name, allowed in (("init", INIT_SCHEMES), ("model.family", FAMILIES),
+                          ("dataset.kind", DATASET_KINDS),
+                          ("activation.granularity", GRANULARITIES)):
+        if get(name) not in allowed:
+            raise ConfigError(f"{name} must be one of {allowed}, "
+                              f"got {get(name)!r}")
     family = cfg.model.family
     where, depths = _built_depths(cfg)
     for depth in depths:
         _name_key(where, check_depth, family, depth)
-    _name_key("model.input_hw", check_input_hw, family, cfg.model.input_hw)
+    shape = sample_shape(cfg)
+    _name_key("model.input_hw", check_input_hw, family, shape[-1])
     d = cfg.dataset
+    if d.augment and len(shape) != 3:
+        raise ConfigError(f"dataset.augment needs image input, but samples "
+                          f"are vectors of shape {shape}")
+    if d.kind == "cifar10_binary" and not os.path.isfile(d.path):
+        raise ConfigError(f"dataset.path: no CIFAR-10 batch file at "
+                          f"{d.path!r}")
     for name in ("spread", "noise"):
         value = getattr(d, name)
         if not _is_number(value) or not 0 <= value < math.inf:
@@ -253,13 +305,11 @@ def _validate(cfg: ExperimentConfig):
     act = cfg.activation
     if not _is_number(act.t_init):
         raise ConfigError(f"activation.t_init must be a number, got {act.t_init!r}")
-    if act.granularity not in GRANULARITIES:
-        raise ConfigError(f"activation.granularity must be one of "
-                          f"{GRANULARITIES}, got {act.granularity!r}")
     try:
         act.make_base()
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"activation.base: {exc}") from None
+        raise ConfigError(f"activation.base, activation.base_kwargs: "
+                          f"{exc}") from None
 
 
 def _build_schedule(sched):

@@ -1,6 +1,7 @@
 """CSV emission for experiment metrics.
 
-Schemas are fixed per file kind so downstream plotting never has to guess.
+Schemas are fixed per file kind so downstream plotting never has to guess:
+three per-run files and one summary file per sweep.
 Floats are written with 9 significant digits; appending to an existing file
 is allowed only for new run_ids.
 """
@@ -20,6 +21,12 @@ SCHEMAS = {
                    "weight_var"],
     "ttrace": ["run_id", "epoch", "layer", "t_mean", "t_std", "t_min",
                "t_max"],
+    "capacity": ["run_id", "setting", "max_train_acc", "final_mean_t",
+                 "diverged"],
+    "critical_depth": ["run_id", "variant", "depth", "converged",
+                       "final_train_acc", "diverged"],
+    "learning_behavior": ["run_id", "variant", "init", "epochs_to_threshold",
+                          "final_train_acc", "diverged"],
 }
 
 
@@ -32,12 +39,10 @@ def _fmt(v):
 
 
 def emit_csv(rows, path, schema):
-    """Write dict rows under a fixed header.
-
-    `schema` is a schema name from SCHEMAS or an explicit column list.
-    Appending refuses run_ids already present in the file.
+    """Write dict rows under the fixed header of the SCHEMAS entry
+    `schema`.  Appending refuses run_ids already present in the file.
     """
-    columns = SCHEMAS[schema] if isinstance(schema, str) else list(schema)
+    columns = SCHEMAS[schema]
 
     exists = _nonempty(path)
     if exists:

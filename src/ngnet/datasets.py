@@ -21,7 +21,10 @@ import numpy as np
 from .errors import FormatError
 
 CIFAR_RECORD = 3073  # 1 label byte + 3 * 1024 pixel bytes
+# share of the samples held out for the test split
 SYNTHETIC_TEST_FRAC = 0.25
+CIFAR_TEST_FRAC = 0.2
+SPIRAL_TURNS = 1.75  # the angle each spiral arm sweeps, in units of pi
 
 
 @dataclass
@@ -53,8 +56,8 @@ def synthetic_train_count(kind, n, classes):
     return n - _test_count(n, SYNTHETIC_TEST_FRAC)
 
 
-def make_blobs(classes=3, dims=8, spread=0.6, n=600, seed=0, image_shape=None,
-               test_frac=SYNTHETIC_TEST_FRAC) -> Dataset:
+def make_blobs(classes=3, dims=8, spread=0.6, n=600, seed=0,
+               image_shape=None) -> Dataset:
     """Gaussian clusters with unit-scale centers; standardized features."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     centers = rng.standard_normal((classes, dims))
@@ -63,12 +66,12 @@ def make_blobs(classes=3, dims=8, spread=0.6, n=600, seed=0, image_shape=None,
     x = (x - x.mean(axis=0)) / (x.std(axis=0) + 1e-12)
     if image_shape is not None:
         x = x.reshape((n,) + tuple(image_shape))
-    tr_x, tr_y, te_x, te_y = _split(x, y, test_frac, rng)
+    tr_x, tr_y, te_x, te_y = _split(x, y, SYNTHETIC_TEST_FRAC, rng)
     return Dataset(tr_x, tr_y, te_x, te_y, classes)
 
 
-def make_spirals(classes=3, n=1500, seed=0, noise=0.08, image_shape=None,
-                 turns=1.75, test_frac=SYNTHETIC_TEST_FRAC) -> Dataset:
+def make_spirals(classes=3, n=1500, seed=0, noise=0.08,
+                 image_shape=None) -> Dataset:
     """Interleaved spirals in the plane; optionally embedded linearly into
     image space so conv nets can consume them."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
@@ -76,7 +79,8 @@ def make_spirals(classes=3, n=1500, seed=0, noise=0.08, image_shape=None,
     pts, ys = [], []
     for c in range(classes):
         r = np.linspace(0.15, 1.0, per)
-        theta = np.linspace(0, turns * np.pi, per) + 2 * np.pi * c / classes
+        theta = np.linspace(0, SPIRAL_TURNS * np.pi, per) \
+            + 2 * np.pi * c / classes
         p = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
         p += noise * rng.standard_normal(p.shape)
         pts.append(p)
@@ -89,7 +93,7 @@ def make_spirals(classes=3, n=1500, seed=0, noise=0.08, image_shape=None,
         proj = rng.standard_normal((2, dims)) / np.sqrt(2.0)
         pix = x @ proj + 0.05 * rng.standard_normal((len(x), dims))
         x = pix.reshape((len(x),) + tuple(image_shape))
-    tr_x, tr_y, te_x, te_y = _split(x, y, test_frac, rng)
+    tr_x, tr_y, te_x, te_y = _split(x, y, SYNTHETIC_TEST_FRAC, rng)
     return Dataset(tr_x, tr_y, te_x, te_y, classes)
 
 
@@ -123,7 +127,7 @@ def write_cifar10_records(path, labels, images):
     rec.astype(np.uint8).tofile(path)
 
 
-def load_cifar10_binary(path, subset=None, seed=0, test_frac=0.2) -> Dataset:
+def load_cifar10_binary(path, subset=None, seed=0) -> Dataset:
     """Load one binary batch file; scale to [0,1] and standardize per
     channel with training-set statistics.  `subset` caps the record count
     (selection deterministic in seed)."""
@@ -134,7 +138,7 @@ def load_cifar10_binary(path, subset=None, seed=0, test_frac=0.2) -> Dataset:
     if subset is not None and subset < len(y):
         pick = rng.permutation(len(y))[:subset]
         x, y = x[pick], y[pick]
-    tr_x, tr_y, te_x, te_y = _split(x, y, test_frac, rng)
+    tr_x, tr_y, te_x, te_y = _split(x, y, CIFAR_TEST_FRAC, rng)
     mean = tr_x.mean(axis=(0, 2, 3), keepdims=True)
     std = tr_x.std(axis=(0, 2, 3), keepdims=True) + 1e-12
     return Dataset((tr_x - mean) / std, tr_y, (te_x - mean) / std, te_y, 10)

@@ -30,6 +30,10 @@ from .network import Activation, Conv, Dense, NetworkSpec, backward, forward
 
 KINK_WINDOW = 1e-3
 FD_STEP = 1e-5
+# relative slack on both sides of the sandwich, for rounding in var(dW)
+SANDWICH_SLACK = 1e-9
+# grad_check runs two forwards per parameter, so it is for small nets only
+GRAD_CHECK_MAX_PARAMS = 2000
 
 
 def _pop_var(x):
@@ -50,7 +54,7 @@ def variance_bounds(z, g, lr):
     return lower, upper
 
 
-def sandwich_check(z, g, lr, slack=1e-9) -> dict:
+def sandwich_check(z, g, lr) -> dict:
     """Verify the bounds against the realized update of one sample.
 
     z is the dense layer's input vector (n,), g the loss gradient at its
@@ -71,7 +75,8 @@ def sandwich_check(z, g, lr, slack=1e-9) -> dict:
     dw = -lr * np.outer(g, z)
     var_dw = _pop_var(dw)
     lower, upper = variance_bounds(z, g, lr)
-    if not (lower <= var_dw * (1 + slack) and var_dw <= upper * (1 + slack) + 0.0):
+    if not (lower <= var_dw * (1 + SANDWICH_SLACK)
+            and var_dw <= upper * (1 + SANDWICH_SLACK)):
         raise AssertionError(
             f"variance sandwich violated: {lower} <= {var_dw} <= {upper}")
     return {"mean_z": float(z.mean()), "var_z": _pop_var(z),
@@ -184,7 +189,7 @@ def _kink_mask(x, t):
 
 
 def grad_check(spec: NetworkSpec, params: dict, batch, labels,
-               tolerance=1e-4, h=FD_STEP, max_params=2000) -> GradCheckReport:
+               tolerance=1e-4, h=FD_STEP) -> GradCheckReport:
     """Compare analytic gradients against central differences, parameter by
     parameter, skipping those backward gives no gradient (batch-norm
     running statistics, a shift that does not train).  Shift components
@@ -192,7 +197,7 @@ def grad_check(spec: NetworkSpec, params: dict, batch, labels,
     rather than checked."""
     n_params = sum(v.size for p in params.values() for k, v in p.items()
                    if k not in ("running_mean", "running_var"))
-    if n_params > max_params:
+    if n_params > GRAD_CHECK_MAX_PARAMS:
         raise ContractError(f"grad_check is for small nets ({n_params} params)")
     params = copy.deepcopy(params)  # BN running stats mutate; keep caller's intact
     act_inputs: dict = {}

@@ -1,11 +1,13 @@
 """Layer graphs, parameter initialization, and whole-network forward/backward.
 
 A network is a flat sequence of layer specs (convs, dense, batch norm,
-activations, pooling, residual-block markers, softmax head).  Parameters
-live outside the spec in a per-layer-index dict, so a spec is reusable
-across seeds and schemes.  ``forward`` caches what ``backward`` reads,
-or nothing for a loss-only or accuracy forward; both are pure apart from
-batch-norm running statistics, which are updated in train mode.
+activations, pooling, residual-block markers); the last layer's output is
+the logits.  The softmax cross-entropy loss is not a layer: ``forward``
+applies it after the layer walk and ``backward`` starts from its gradient.
+Parameters live outside the spec in a per-layer-index dict, so a spec is
+reusable across seeds and schemes.  ``forward`` caches what ``backward``
+reads, or nothing for a loss-only or accuracy forward; both are pure apart
+from batch-norm running statistics, which are updated in train mode.
 
 A plain (unwrapped) activation is represented internally as the shifted
 wrapper with a fixed t = 0, which is exactly ``f(x)``; this keeps a single
@@ -38,6 +40,7 @@ from .tensor import (_conv_geometry, as_f64, conv2d_backward, conv2d_forward,
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
+INIT_SCHEMES = ("xavier", "msra", "orthogonal")
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +103,6 @@ class GlobalAvgPool:
 
 
 @dataclass
-class SoftmaxCrossEntropy:
-    pass
-
-
-@dataclass
 class ResBlockStart:
     stride: int = 1
 
@@ -118,7 +116,6 @@ class ResBlockEnd:
 class NetworkSpec:
     layers: list
     input_shape: tuple  # one sample, e.g. (C, H, W) or (D,)
-    num_classes: int
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +146,7 @@ def check_input_hw(family, input_hw):
 def build_plain_cnn(depth, base_width, num_classes, with_bn, activation,
                     input_hw=32, in_channels=3) -> NetworkSpec:
     """VGG-style stack: stem conv + three equal stages at widths w, 2w, 4w
-    separated by 2x2 max pools, then global average pooling and a softmax
+    separated by 2x2 max pools, then global average pooling and a dense
     classifier.  depth = 2 + 3k (stem + 3k convs + classifier)."""
     check_depth("plain_cnn", depth)
     check_input_hw("plain_cnn", input_hw)
@@ -173,8 +170,7 @@ def build_plain_cnn(depth, base_width, num_classes, with_bn, activation,
         conv_act(4 * base_width, layers)
     layers.append(GlobalAvgPool())
     layers.append(Dense(num_classes))
-    layers.append(SoftmaxCrossEntropy())
-    return NetworkSpec(layers, (in_channels, input_hw, input_hw), num_classes)
+    return NetworkSpec(layers, (in_channels, input_hw, input_hw))
 
 
 def build_resnet(depth, base_width, num_classes, activation, with_bn=True,
@@ -203,8 +199,7 @@ def build_resnet(depth, base_width, num_classes, activation, with_bn=True,
             layers.append(Activation(activation))
     layers.append(GlobalAvgPool())
     layers.append(Dense(num_classes))
-    layers.append(SoftmaxCrossEntropy())
-    return NetworkSpec(layers, (in_channels, input_hw, input_hw), num_classes)
+    return NetworkSpec(layers, (in_channels, input_hw, input_hw))
 
 
 def build_mlp(hidden, num_classes, activation, input_dim) -> NetworkSpec:
@@ -213,20 +208,19 @@ def build_mlp(hidden, num_classes, activation, input_dim) -> NetworkSpec:
         layers.append(Dense(units))
         layers.append(Activation(activation))
     layers.append(Dense(num_classes))
-    layers.append(SoftmaxCrossEntropy())
-    return NetworkSpec(layers, (input_dim,), num_classes)
+    return NetworkSpec(layers, (input_dim,))
 
 
-def build_toy_cnn(num_classes, activation, input_hw=8, in_channels=3,
-                  kernels=3) -> NetworkSpec:
-    """Two conv layers of a few kernels, a dense layer, softmax; the small
+def build_toy_cnn(num_classes, activation, input_hw=8,
+                  in_channels=3) -> NetworkSpec:
+    """Two conv layers of three kernels and a dense classifier; the small
     capacity-sweep model."""
     layers = [
-        Conv(kernels), Activation(activation),
-        Conv(kernels), Activation(activation),
-        Dense(num_classes), SoftmaxCrossEntropy(),
+        Conv(3), Activation(activation),
+        Conv(3), Activation(activation),
+        Dense(num_classes),
     ]
-    return NetworkSpec(layers, (in_channels, input_hw, input_hw), num_classes)
+    return NetworkSpec(layers, (in_channels, input_hw, input_hw))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +229,7 @@ def build_toy_cnn(num_classes, activation, input_hw=8, in_channels=3,
 
 @dataclass
 class InitScheme:
-    kind: str = "msra"  # xavier | msra | orthogonal
+    kind: str = "msra"  # one of INIT_SCHEMES
     seed: int = 0
 
 
@@ -308,7 +302,7 @@ def init_params(spec: NetworkSpec, scheme: InitScheme) -> dict:
             shape = (c, h // 2, w // 2)
         elif isinstance(layer, GlobalAvgPool):
             shape = (shape[0],)
-        # markers and softmax: shape-preserving, no parameters
+        # markers: shape-preserving, no parameters
         if p:
             params[i] = p
     return params
@@ -328,20 +322,20 @@ def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train",
             keep_cache=True, act_inputs: dict = None):
     """Run the network; returns (logits, loss, cache).
 
-    loss is None when labels are absent.  train mode uses batch statistics
-    for batch norm and updates the running ones; eval mode reads the
-    running statistics only.  With `keep_cache` false the cache is None and
-    each layer's intermediates are freed as the walk moves on, for forwards
-    that only want the logits or the loss.  When `act_inputs` is a dict, it
-    also receives, by layer index, the input of each Activation layer (the
-    cache keeps it only where the backward reads it).
+    The logits are the last layer's output; loss is their softmax
+    cross-entropy against `labels`, or None without labels.  train mode
+    uses batch statistics for batch norm and updates the running ones; eval
+    mode reads the running statistics only.  With `keep_cache` false the
+    cache is None and each layer's intermediates are freed as the walk
+    moves on, for forwards that want only the logits or the loss.  A dict
+    `act_inputs` also receives, by layer index, each Activation layer's
+    input (the cache keeps it only where the backward reads it).
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be train or eval, got {mode!r}")
     x = as_f64(batch)
     skip_stack = []
     caches = []
-    logits = loss = None
     for i, layer in enumerate(spec.layers):
         c = {"in_shape": x.shape}
         if isinstance(layer, Conv):
@@ -373,25 +367,19 @@ def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train",
             skip = skip_stack.pop()
             c["skip_shape"] = skip.shape
             x = x + _shortcut(skip, x.shape)
-        elif isinstance(layer, SoftmaxCrossEntropy):
-            logits = x
-            probs = _softmax(x)
-            c["probs"] = probs
-            if labels is not None:
-                labels = np.asarray(labels)
-                n = x.shape[0]
-                picked = probs[np.arange(n), labels]
-                loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
-                c["labels"] = labels
         else:
             raise ConfigError(f"unknown layer {layer!r}")
         if keep_cache:
             caches.append(c)
-    if logits is None:
-        raise ConfigError("network has no softmax head")
+    probs = _softmax(x)
+    loss = None
+    if labels is not None:
+        labels = np.asarray(labels)
+        picked = probs[np.arange(x.shape[0]), labels]
+        loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
     if not keep_cache:
-        return logits, loss, None
-    return logits, loss, {"layers": caches, "n_layers": len(spec.layers)}
+        return x, loss, None
+    return x, loss, {"layers": caches, "probs": probs, "labels": labels}
 
 
 def _bn_rows(x):
@@ -491,24 +479,21 @@ def backward(spec: NetworkSpec, params: dict, cache,
     of the gradient at the conv output itself is 0 in exact arithmetic.)
     """
     caches = cache["layers"]
-    if cache.get("n_layers") != len(spec.layers):
+    if len(caches) != len(spec.layers):
         raise ContractError("cache does not match this network spec")
+    labels = cache["labels"]
+    if labels is None:
+        raise ContractError("backward needs labels (none cached)")
+    grad = cache["probs"].copy()
+    n = grad.shape[0]
+    grad[np.arange(n), labels] -= 1.0
+    grad /= n
     grads: dict = {}
     pending_skip: list = []
-    grad = None
     for i in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[i]
         c = caches[i]
-        if isinstance(layer, SoftmaxCrossEntropy):
-            lab = c.get("labels")
-            if lab is None:
-                raise ContractError("backward needs labels (none cached)")
-            probs = c["probs"]
-            n = probs.shape[0]
-            grad = probs.copy()
-            grad[np.arange(n), lab] -= 1.0
-            grad /= n
-        elif isinstance(layer, Conv):
+        if isinstance(layer, Conv):
             if out_grads is not None:
                 out_grads.setdefault(i, grad)  # unless batch norm follows
             if layer.bias:

@@ -21,6 +21,8 @@ from .errors import DivergenceError
 
 DECAYED_KEYS = {"W"}
 NON_GRADIENT_KEYS = {"running_mean", "running_var"}
+# a plateau metric must fall by more than this to count as an improvement
+PLATEAU_THRESHOLD = 1e-4
 
 
 @dataclass
@@ -34,7 +36,6 @@ class PlateauSchedule:
     patience: int = 10
     factor: float = 0.1
     metric: str = "train_loss"  # or "test_error"
-    threshold: float = 1e-4
 
 
 @dataclass
@@ -128,7 +129,8 @@ class ScheduleState:
                 self.multiplier *= s.factor
         elif isinstance(s, PlateauSchedule):
             if metric is not None:
-                if self._best is None or metric < self._best - s.threshold:
+                if self._best is None \
+                        or metric < self._best - PLATEAU_THRESHOLD:
                     self._best = metric
                     self._stale = 0
                 else:

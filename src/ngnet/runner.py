@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import instrumentation as instr
-from .config import ExperimentConfig, _fill
+from .config import ExperimentConfig, _fill, sample_shape
 from .csvio import emit_csv, refuse_present_run_ids
 from .datasets import Dataset, augment, make_blobs, make_spirals, load_cifar10_binary
 from .errors import ConfigError, DivergenceError
@@ -28,6 +28,11 @@ from .network import (InitScheme, NetworkSpec, backward, build_mlp,
                       init_params)
 from .optim import PlateauSchedule, ScheduleState, sgd_step, zero_velocities
 
+# a run converged if its final train accuracy beats chance by this much
+CONVERGENCE_MARGIN = 0.1
+# a run has learned once its train accuracy reaches this share of its final
+THRESHOLD_FRAC = 0.9
+
 
 # ---------------------------------------------------------------------------
 # Assembly
@@ -35,13 +40,12 @@ from .optim import PlateauSchedule, ScheduleState, sgd_step, zero_velocities
 
 def get_dataset(cfg: ExperimentConfig) -> Dataset:
     d = cfg.dataset
-    m = cfg.model
-    image_shape = (m.in_channels, m.input_hw, m.input_hw) \
-        if (d.as_images or cfg.model.family != "mlp") else None
+    shape = sample_shape(cfg)
+    image_shape = shape if len(shape) == 3 else None
     if d.kind == "synthetic_blobs":
-        dims = int(np.prod(image_shape)) if image_shape else d.dims
-        return make_blobs(classes=d.classes, dims=dims, spread=d.spread,
-                          n=d.n, seed=cfg.seed, image_shape=image_shape)
+        return make_blobs(classes=d.classes, dims=int(np.prod(shape)),
+                          spread=d.spread, n=d.n, seed=cfg.seed,
+                          image_shape=image_shape)
     if d.kind == "synthetic_spirals":
         return make_spirals(classes=d.classes, n=d.n, seed=cfg.seed,
                             noise=d.noise, image_shape=image_shape)
@@ -53,23 +57,26 @@ def get_dataset(cfg: ExperimentConfig) -> Dataset:
 def build_model(cfg: ExperimentConfig, num_classes: int) -> NetworkSpec:
     act = cfg.activation
     m = cfg.model
+    shape = sample_shape(cfg)
     if m.family == "mlp":
         if isinstance(m.hidden, list):
             hidden = m.hidden
         else:
             # depth counts weighted layers; the last one is the classifier.
             hidden = [m.hidden] * max(m.depth - 1, 1)
-        return build_mlp(hidden, num_classes, act, input_dim=cfg.dataset.dims)
+        return build_mlp(hidden, num_classes, act,
+                         input_dim=int(np.prod(shape)))
+    in_channels, input_hw = shape[0], shape[-1]
     if m.family == "toy_cnn":
-        return build_toy_cnn(num_classes, act, input_hw=m.input_hw,
-                             in_channels=m.in_channels)
+        return build_toy_cnn(num_classes, act, input_hw=input_hw,
+                             in_channels=in_channels)
     if m.family == "plain_cnn":
         return build_plain_cnn(m.depth, m.width, num_classes, m.with_bn, act,
-                               input_hw=m.input_hw, in_channels=m.in_channels)
+                               input_hw=input_hw, in_channels=in_channels)
     if m.family == "resnet":
         return build_resnet(m.depth, m.width, num_classes, act,
-                            with_bn=m.with_bn, input_hw=m.input_hw,
-                            in_channels=m.in_channels)
+                            with_bn=m.with_bn, input_hw=input_hw,
+                            in_channels=in_channels)
     raise ConfigError(f"unknown model family {m.family!r}")
 
 
@@ -90,10 +97,10 @@ class RunResult:
     spec: NetworkSpec = None
     params: dict = None
 
-    def epochs_to_threshold(self, frac=0.9):
-        """First epoch (1-based) reaching `frac` of the final train
+    def epochs_to_threshold(self):
+        """First epoch (1-based) reaching THRESHOLD_FRAC of the final train
         accuracy; budget+1 if never reached (diverged runs)."""
-        target = frac * self.final_train_acc
+        target = THRESHOLD_FRAC * self.final_train_acc
         for row in self.rows:
             if not row["diverged"] and row["train_acc"] >= target - 1e-12:
                 return row["epoch"]
@@ -189,11 +196,11 @@ def _collect_epoch_stats(res: RunResult, data, epoch, step):
                         for row in instr.t_trace(res.spec, res.params)]
 
 
-def converged(res: RunResult, num_classes: int, margin: float) -> bool:
+def converged(res: RunResult, num_classes: int) -> bool:
     """A run converged iff it never diverged and ended clearly above
     chance within its budget."""
     return (not res.diverged
-            and res.final_train_acc > 1.0 / num_classes + margin)
+            and res.final_train_acc > 1.0 / num_classes + CONVERGENCE_MARGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +250,7 @@ def run_capacity_sweep(cfg: ExperimentConfig):
                 "final_mean_t": res.final_mean_t, "diverged": res.diverged}
                for (name, _), res in zip(settings, results)]
     _write_run(cfg, results)
-    emit_csv(summary, _csv_path(cfg, "capacity"),
-             schema=["run_id", "setting", "max_train_acc", "final_mean_t",
-                     "diverged"])
+    emit_csv(summary, _csv_path(cfg, "capacity"), schema="capacity")
     return results, summary
 
 
@@ -263,7 +268,7 @@ def run_critical_depth(cfg: ExperimentConfig):
     results = train_runs(runs, data)
     summary, critical = [], {}
     for (vname, depth), res in zip(grid, results):
-        ok = converged(res, data.num_classes, cfg.convergence_margin)
+        ok = converged(res, data.num_classes)
         summary.append({"run_id": res.run_id, "variant": vname,
                         "depth": depth, "converged": ok,
                         "final_train_acc": res.final_train_acc,
@@ -277,8 +282,7 @@ def run_critical_depth(cfg: ExperimentConfig):
                         "diverged": False})
     _write_run(cfg, results)
     emit_csv(summary, _csv_path(cfg, "critical_depth"),
-             schema=["run_id", "variant", "depth", "converged",
-                     "final_train_acc", "diverged"])
+             schema="critical_depth")
     return results, critical
 
 
@@ -308,8 +312,7 @@ def run_learning_behavior(cfg: ExperimentConfig):
                             "diverged": False}]
     _write_run(cfg, results)
     emit_csv(summary, _csv_path(cfg, "learning_behavior"),
-             schema=["run_id", "variant", "init", "epochs_to_threshold",
-                     "final_train_acc", "diverged"])
+             schema="learning_behavior")
     return results, spread
 
 

@@ -3,7 +3,7 @@ mechanism, each at its published tolerance.
 
 Every test prints one ``ACCEPT n PASS|FAIL <name>`` line so a plain
 ``pytest -s tests/test_acceptance.py`` doubles as a checklist.  Training-based
-criteria (4-7) pin one seed and one tuned desk-scale configuration each; the
+criteria (4-7) each train one shipped config in configs/ at its seed; the
 settings were chosen once and are not free parameters of the gate.
 """
 
@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ngnet.config import ExperimentConfig
+from ngnet.config import build_experiment_config, load_config
 from ngnet.datasets import (make_blobs, read_cifar10_records,
                             write_cifar10_records)
 from ngnet.errors import FormatError
@@ -26,6 +26,7 @@ from ngnet.runner import (run_capacity_sweep, run_critical_depth,
                           run_variance_study)
 
 SEED = 7
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def report(num, ok, name):
@@ -105,21 +106,16 @@ def test_accept_3_variance_sandwich():
 
 
 # ---------------------------------------------------------------------------
-# Shared desk-scale configs for the training criteria
+# The shipped configs the training criteria run
 # ---------------------------------------------------------------------------
 
-def desk_cfg(experiment, out, **kw):
-    cfg = ExperimentConfig(experiment=experiment, seed=SEED, out=str(out))
-    cfg.dataset.kind = "synthetic_spirals"
-    cfg.dataset.n = 600
-    cfg.dataset.classes = 3
-    cfg.model.input_hw = 8
-    cfg.activation = ActivationSpec(base="relu", ng=True, t_init=-1.0,
-                                    granularity="channel")
-    cfg.optim.weight_decay = 0.0
-    cfg.batch_size = 32
-    for k, v in kw.items():
-        setattr(cfg, k, v)
+def shipped_cfg(name, out, *overrides):
+    """configs/<name>.cfg as ``ngnet sweep --out <out>`` loads it, with
+    `overrides` (key=value strings) applied."""
+    raw = load_config(str(CONFIGS / f"{name}.cfg"), overrides)
+    raw["out"] = str(out)
+    cfg = build_experiment_config(raw)
+    assert cfg.seed == SEED
     return cfg
 
 
@@ -129,10 +125,7 @@ def desk_cfg(experiment, out, **kw):
 
 @pytest.mark.slow
 def test_accept_4_capacity_trend(tmp_path):
-    cfg = desk_cfg("capacity_sweep", tmp_path, epochs=30)
-    cfg.model.family = "toy_cnn"
-    cfg.optim.lr = 0.05
-    cfg.t_values = [-2.0, -1.0, -0.5, -0.25]
+    cfg = shipped_cfg("capacity", tmp_path)
     _, summary = run_capacity_sweep(cfg)
     by = {r["setting"]: r for r in summary}
     accs = [by[f"t{t:g}"]["max_train_acc"] for t in cfg.t_values]
@@ -155,14 +148,7 @@ def test_accept_4_capacity_trend(tmp_path):
 
 @pytest.mark.slow
 def test_accept_5_critical_depth(tmp_path):
-    cfg = desk_cfg("critical_depth", tmp_path, epochs=12,
-                   depth_start=8, depth_step=6, depth_count=4)
-    cfg.model.family = "plain_cnn"
-    cfg.model.width = 6
-    cfg.dataset.kind = "synthetic_blobs"
-    cfg.dataset.n = 400
-    cfg.init = "xavier"
-    cfg.optim.lr = 0.02
+    cfg = shipped_cfg("critical_depth", tmp_path)
     _, critical = run_critical_depth(cfg)
     ng, plain = critical.get("ng", 0), critical.get("plain", 0)
     report(5, ng >= plain + cfg.depth_step,
@@ -176,11 +162,7 @@ def test_accept_5_critical_depth(tmp_path):
 
 @pytest.mark.slow
 def test_accept_6_init_robustness(tmp_path):
-    cfg = desk_cfg("learning_behavior", tmp_path, epochs=25)
-    cfg.model.family = "plain_cnn"
-    cfg.model.depth = 8
-    cfg.model.width = 6
-    cfg.optim.lr = 0.03
+    cfg = shipped_cfg("learning_behavior", tmp_path)
     _, spread = run_learning_behavior(cfg)
     report(6, spread["ng"] < spread["plain"],
            f"init robustness (epoch spread wrapped {spread['ng']} "
@@ -196,15 +178,7 @@ def test_accept_7_variance_stability(tmp_path):
     """Ten conv layers plus the classifier, trained the same way from the
     same seed; the wrapped net's per-layer weight variances stay closer to
     one another (smaller spread of log variance)."""
-    cfg = desk_cfg("variance_study", tmp_path, epochs=15)
-    cfg.model.family = "plain_cnn"
-    cfg.model.depth = 11
-    cfg.model.width = 6
-    cfg.dataset.kind = "synthetic_blobs"
-    cfg.dataset.n = 400
-    cfg.init = "msra"
-    cfg.optim.lr = 0.02
-    cfg.activation.trainable = True
+    cfg = shipped_cfg("variance_study", tmp_path)
     scores = {}
     for vname, res in run_variance_study(cfg).items():
         assert not res.diverged
@@ -220,12 +194,10 @@ def test_accept_7_variance_stability(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_accept_8_determinism_and_formats(tmp_path):
-    base = desk_cfg("variance_study", tmp_path / "a", epochs=2, probe_steps=2)
-    base.model.family = "mlp"
-    base.model.depth = 4
-    base.model.hidden = 8
-    base.dataset.n = 200
-    base.optim.lr = 0.05
+    base = shipped_cfg("variance_study", tmp_path / "a", "model.family=mlp",
+                       "model.depth=4", "model.hidden=8",
+                       "dataset.kind=synthetic_spirals", "dataset.n=200",
+                       "optim.lr=0.05", "epochs=2", "probe_steps=2")
     files = []
     for sub in ("a", "b"):
         cfg = copy.deepcopy(base)

@@ -11,9 +11,8 @@ from ngnet import network
 from ngnet.errors import ConfigError, ContractError
 from ngnet.network import (Activation, ActivationSpec, BatchNorm, Conv,
                            Dense, GlobalAvgPool, InitScheme, MaxPool,
-                           NetworkSpec, SoftmaxCrossEntropy, backward,
-                           build_mlp, build_plain_cnn, build_resnet,
-                           build_toy_cnn, forward, init_params)
+                           NetworkSpec, backward, build_mlp, build_plain_cnn,
+                           build_resnet, build_toy_cnn, forward, init_params)
 from ngnet.tensor import conv2d_backward, conv2d_forward
 
 RELU = ActivationSpec(base="relu")
@@ -346,6 +345,15 @@ class TestBackward:
         with pytest.raises(ContractError, match="labels"):
             backward(spec, params, cache)
 
+    def test_refuses_a_cache_of_another_network(self):
+        spec = build_mlp([5], 3, RELU, input_dim=4)
+        deeper = build_mlp([5, 5], 3, RELU, input_dim=4)
+        params = init_params(spec, InitScheme("msra", 2))
+        x = np.random.default_rng(2).standard_normal((6, 4))
+        _, _, cache = forward(spec, params, x, [0, 1, 2, 0, 1, 2])
+        with pytest.raises(ContractError, match="does not match"):
+            backward(deeper, init_params(deeper, InitScheme("msra", 2)), cache)
+
     def test_nontrainable_t_grad_zero(self):
         """A shift that does not train, fixed or plain, gets no gradient
         entry at all (and so no update); a PReLU slope still does."""
@@ -590,8 +598,8 @@ class TestShapes:
             ("Dense", {"W": (3, 16), "b": (3,)})]
 
     def test_max_pool_on_odd_spatial_dims_rejected(self):
-        spec = NetworkSpec([Conv(2), MaxPool(), GlobalAvgPool(), Dense(3),
-                            SoftmaxCrossEntropy()], (1, 5, 5), 3)
+        spec = NetworkSpec([Conv(2), MaxPool(), GlobalAvgPool(), Dense(3)],
+                           (1, 5, 5))
         with pytest.raises(ConfigError, match="odd spatial dims"):
             init_params(spec, InitScheme("msra", 0))
 

@@ -5,7 +5,7 @@ import pytest
 
 from ngnet.errors import DivergenceError
 from ngnet.network import (Activation, ActivationSpec, NetworkSpec,
-                           SoftmaxCrossEntropy, backward, forward)
+                           backward, forward)
 from ngnet.optim import (OptimConfig, PlateauSchedule, ScheduleState,
                          StepSchedule, sgd_step, zero_velocities)
 
@@ -138,7 +138,7 @@ class TestTStep:
         does not train gets no gradient, so neither it nor its velocity
         moves."""
         act = ActivationSpec(ng=True, trainable=False, granularity="layer")
-        spec = NetworkSpec([Activation(act), SoftmaxCrossEntropy()], (2,), 2)
+        spec = NetworkSpec([Activation(act)], (2,))
         params = {0: {"t": np.array([-1.0])}}
         vel = zero_velocities(params)
         x = np.array([[-3.0, 3.0], [-2.0, 2.0], [0.5, -0.5]])  # some below t
