@@ -124,6 +124,13 @@ def _linear_zg(spec, params, batch, labels, mode):
             for i in sorted(out_grads)]
 
 
+def _is_logits(spec, i):
+    """Whether layer i's output is the logits.  Each row of the
+    softmax-cross-entropy gradient there sums to zero, so its mean_g is 0
+    in exact arithmetic and np.mean(g) only rounding noise."""
+    return i == len(spec.layers) - 1
+
+
 # layerstats.csv columns only the batch-of-one probes fill
 _PROBE_ONLY = dict.fromkeys(("var_z", "var_g", "var_dw", "lower_bound",
                             "upper_bound"), float("nan"))
@@ -139,21 +146,26 @@ def mean_shift_trace(spec: NetworkSpec, params: dict, batch, labels):
     batch-norm running statistics untouched."""
     params = copy.deepcopy(params)
     return [dict(_PROBE_ONLY, layer=i, mean_z=float(np.mean(z)),
-                 mean_g=float(np.mean(g)), weight_var=_pop_var(params[i]["W"]))
+                 mean_g=0.0 if _is_logits(spec, i) else float(np.mean(g)),
+                 weight_var=_pop_var(params[i]["W"]))
             for i, z, g in _linear_zg(spec, params, batch, labels, "train")]
 
 
 def sandwich_probes(spec: NetworkSpec, params: dict, xs, ys, lr):
     """Batch-size-1 eval-mode updates of each sample of `xs` on each dense
     layer, checked against the analytic variance bounds: the
-    ``layerstats.csv`` rows but run id, with the sample's index as step."""
+    ``layerstats.csv`` rows but run id, with the sample's index as step.
+    At the logits mean_g, and with it lower_bound, is written as 0."""
     rows = []
     for k in range(len(ys)):
         for i, z, g in _linear_zg(spec, params, xs[k:k + 1], ys[k:k + 1],
                                   "eval"):
             if isinstance(spec.layers[i], Dense):
-                rows.append(dict(sandwich_check(z, g, lr), step=k, layer=i,
-                                 weight_var=_pop_var(params[i]["W"])))
+                row = dict(sandwich_check(z, g, lr), step=k, layer=i,
+                           weight_var=_pop_var(params[i]["W"]))
+                if _is_logits(spec, i):
+                    row.update(mean_g=0.0, lower_bound=0.0)
+                rows.append(row)
     return rows
 
 

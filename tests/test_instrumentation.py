@@ -211,8 +211,33 @@ class TestMeanShiftTrace:
                 assert ("b" in grads[i]) == layer.bias
         rows = mean_shift_trace(spec, params, x, y)
         assert [r["layer"] for r in rows] == linear
+        # the logits' mean_g is written as its exact value, 0
+        assert linear[-1] == len(spec.layers) - 1
         assert [r["mean_g"] for r in rows] == [float(np.mean(out_grads[i]))
-                                               for i in linear]
+                                               for i in linear[:-1]] + [0.0]
+
+    def test_logits_mean_g_is_zero(self):
+        """Each row of the loss gradient at the logits sums to zero, so the
+        logits' mean_g, and the probes' lower_bound, are written as 0, not
+        as the rounding noise of np.mean."""
+        spec = build_mlp([6, 5], 7, NG_RELU, input_dim=4)
+        params = init_params(spec, InitScheme("msra", 4))
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((9, 4))
+        y = rng.integers(0, 7, 9)
+        logits = len(spec.layers) - 1
+        _, _, cache = forward(spec, copy.deepcopy(params), x, y)
+        out_grads: dict = {}
+        backward(spec, params, cache, out_grads=out_grads)
+        np.testing.assert_allclose(out_grads[logits].sum(axis=1), 0,
+                                   rtol=0, atol=1e-16)
+        assert [r["mean_g"] for r in mean_shift_trace(spec, params, x, y)
+                if r["layer"] == logits] == [0.0]
+        probes = [r for r in sandwich_probes(spec, params, x, y, 0.1)
+                  if r["layer"] == logits]
+        assert len(probes) == 9
+        assert all(r["mean_g"] == 0.0 == r["lower_bound"] for r in probes)
+        assert all(r["var_g"] > 0 and r["upper_bound"] > 0 for r in probes)
 
 
 class TestSandwichProbes:
