@@ -11,24 +11,28 @@ windows in row-major order and keeps the rules of ``np.argmax`` over a
 window: the first maximum wins, so a tie of -0.0 and +0.0 keeps the first,
 and the first NaN wins.
 
-Convolution is unfold + GEMM (Chellapilla, Puri & Simard 2006).  The unfold
-copies the input, padded channels-last, into a contiguous
-``(B*H'*W', C*9)`` matrix with columns in the kernel's ``(C_in, 3, 3)``
-order.  These are the operands ``np.tensordot`` builds from channels-first
-patches, so the results are bitwise those of ``tensordot`` (for a batch of
-one, see ``conv2d_forward`` and ``conv2d_backward``).
+Convolution is unfold + GEMM (Chellapilla, Puri & Simard 2006) on blocks
+of samples whose unfold rows fit in ``UNFOLD_BLOCK_BYTES``, so an unfold
+larger than L2 (32x32 inputs) is neither streamed from memory once per tap
+nor read back by a batch-sized GEMM (Goto & van de Geijn 2008).  At 8x8
+and batch 32 the whole batch is one block.  GEMM output rows do not depend
+on each other, so blocking the forward and the input gradient is bitwise
+neutral; the kernel gradient's sum over blocks is not.
 
-Both directions run over blocks of samples whose unfold rows fit in
-``UNFOLD_BLOCK_BYTES``, so an unfold larger than L2 (32x32 inputs) is
-neither streamed from memory once per tap nor read back by a batch-sized
-GEMM (Goto & van de Geijn 2008).  The forward unfolds a block into one
-reused buffer and multiplies it into that block's rows of the output; the
-backward's input gradient multiplies a block of output gradients into one
-reused taps buffer and scatter-adds it.  GEMM output rows do not depend on
-the other rows, so blocking these is bitwise neutral.  The kernel gradient
-contracts over all B*H'*W' rows, and splitting that sum would change its
-rounding, so it alone still reads a batch-sized unfold.  At 8x8 and batch
-32 the whole batch is one block.
+The forward unfolds a block, padded channels-last, by nine tap copies of
+stride nine into ``(n*H'*W', C*9)`` columns in the kernel's ``(C_in, 3, 3)``
+order, the operands ``np.tensordot`` builds from channels-first patches,
+so its results are bitwise those of ``tensordot``.  It keeps that unfold
+until the benchmark stops keeping one value per finite-difference eval,
+which alone makes a faster forward read as a memory regression.
+
+The backward unfolds tap-major: one copy of a window view of the padded
+channels-last block gives ``(n*H'*W', 9*C)`` columns in ``(3, 3, C)``
+order, whose innermost run, kernel column by channel, is contiguous.  The
+kernel gradient sums ``G.T @ U`` over blocks.  The input gradient is a
+stride-1 conv of the output gradient, zero-inserted at stride 2 and padded,
+with the kernels flipped and C_in and C_out swapped (Dumoulin & Visin 2016,
+arXiv:1603.07285): one GEMM per block, no scatter-add.
 """
 
 from __future__ import annotations
@@ -52,10 +56,10 @@ def _conv_geometry(h, w, stride):
     return (h + 2 - 3) // stride + 1, (w + 2 - 3) // stride + 1
 
 
-def _block_samples(b, c, h_out, w_out):
+def _block_samples(b, c, h_out, w_out, budget=UNFOLD_BLOCK_BYTES):
     """Samples per block: as many as keep a block of unfold rows within
-    UNFOLD_BLOCK_BYTES, at most the batch and at least one."""
-    return max(1, min(b, UNFOLD_BLOCK_BYTES // (h_out * w_out * c * 9 * 8)))
+    budget bytes, at most the batch and at least one."""
+    return max(1, min(b, budget // (h_out * w_out * c * 9 * 8)))
 
 
 def _unfold_block(x, stride, xp, cols):
@@ -70,18 +74,18 @@ def _unfold_block(x, stride, xp, cols):
                                  j:j + stride * w_out:stride]
 
 
-def _unfold_channels_last(x, stride, h_out, w_out):
-    """Gather the 3x3 patches of a (B, C, H, W) batch, padded by 1, into a
-    contiguous (B*H'*W', C*9) matrix: one row per output position, columns
-    in the kernel's (C_in, 3, 3) order.  Filled block by block."""
-    b, c, h, w = x.shape
-    step = _block_samples(b, c, h_out, w_out)
-    xp = np.zeros((step, h + 2, w + 2, c))
-    cols = np.empty((b, h_out, w_out, c, 3, 3))
-    for s in range(0, b, step):
-        n = min(step, b - s)
-        _unfold_block(x[s:s + n], stride, xp[:n], cols[s:s + n])
-    return cols.reshape(b * h_out * w_out, c * 9)
+def _unfold_taps(xp, stride, h_out, w_out, cols):
+    """Copy the 3x3 windows of xp (n, H+2, W+2, C), a zero-padded
+    channels-last block, into the leading n*H'*W' rows of cols (rows,
+    9*C): one row per output position, columns in (3, 3, C) order."""
+    n, _, _, c = xp.shape
+    sn, sh, sw, sc = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (n, h_out, w_out, 3, 3, c),
+        (sn, stride * sh, stride * sw, sh, sw, sc), writeable=False)
+    u = cols[:n * h_out * w_out]
+    u.reshape(win.shape)[...] = win
+    return u
 
 
 def conv2d_forward(x, kernels, stride=1):
@@ -122,29 +126,18 @@ def conv2d_forward(x, kernels, stride=1):
 def conv2d_backward(grad_out, x, kernels, stride=1, input_grad=True):
     """Gradients of conv2d_forward w.r.t. its input and kernels.
 
-    Returns ``(grad_x, grad_k)`` shaped like ``x`` and ``kernels``; with
-    ``input_grad=False`` grad_x is not computed and ``None`` is returned in
-    its place.  With N = B*H'*W' output positions, the input is unfolded
-    into the channels-last (N, C_in*9) matrix U and
+    Returns ``(grad_x, grad_k)`` shaped like ``x`` and ``kernels``, grad_x
+    a view of a channels-last array; with ``input_grad=False`` grad_x is not
+    computed and ``None`` is returned in its place.  Per block of samples,
+    with G the block's grad_out as channels-last rows (n*H'*W', C_out):
 
-        grad_k = G @ U          G:  (C_out, N),  grad_out as (C_out, B, H', W')
-        taps   = Gt @ K         Gt: (N, C_out),  grad_out as (B, H', W', C_out)
-                                K:  (C_out, C_in*9), the kernels as stored
-
-    Both GEMMs take C-contiguous operands of exactly the shapes and layouts
-    ``np.tensordot`` builds for the same contractions over the channels-first
-    patches, so the BLAS calls, and hence the results, are bitwise the same
-    for batched input.  For a batch of one ``tensordot`` reshapes the
-    patches without copying and passes BLAS a transposed operand, so grad_k
-    may then differ in the last bit.  grad_k sums over all N rows, so U is
-    unfolded whole and freed after that GEMM.  The taps GEMM runs per block
-    of samples into one reused buffer, and each block's nine (n*H'*W', C_in)
-    taps are scatter-added in row-major tap order into one zeroed
-    channels-last padded buffer; grad_x is a (B, C, H, W) view of its
-    interior.
+        grad_k += G.T @ U       U: the tap-major unfold of x
+        grad_x  = V @ F         V: the tap-major unfold (stride 1) of G,
+                                   zero-inserted at stride 2 and padded
+                                F: (9*C_out, C_in), the kernels flipped
     """
-    x = as_f64(x)
-    grad_out = as_f64(grad_out)
+    x = np.asarray(x, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
     kernels = as_f64(kernels)
     b, c, h, w = x.shape
     c_out = kernels.shape[0]
@@ -153,26 +146,33 @@ def conv2d_backward(grad_out, x, kernels, stride=1, input_grad=True):
         raise ShapeError(
             f"grad_out shape {grad_out.shape} inconsistent with forward "
             f"output ({b}, {c_out}, {h_out}, {w_out})")
-    cols = _unfold_channels_last(x, stride, h_out, w_out)
-    g = grad_out.transpose(1, 0, 2, 3).reshape(c_out, -1)
-    grad_k = (g @ cols).reshape(kernels.shape)
-    del cols
-    if not input_grad:
-        return None, grad_k
-    k = kernels.reshape(c_out, -1)
+    g = grad_out.transpose(0, 2, 3, 1)
     step = _block_samples(b, c, h_out, w_out)
-    taps = np.empty((step, h_out, w_out, c, 3, 3))
-    gxp = np.zeros((b, h + 2, w + 2, c))
+    xp = np.zeros((step, h + 2, w + 2, c))
+    cols = np.empty((step * h_out * w_out, 9 * c))
+    gk = np.zeros((c_out, 9 * c))
     for s in range(0, b, step):
         n = min(step, b - s)
-        gt = grad_out[s:s + n].transpose(0, 2, 3, 1).reshape(-1, c_out)
-        tblk, gblk = taps[:n], gxp[s:s + n]
-        np.matmul(gt, k, out=tblk.reshape(n * h_out * w_out, c * 9))
-        for i in range(3):
-            for j in range(3):
-                gblk[:, i:i + stride * h_out:stride,
-                     j:j + stride * w_out:stride] += tblk[..., i, j]
-    return gxp[:, 1:-1, 1:-1].transpose(0, 3, 1, 2), grad_k
+        xp[:n, 1:-1, 1:-1] = x[s:s + n].transpose(0, 2, 3, 1)
+        gk += g[s:s + n].reshape(-1, c_out).T @ _unfold_taps(
+            xp[:n], stride, h_out, w_out, cols)
+    # grad_x blocks hold no more unfold bytes than these, so the wider
+    # gradient unfold of a widening conv does not raise the peak
+    step = _block_samples(b, c_out, h, w, cols.nbytes)
+    del xp, cols
+    grad_k = np.ascontiguousarray(gk.reshape(c_out, 3, 3, c).transpose(0, 3, 1, 2))
+    if not input_grad:
+        return None, grad_k
+    flipped = kernels[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)
+    gp = np.zeros((step, h + 2, w + 2, c_out))
+    cols = np.empty((step * h * w, 9 * c_out))
+    gx = np.empty((b, h, w, c))
+    for s in range(0, b, step):
+        n = min(step, b - s)
+        gp[:n, 1:1 + stride * h_out:stride, 1:1 + stride * w_out:stride] = g[s:s + n]
+        np.matmul(_unfold_taps(gp[:n], 1, h, w, cols), flipped,
+                  out=gx[s:s + n].reshape(n * h * w, c))
+    return gx.transpose(0, 3, 1, 2), grad_k
 
 
 def _windows(x):

@@ -4,13 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngnet.errors import ShapeError
-from ngnet.tensor import (UNFOLD_BLOCK_BYTES, _conv_geometry,
-                          _unfold_channels_last, conv2d_backward,
-                          conv2d_forward, global_avg_pool_backward,
-                          global_avg_pool_forward, maxpool2_backward,
-                          maxpool2_forward)
+from ngnet.tensor import (UNFOLD_BLOCK_BYTES, _conv_geometry, _unfold_taps,
+                          conv2d_backward, conv2d_forward,
+                          global_avg_pool_backward, global_avg_pool_forward,
+                          maxpool2_backward, maxpool2_forward)
 
 
 def naive_conv2d(x, k, stride):
@@ -48,9 +49,10 @@ def tensordot_conv2d_forward(x, k, stride):
 
 
 def batch_conv2d_backward(g, x, k, stride):
-    """Reference for conv2d_backward, which must match it bitwise: both
-    GEMMs on one batch-sized channels-last unfold and one batch-sized taps
-    array, scatter-added in row-major tap order."""
+    """Reference for conv2d_backward, within the float64 sum bound (see
+    assert_within_sum_bound): both GEMMs on one batch-sized channels-last
+    unfold in (C_in, 3, 3) column order and one batch-sized taps array,
+    scatter-added in row-major tap order."""
     b, c, h, w = x.shape
     c_out = k.shape[0]
     h_out, w_out = _conv_geometry(h, w, stride)
@@ -122,6 +124,24 @@ def naive_conv2d_backward(g, x, k, stride):
                             gk[co, ci, di, dj] += g[co, i, j] * xp[ci, r, s]
                             gxp[ci, r, s] += g[co, i, j] * k[co, ci, di, dj]
     return gxp[:, 1:-1, 1:-1], gk
+
+
+def assert_within_sum_bound(got, want, abs_sum, n):
+    """Each element of got within the float64 bound for a sum of n terms,
+    n*eps*sum(|term|), of want; abs_sum holds the sums of |term|.  These
+    sums are long enough to cancel, so a bound relative to the result
+    would not hold."""
+    eps = np.finfo(np.float64).eps
+    assert got.shape == want.shape
+    assert (abs(got - want) <= n * eps * abs_sum).all()
+
+
+def assert_backward_near(gx, gk, want_x, want_k, g, x, k, stride):
+    """Both gradients within the sum bound: n = 9*C_out terms for grad_x,
+    B*H'*W' for grad_k."""
+    abs_x, abs_k = conv2d_backward(abs(g), abs(x), abs(k), stride)
+    assert_within_sum_bound(gx, want_x, abs_x, 9 * k.shape[0])
+    assert_within_sum_bound(gk, want_k, abs_k, g[:, 0].size)
 
 
 class TestConv2d:
@@ -210,12 +230,59 @@ class TestConv2dBackward:
 
     @pytest.mark.parametrize("shape", CONV_SHAPES)
     def test_bitwise_equals_batch_reference(self, shape):
-        """Blocking the taps GEMM and the scatter-add changes no bit of
-        either gradient."""
+        """Against the scatter-add kernel on (C_in, 3, 3) columns, which
+        sums in another order: both gradients within the float64 sum
+        bound, and of the same layout."""
         x, k, g, stride = conv_case(shape)
         want_x, want_k = batch_conv2d_backward(g, x, k, stride)
         gx, gk = conv2d_backward(g, x, k, stride)
-        assert np.array_equal(gx, want_x) and np.array_equal(gk, want_k)
+        assert_backward_near(gx, gk, want_x, want_k, g, x, k, stride)
+        assert gk.flags.c_contiguous
+        assert gx.transpose(0, 2, 3, 1).flags.c_contiguous
+
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_input_grad_of_a_sample_alone_is_bitwise_its_slice(self, shape):
+        """grad_x's GEMM rows are independent of each other, so neither the
+        blocks nor the batch around a sample change its bits."""
+        x, k, g, stride = conv_case(shape)
+        gx, _ = conv2d_backward(g, x, k, stride)
+        for n in range(x.shape[0]):
+            alone, _ = conv2d_backward(g[n:n + 1], x[n:n + 1], k, stride)
+            assert np.array_equal(alone, gx[n:n + 1])
+
+    def test_backward_peak_memory(self):
+        """The 96-sample eval backward at 8 channels and 32x32 holds no
+        batch-sized unfold (54 MiB): its peak stays below grad_x, one padded
+        block of input or gradient and two unfold blocks."""
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((96, 8, 32, 32))
+        k = rng.standard_normal((8, 8, 3, 3))
+        g = rng.standard_normal((96, 32, 32, 8)).transpose(0, 3, 1, 2)
+        tracemalloc.start()
+        try:
+            gx, _ = conv2d_backward(g, x, k, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded_block = 8 * 34 * 34 * x.itemsize
+        assert peak < gx.nbytes + padded_block + 2 * UNFOLD_BLOCK_BYTES
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5),
+           st.integers(1, 8), st.integers(1, 8), st.sampled_from([1, 2]),
+           st.integers(0, 2 ** 31))
+    def test_against_loop_oracle_any_shape(self, b, c, c_out, h, w, stride,
+                                           seed):
+        """Odd and even H and W: at stride 2 the zero-inserted gradient's
+        last row or column is padding exactly when H or W is even."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((b, c, h, w))
+        k = rng.standard_normal((c_out, c, 3, 3))
+        g = rng.standard_normal((b, c_out) + _conv_geometry(h, w, stride))
+        want = [naive_conv2d_backward(g[n], x[n], k, stride) for n in range(b)]
+        gx, gk = conv2d_backward(g, x, k, stride)
+        assert_backward_near(gx, gk, np.stack([gx for gx, _ in want]),
+                             sum(gk for _, gk in want), g, x, k, stride)
 
     @pytest.mark.parametrize("shape", [(32, 3, 32, 32, 8, 1),
                                        (32, 3, 8, 8, 6, 1),
@@ -246,22 +313,15 @@ class TestConv2dBackward:
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_against_loop_oracle_across_blocks(self, stride):
-        """Five 8x32x32 samples: at stride 1 the unfold spans five blocks.
-        These sums are long enough to cancel, so each element is held to the
-        float64 bound for a sum of n terms, n*eps*sum(|term|), rather than to
-        a bound relative to the result."""
+        """Five 8x32x32 samples: at stride 1 the unfold spans five blocks."""
         rng = np.random.default_rng(7 + stride)
         x = rng.standard_normal((5, 8, 32, 32))
         k = rng.standard_normal((3, 8, 3, 3))
         g = rng.standard_normal((5, 3) + _conv_geometry(32, 32, stride))
         want = [naive_conv2d_backward(g[n], x[n], k, stride) for n in range(5)]
-        want_x = np.stack([gx for gx, _ in want])
-        want_k = sum(gk for _, gk in want)
-        abs_x, abs_k = conv2d_backward(abs(g), abs(x), abs(k), stride)
         gx, gk = conv2d_backward(g, x, k, stride)
-        eps = np.finfo(np.float64).eps
-        assert (abs(gx - want_x) <= 3 * 9 * eps * abs_x).all()
-        assert (abs(gk - want_k) <= g[:, 0].size * eps * abs_k).all()
+        assert_backward_near(gx, gk, np.stack([gx for gx, _ in want]),
+                             sum(gk for _, gk in want), g, x, k, stride)
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("stride", [1, 2])
@@ -290,17 +350,37 @@ class TestConv2dBackward:
                 assert abs(fd - gflat[j]) / max(abs(fd), abs(gflat[j]), 1e-8) < 1e-4
 
 
+def loop_unfold_taps(xp, stride, h_out, w_out):
+    """Nine tap copies of a padded channels-last block into (3, 3, C)
+    columns."""
+    n, c = xp.shape[0], xp.shape[3]
+    cols = np.empty((n, h_out, w_out, 3, 3, c))
+    for i in range(3):
+        for j in range(3):
+            cols[:, :, :, i, j] = xp[:, i:i + stride * h_out:stride,
+                                     j:j + stride * w_out:stride]
+    return cols.reshape(-1, 9 * c)
+
+
 class TestUnfold:
-    def test_blocks_equal_per_sample_unfolds(self):
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_blocks_equal_per_sample_unfolds(self, stride):
+        """A block fills the leading rows of a larger buffer with the
+        per-sample unfolds, stacked; odd H and W at stride 2."""
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((5, 8, 32, 32))
-        cols = _unfold_channels_last(x, 1, 32, 32)
-        per_sample = cols.nbytes // 5  # 589824 bytes
-        assert UNFOLD_BLOCK_BYTES // per_sample < 5  # several blocks
-        want = np.concatenate([_unfold_channels_last(x[n:n + 1], 1, 32, 32)
+        xp = np.pad(rng.standard_normal((5, 7, 9, 4)),
+                    ((0, 0), (1, 1), (1, 1), (0, 0)))
+        h_out, w_out = _conv_geometry(7, 9, stride)
+        cols = np.full((6 * h_out * w_out, 36), np.nan)
+        u = _unfold_taps(xp, stride, h_out, w_out, cols)
+        assert np.shares_memory(u, cols) and u.flags.c_contiguous
+        assert u.shape == (5 * h_out * w_out, 36)
+        assert np.isnan(cols[len(u):]).all()
+        want = np.concatenate([_unfold_taps(xp[n:n + 1], stride, h_out,
+                                            w_out, cols.copy())
                                for n in range(5)])
-        assert cols.flags.c_contiguous
-        assert np.array_equal(cols, want)
+        assert np.array_equal(u, want)
+        assert np.array_equal(u, loop_unfold_taps(xp, stride, h_out, w_out))
 
 
 def argmax_maxpool2_forward(x):
