@@ -242,11 +242,14 @@ def _validate(cfg: ExperimentConfig):
         if not _is_count(get(name), 1):
             raise ConfigError(f"{name} must be a positive integer, "
                               f"got {get(name)!r}")
+    if cfg.dataset.classes < 2:
+        raise ConfigError(f"dataset.classes must be at least 2, "
+                          f"got {cfg.dataset.classes}")
     hidden = cfg.model.hidden
-    if not all(_is_count(h, 1) for h in
-               (hidden if isinstance(hidden, list) else [hidden])):
-        raise ConfigError(f"model.hidden must be positive integers, "
-                          f"got {hidden!r}")
+    widths = hidden if isinstance(hidden, list) else [hidden]
+    if not widths or not all(_is_count(h, 1) for h in widths):
+        raise ConfigError(f"model.hidden must be one or more positive "
+                          f"integers, got {hidden!r}")
     for name in ("model.with_bn", "dataset.augment", "dataset.as_images",
                  "activation.ng", "activation.trainable"):
         if not isinstance(get(name), bool):
@@ -291,8 +294,10 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(
                 f"batch_size={cfg.batch_size} leaves a training batch of one "
                 f"of the {n_train} samples; batch norm needs batch size >= 2")
-    if not all(_is_number(t) and math.isfinite(t) for t in cfg.t_values):
-        raise ConfigError(f"t_values must be finite numbers, got {cfg.t_values!r}")
+    if not cfg.t_values or not all(_is_number(t) and math.isfinite(t)
+                                   for t in cfg.t_values):
+        raise ConfigError(f"t_values must be one or more finite numbers, "
+                          f"got {cfg.t_values!r}")
     for name in ("lr", "momentum", "weight_decay", "t_lr", "t_momentum"):
         value = getattr(cfg.optim, name)
         if not _is_number(value):

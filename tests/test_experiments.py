@@ -567,6 +567,9 @@ class TestCli:
         ("dataset.kind=cifar10_binary dataset.path=nowhere.bin",
          "dataset.path"),
         ("convergence_margin=0.1", "convergence_margin"),
+        ("dataset.classes=1", "dataset.classes"),
+        ("model.hidden=,", "model.hidden"),
+        ("experiment=capacity_sweep t_values=,", "t_values"),
     ])
     def test_invalid_config_is_a_clean_error(self, tmp_path, capsys,
                                              override, name):
