@@ -273,8 +273,9 @@ class TestConv2dBackward:
            st.integers(0, 2 ** 31))
     def test_against_loop_oracle_any_shape(self, b, c, c_out, h, w, stride,
                                            seed):
-        """Odd and even H and W: at stride 2 the zero-inserted gradient's
-        last row or column is padding exactly when H or W is even."""
+        """Odd and even H and W: at stride 2 the zero-inserted gradient
+        ends in two zero rows (columns) when H (W) is even, in one when it
+        is odd."""
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((b, c, h, w))
         k = rng.standard_normal((c_out, c, 3, 3))
@@ -363,24 +364,25 @@ def loop_unfold_taps(xp, stride, h_out, w_out):
 
 
 class TestUnfold:
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_blocks_equal_per_sample_unfolds(self, stride):
+    def test_blocks_equal_per_sample_unfolds(self):
         """A block fills the leading rows of a larger buffer with the
-        per-sample unfolds, stacked; odd H and W at stride 2."""
+        per-sample unfolds, stacked; odd H and W, both strides."""
         rng = np.random.default_rng(11)
         xp = np.pad(rng.standard_normal((5, 7, 9, 4)),
                     ((0, 0), (1, 1), (1, 1), (0, 0)))
-        h_out, w_out = _conv_geometry(7, 9, stride)
-        cols = np.full((6 * h_out * w_out, 36), np.nan)
-        u = _unfold_taps(xp, stride, h_out, w_out, cols)
-        assert np.shares_memory(u, cols) and u.flags.c_contiguous
-        assert u.shape == (5 * h_out * w_out, 36)
-        assert np.isnan(cols[len(u):]).all()
-        want = np.concatenate([_unfold_taps(xp[n:n + 1], stride, h_out,
-                                            w_out, cols.copy())
-                               for n in range(5)])
-        assert np.array_equal(u, want)
-        assert np.array_equal(u, loop_unfold_taps(xp, stride, h_out, w_out))
+        for stride in (1, 2):
+            h_out, w_out = _conv_geometry(7, 9, stride)
+            cols = np.full((6 * h_out * w_out, 36), np.nan)
+            u = _unfold_taps(xp, stride, h_out, w_out, cols)
+            assert np.shares_memory(u, cols) and u.flags.c_contiguous
+            assert u.shape == (5 * h_out * w_out, 36)
+            assert np.isnan(cols[len(u):]).all()
+            want = np.concatenate([_unfold_taps(xp[n:n + 1], stride, h_out,
+                                                w_out, cols.copy())
+                                   for n in range(5)])
+            assert np.array_equal(u, want)
+            assert np.array_equal(u, loop_unfold_taps(xp, stride, h_out,
+                                                      w_out))
 
 
 def argmax_maxpool2_forward(x):
