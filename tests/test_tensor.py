@@ -50,7 +50,7 @@ def tensordot_conv2d_forward(x, k, stride):
 
 def batch_conv2d_backward(g, x, k, stride):
     """Reference for conv2d_backward, within the float64 sum bound (see
-    assert_within_sum_bound): both GEMMs on one batch-sized channels-last
+    assert_backward_near): both GEMMs on one batch-sized channels-last
     unfold in (C_in, 3, 3) column order and one batch-sized taps array,
     scatter-added in row-major tap order."""
     b, c, h, w = x.shape
@@ -126,22 +126,16 @@ def naive_conv2d_backward(g, x, k, stride):
     return gxp[:, 1:-1, 1:-1], gk
 
 
-def assert_within_sum_bound(got, want, abs_sum, n):
-    """Each element of got within the float64 bound for a sum of n terms,
-    n*eps*sum(|term|), of want; abs_sum holds the sums of |term|.  These
-    sums are long enough to cancel, so a bound relative to the result
-    would not hold."""
-    eps = np.finfo(np.float64).eps
-    assert got.shape == want.shape
-    assert (abs(got - want) <= n * eps * abs_sum).all()
-
-
 def assert_backward_near(gx, gk, want_x, want_k, g, x, k, stride):
-    """Both gradients within the sum bound: n = 9*C_out terms for grad_x,
-    B*H'*W' for grad_k."""
+    """Each element of both gradients within the float64 bound for a sum of
+    n terms, n*eps*sum(|term|), of the wanted one: n = 9*C_out for grad_x,
+    B*H'*W' for grad_k.  These sums are long enough to cancel, so a bound
+    relative to the result would not hold."""
     abs_x, abs_k = conv2d_backward(abs(g), abs(x), abs(k), stride)
-    assert_within_sum_bound(gx, want_x, abs_x, 9 * k.shape[0])
-    assert_within_sum_bound(gk, want_k, abs_k, g[:, 0].size)
+    eps = np.finfo(np.float64).eps
+    assert gx.shape == want_x.shape and gk.shape == want_k.shape
+    assert (abs(gx - want_x) <= 9 * k.shape[0] * eps * abs_x).all()
+    assert (abs(gk - want_k) <= g[:, 0].size * eps * abs_k).all()
 
 
 class TestConv2d:
