@@ -10,7 +10,7 @@ from .activations import (make_base, ng_backward_input, ng_forward, ng_grad_t,
 from .network import (ActivationSpec, InitScheme, NetworkSpec, backward,
                       build_mlp, build_plain_cnn, build_resnet, build_toy_cnn,
                       forward, init_params)
-from .optim import OptimConfig, PlateauSchedule, StepSchedule, sgd_step
+from .optim import OptimConfig, StepSchedule, sgd_step
 from .instrumentation import (grad_check, sandwich_check, variance_bounds,
                               weight_variance_trace)
 
@@ -20,7 +20,7 @@ __all__ = [
     "ActivationSpec", "InitScheme", "NetworkSpec", "forward", "backward",
     "build_mlp", "build_plain_cnn", "build_resnet", "build_toy_cnn",
     "init_params",
-    "OptimConfig", "StepSchedule", "PlateauSchedule", "sgd_step",
+    "OptimConfig", "StepSchedule", "sgd_step",
     "grad_check", "sandwich_check", "variance_bounds",
     "weight_variance_trace",
 ]

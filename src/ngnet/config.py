@@ -21,14 +21,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass
-from functools import reduce
 
 from .activations import GRANULARITIES
 from .datasets import synthetic_train_count
 from .errors import ConfigError
 from .network import (INIT_SCHEMES, ActivationSpec, check_depth,
                       check_input_hw)
-from .optim import OptimConfig, PlateauSchedule, StepSchedule
+from .optim import OptimConfig, StepSchedule
 
 EXPERIMENT_KINDS = ("single_run", "capacity_sweep", "critical_depth",
                     "learning_behavior", "variance_study")
@@ -44,8 +43,6 @@ def _parse_scalar(s: str):
         return True
     if low in ("false", "no", "off"):
         return False
-    if low in ("none", "null"):
-        return None
     for cast in (int, float):
         try:
             return cast(s)
@@ -130,6 +127,7 @@ class ExperimentConfig:
     activation: ActivationSpec = field(default_factory=ActivationSpec)
     init: str = "msra"
     optim: OptimConfig = field(default_factory=OptimConfig)
+    schedule: StepSchedule = field(default_factory=StepSchedule)
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     epochs: int = 30
     batch_size: int = 32
@@ -187,25 +185,72 @@ def _is_count(value, least):
     return _is_number(value) and isinstance(value, int) and value >= least
 
 
-def _validate_schedule(s):
-    if s is None:
-        return
-    if not isinstance(s, (StepSchedule, PlateauSchedule)):
-        raise ConfigError(f"optim.schedule is set by the schedule.* keys, "
-                          f"got {s!r}")
-    checks = [("factor", _is_number(s.factor) and 0 < s.factor < math.inf,
-               "a finite number > 0")]
-    if isinstance(s, StepSchedule):
-        checks += [("epochs", all(_is_count(e, 0) for e in s.epochs),
-                    "integers >= 0")]
-    else:
-        checks += [("patience", _is_count(s.patience, 1), "a positive integer"),
-                   ("metric", s.metric in ("train_loss", "test_error"),
-                    "train_loss or test_error")]
-    for key, ok, what in checks:
-        if not ok:
-            raise ConfigError(f"schedule.{key} must be {what}, "
-                              f"got {getattr(s, key)!r}")
+def _listed(value):
+    """A list key's value as a list: one value parses as a scalar."""
+    return value if isinstance(value, list) else [value]
+
+
+def _one_of(allowed):
+    return (lambda v: v in allowed), f"one of {allowed}"
+
+
+def _each(ok, what):
+    """A list key that holds one or more values, each passing `ok`."""
+    return (lambda v: _listed(v) != [] and all(map(ok, _listed(v))),
+            f"one or more {what}")
+
+
+POSITIVE = (lambda v: _is_count(v, 1), "a positive integer")
+NUMBER = (_is_number, "a number")
+NON_NEGATIVE = (lambda v: _is_number(v) and 0 <= v < math.inf,
+                "a finite number >= 0")
+BOOL = (lambda v: isinstance(v, bool), "true or false")
+TEXT = (lambda v: isinstance(v, str), "text")
+
+# Every leaf key of ExperimentConfig -> (predicate, what its value must
+# be).  A key without a rule fails every load; the rules that join keys are
+# in _validate.  One model.hidden value is the width of every hidden layer.
+RULES = {
+    "experiment": _one_of(EXPERIMENT_KINDS), "init": _one_of(INIT_SCHEMES),
+    "model.family": _one_of(FAMILIES), "model.with_bn": BOOL,
+    "model.depth": POSITIVE, "model.width": POSITIVE,
+    "model.input_hw": POSITIVE, "model.in_channels": POSITIVE,
+    "model.hidden": _each(lambda h: _is_count(h, 1), "positive integers"),
+    "activation.base": TEXT, "activation.t_init": NUMBER,
+    "activation.ng": BOOL, "activation.trainable": BOOL,
+    "activation.granularity": _one_of(GRANULARITIES),
+    "activation.base_kwargs": (lambda v: isinstance(v, dict),
+                               "keyword arguments"),
+    "optim.lr": NUMBER, "optim.momentum": NUMBER,
+    "optim.weight_decay": NUMBER,
+    "optim.t_lr": NUMBER, "optim.t_momentum": NUMBER,
+    "schedule.epochs": (lambda v: all(_is_count(e, 0) for e in v),
+                        "integers >= 0"),
+    "schedule.factor": (lambda v: _is_number(v) and 0 < v < math.inf,
+                        "a finite number > 0"),
+    "dataset.kind": _one_of(DATASET_KINDS), "dataset.path": TEXT,
+    "dataset.classes": (lambda v: _is_count(v, 2), "an integer >= 2"),
+    "dataset.n": POSITIVE, "dataset.dims": POSITIVE,
+    "dataset.subset": POSITIVE,
+    "dataset.spread": NON_NEGATIVE, "dataset.noise": NON_NEGATIVE,
+    "dataset.augment": BOOL, "dataset.as_images": BOOL,
+    "epochs": POSITIVE, "batch_size": POSITIVE, "probe_steps": POSITIVE,
+    "depth_start": POSITIVE, "depth_step": POSITIVE, "depth_count": POSITIVE,
+    "seed": (lambda v: _is_count(v, 0), "an integer >= 0"),
+    "out": TEXT, "run_id": TEXT,
+    "t_values": _each(lambda t: _is_number(t) and math.isfinite(t),
+                      "finite numbers"),
+}
+
+
+def _leaves(obj, prefix=""):
+    """(dotted key, value) of every leaf field of a config and its sections."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, prefix + f.name + ".")
+        else:
+            yield prefix + f.name, value
 
 
 def _built_depths(cfg: ExperimentConfig):
@@ -222,45 +267,19 @@ def _name_key(key, check, *args):
     """Run a builder's check, naming the config key a refusal comes from."""
     try:
         check(*args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError, TypeError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
 
 def _validate(cfg: ExperimentConfig):
     """Reject types and ranges the run would otherwise trip over, or run
-    with silently, once every override has been applied.  Every key is
-    checked, also one the experiment does not read."""
-    def get(name):
-        return reduce(getattr, name.split("."), cfg)
-
-    if not _is_count(cfg.seed, 0):
-        raise ConfigError(f"seed must be an integer >= 0, got {cfg.seed!r}")
-    for name in ("epochs", "batch_size", "model.depth", "model.width",
-                 "model.input_hw", "model.in_channels", "dataset.n",
-                 "dataset.classes", "dataset.dims", "dataset.subset",
-                 "depth_start", "depth_step", "depth_count", "probe_steps"):
-        if not _is_count(get(name), 1):
-            raise ConfigError(f"{name} must be a positive integer, "
-                              f"got {get(name)!r}")
-    if cfg.dataset.classes < 2:
-        raise ConfigError(f"dataset.classes must be at least 2, "
-                          f"got {cfg.dataset.classes}")
-    hidden = cfg.model.hidden
-    widths = hidden if isinstance(hidden, list) else [hidden]
-    if not widths or not all(_is_count(h, 1) for h in widths):
-        raise ConfigError(f"model.hidden must be one or more positive "
-                          f"integers, got {hidden!r}")
-    for name in ("model.with_bn", "dataset.augment", "dataset.as_images",
-                 "activation.ng", "activation.trainable"):
-        if not isinstance(get(name), bool):
-            raise ConfigError(f"{name} must be true or false, "
-                              f"got {get(name)!r}")
-    for name, allowed in (("init", INIT_SCHEMES), ("model.family", FAMILIES),
-                          ("dataset.kind", DATASET_KINDS),
-                          ("activation.granularity", GRANULARITIES)):
-        if get(name) not in allowed:
-            raise ConfigError(f"{name} must be one of {allowed}, "
-                              f"got {get(name)!r}")
+    with silently, once every override has been applied: every leaf key by
+    its rule in RULES, also one the experiment does not read, then the
+    rules that join keys."""
+    for key, value in _leaves(cfg):
+        ok, what = RULES[key]
+        if not ok(value):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
     family = cfg.model.family
     where, depths = _built_depths(cfg)
     for depth in depths:
@@ -274,11 +293,6 @@ def _validate(cfg: ExperimentConfig):
     if d.kind == "cifar10_binary" and not os.path.isfile(d.path):
         raise ConfigError(f"dataset.path: no CIFAR-10 batch file at "
                           f"{d.path!r}")
-    for name in ("spread", "noise"):
-        value = getattr(d, name)
-        if not _is_number(value) or not 0 <= value < math.inf:
-            raise ConfigError(f"dataset.{name} must be a finite number >= 0, "
-                              f"got {value!r}")
     if d.kind in ("synthetic_blobs", "synthetic_spirals"):
         n_train = synthetic_train_count(d.kind, d.n, d.classes)
         if n_train < 1:
@@ -294,64 +308,18 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(
                 f"batch_size={cfg.batch_size} leaves a training batch of one "
                 f"of the {n_train} samples; batch norm needs batch size >= 2")
-    if not cfg.t_values or not all(_is_number(t) and math.isfinite(t)
-                                   for t in cfg.t_values):
-        raise ConfigError(f"t_values must be one or more finite numbers, "
-                          f"got {cfg.t_values!r}")
-    for name in ("lr", "momentum", "weight_decay", "t_lr", "t_momentum"):
-        value = getattr(cfg.optim, name)
-        if not _is_number(value):
-            raise ConfigError(f"optim.{name} must be a number, got {value!r}")
-    try:
-        cfg.optim.validate()
-    except ValueError as exc:
-        raise ConfigError(f"optim: {exc}") from None
-    _validate_schedule(cfg.optim.schedule)
-    act = cfg.activation
-    if not _is_number(act.t_init):
-        raise ConfigError(f"activation.t_init must be a number, got {act.t_init!r}")
-    try:
-        act.make_base()
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"activation.base, activation.base_kwargs: "
-                          f"{exc}") from None
-
-
-def _build_schedule(sched):
-    if not isinstance(sched, dict):
-        raise ConfigError(f"'schedule' is a section; set its keys as "
-                          f"schedule.<key>, got {sched!r}")
-    kind = sched.get("kind", "step")
-    if kind not in ("step", "plateau"):
-        raise ConfigError(f"unknown schedule kind {kind!r}")
-    keys = ("epochs",) if kind == "step" else ("patience", "metric")
-    for key in sched:
-        if key not in ("kind", "factor") + keys:
-            raise ConfigError(f"unknown config key 'schedule.{key}' for a "
-                              f"{kind} schedule")
-    factor = sched.get("factor", 0.1)
-    if kind == "plateau":
-        return PlateauSchedule(patience=sched.get("patience", 10), factor=factor,
-                               metric=sched.get("metric", "train_loss"))
-    epochs = sched.get("epochs", [])
-    return StepSchedule(epochs=epochs if isinstance(epochs, list) else [epochs],
-                        factor=factor)
+    _name_key("optim", cfg.optim.validate)
+    _name_key("activation.base, activation.base_kwargs",
+              cfg.activation.make_base)
 
 
 def build_experiment_config(raw: dict) -> ExperimentConfig:
-    raw = dict(raw)
     cfg = ExperimentConfig()
-    sched = raw.pop("schedule", None)
     _fill(cfg, raw)
-    if sched is not None:
-        cfg.optim.schedule = _build_schedule(sched)
-
-    if cfg.experiment not in EXPERIMENT_KINDS:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     if cfg.seed is None:
         raise ConfigError("seed is mandatory")
-    if not isinstance(cfg.t_values, list):
-        cfg.t_values = [cfg.t_values]  # a single value parses as a scalar
+    cfg.t_values = _listed(cfg.t_values)
+    cfg.schedule.epochs = _listed(cfg.schedule.epochs)
     _validate(cfg)
     if not cfg.run_id:
         cfg.run_id = f"{cfg.experiment}-s{cfg.seed}"

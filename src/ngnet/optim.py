@@ -1,5 +1,5 @@
 """SGD with momentum and weight decay, the momentum rule for the activation
-shift t, and learning-rate schedules.
+shift t, and the step learning-rate schedule.
 
 Weight decay is coupled L2 (added to the gradient before the momentum
 accumulation) and applies only to conv/dense weight matrices, never to
@@ -21,21 +21,14 @@ from .errors import DivergenceError
 
 DECAYED_KEYS = {"W"}
 NON_GRADIENT_KEYS = {"running_mean", "running_var"}
-# a plateau metric must fall by more than this to count as an improvement
-PLATEAU_THRESHOLD = 1e-4
 
 
 @dataclass
 class StepSchedule:
+    """Cut the learning rate by `factor` at each of `epochs` (0-based); no
+    epochs, no cut."""
     epochs: list = field(default_factory=list)
     factor: float = 0.1
-
-
-@dataclass
-class PlateauSchedule:
-    patience: int = 10
-    factor: float = 0.1
-    metric: str = "train_loss"  # or "test_error"
 
 
 @dataclass
@@ -45,7 +38,6 @@ class OptimConfig:
     weight_decay: float = 0.0005
     t_lr: float = None
     t_momentum: float = None
-    schedule: object = None
 
     def __post_init__(self):
         if self.t_lr is None:
@@ -109,35 +101,11 @@ def sgd_step(params: dict, grads: dict, velocities: dict, cfg: OptimConfig,
                 w -= lr * v
 
 
-class ScheduleState:
-    """Tracks the cumulative learning-rate multiplier across epochs."""
-
-    def __init__(self, schedule):
-        self.schedule = schedule
-        self.multiplier = 1.0
-        self._best = None
-        self._stale = 0
-
-    def epoch_multiplier(self, epoch: int, metric: float = None) -> float:
-        """Multiplier to use for `epoch` (0-based), given the previous
-        epoch's metric value for plateau schedules."""
-        s = self.schedule
-        if s is None:
-            return self.multiplier
-        if isinstance(s, StepSchedule):
-            if epoch in s.epochs:
-                self.multiplier *= s.factor
-        elif isinstance(s, PlateauSchedule):
-            if metric is not None:
-                if self._best is None \
-                        or metric < self._best - PLATEAU_THRESHOLD:
-                    self._best = metric
-                    self._stale = 0
-                else:
-                    self._stale += 1
-                    if self._stale >= s.patience:
-                        self.multiplier *= s.factor
-                        self._stale = 0
-        else:
-            raise ValueError(f"unknown schedule {s!r}")
-        return self.multiplier
+def lr_multiplier(schedule: StepSchedule, epoch: int) -> float:
+    """The learning-rate multiplier in `epoch` (0-based): one `factor` per
+    distinct cut epoch up to and including `epoch`, multiplied in turn onto
+    1.0."""
+    mult = 1.0
+    for _ in {e for e in schedule.epochs if e <= epoch}:
+        mult *= schedule.factor
+    return mult

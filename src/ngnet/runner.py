@@ -26,7 +26,7 @@ from .errors import ConfigError, DivergenceError
 from .network import (InitScheme, NetworkSpec, backward, build_mlp,
                       build_plain_cnn, build_resnet, build_toy_cnn, forward,
                       init_params)
-from .optim import PlateauSchedule, ScheduleState, sgd_step, zero_velocities
+from .optim import lr_multiplier, sgd_step, zero_velocities
 
 # a run converged if its final train accuracy beats chance by this much
 CONVERGENCE_MARGIN = 0.1
@@ -127,15 +127,13 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
     spec = build_model(cfg, data.num_classes)
     params = init_params(spec, InitScheme(cfg.init, cfg.seed))
     velocities = zero_velocities(params)
-    sched = ScheduleState(cfg.optim.schedule)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(99,)))
     res = RunResult(cfg.run_id, spec=spec, params=params)
 
     n = len(data.train_y)
     step = 0
-    last_metric = None
     for epoch in range(cfg.epochs):
-        mult = sched.epoch_multiplier(epoch, last_metric)
+        mult = lr_multiplier(cfg.schedule, epoch)
         perm = rng.permutation(n)
         loss_sum = hits = seen = 0
         diverged = False
@@ -174,11 +172,6 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
                              test_acc=float(test_acc), diverged=False))
         res.max_train_acc = max(res.max_train_acc, float(train_acc))
         res.final_train_acc = float(train_acc)
-        if isinstance(cfg.optim.schedule, PlateauSchedule) \
-                and cfg.optim.schedule.metric == "test_error":
-            last_metric = 1.0 - test_acc
-        else:
-            last_metric = train_loss
         if collect_stats:
             _collect_epoch_stats(res, data, epoch + 1, step)
     t_means = [row["t_mean"] for row in instr.t_trace(spec, params)]

@@ -170,11 +170,10 @@ class TestConfig:
         raw = parse_config_text("""
         experiment = single_run
         seed = 1
-        schedule.kind = step
         schedule.epochs = 10,20
         """)
         cfg = build_experiment_config(raw)
-        assert cfg.optim.schedule.epochs == [10, 20]
+        assert cfg.schedule.epochs == [10, 20]
 
     def test_base_kwargs_is_a_dict_key(self):
         raw = parse_config_text("""

@@ -18,7 +18,8 @@ import pytest
 
 from ngnet import runner
 from ngnet.cli import main as cli_main
-from ngnet.config import ExperimentConfig, build_experiment_config, load_config
+from ngnet.config import (RULES, ExperimentConfig, build_experiment_config,
+                          load_config)
 from ngnet.csvio import SCHEMAS, emit_csv, read_csv
 from ngnet.datasets import write_cifar10_records
 from ngnet.errors import ConfigError, NgnetError
@@ -483,6 +484,18 @@ class TestCli:
         assert len(rows) == 3
         assert rows[0]["run_id"] == "single_run-s9"
 
+    def test_step_schedule_reaches_metrics(self, tmp_path):
+        """A cut at 0-based epoch 1 first shows in the row epoch = 2."""
+        cfg = self.write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli_main(["run", "--config", cfg, "--out", out,
+                         "--override", "epochs=3",
+                         "--override", "schedule.epochs=1",
+                         "--override", "schedule.factor=0.5"]) == 0
+        rows = read_csv(os.path.join(out, "metrics.csv"))
+        assert [(int(r["epoch"]), float(r["lr_multiplier"]))
+                for r in rows] == [(1, 1.0), (2, 0.5), (3, 0.5)]
+
     def test_sweep_runs_configured_experiment(self, tmp_path, capsys):
         text = CONFIG_TEXT.replace("experiment = single_run",
                                    "experiment = capacity_sweep") \
@@ -526,18 +539,18 @@ class TestCli:
         ("dataset=blobs", "dataset"),
         ("activation=relu", "activation"),
         ("optim.schedule=foo", "optim.schedule"),
+        ("optim.schedule=none", "optim.schedule"),
         ("schedule=step", "schedule"),
         ("schedule.pateince=3", "schedule.pateince"),
-        ("schedule.kind=plateau schedule.pateince=3", "schedule.pateince"),
+        ("schedule.kind=step", "schedule.kind"),
+        ("schedule.patience=3", "schedule.patience"),
+        ("schedule.metric=train_loss", "schedule.metric"),
         ("schedule.factor=abc", "schedule.factor"),
         ("schedule.epochs=1 schedule.factor=abc", "schedule.factor"),
         ("schedule.factor=-1", "schedule.factor"),
         ("schedule.factor=inf", "schedule.factor"),
-        ("schedule.kind=plateau schedule.metric=foo", "schedule.metric"),
         ("schedule.epochs=abc", "schedule.epochs"),
         ("schedule.epochs=1,-1", "schedule.epochs"),
-        ("schedule.kind=plateau schedule.patience=abc", "schedule.patience"),
-        ("schedule.kind=plateau schedule.patience=0", "schedule.patience"),
         ("epochs.x=1", "epochs.x"),
         ("model.input_hw=0", "model.input_hw"),
         ("model.family=plain_cnn model.depth=8 model.input_hw=6",
@@ -585,6 +598,13 @@ class TestCli:
         assert cli_main(argv) == 2
         assert name in capsys.readouterr().err
         assert not out.exists()
+
+    def test_every_key_has_a_rule(self):
+        """config.RULES holds exactly the leaf keys: the keys without a rule
+        and the rules without a key are both empty."""
+        keys = set(leaf_keys(ExperimentConfig()))
+        assert (sorted(keys - set(RULES)), sorted(set(RULES) - keys)) == \
+            ([], [])
 
     @pytest.mark.parametrize("key", [
         key for key in leaf_keys(ExperimentConfig())

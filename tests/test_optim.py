@@ -6,8 +6,8 @@ import pytest
 from ngnet.errors import DivergenceError
 from ngnet.network import (Activation, ActivationSpec, NetworkSpec,
                            backward, forward)
-from ngnet.optim import (OptimConfig, PlateauSchedule, ScheduleState,
-                         StepSchedule, sgd_step, zero_velocities)
+from ngnet.optim import (OptimConfig, StepSchedule, lr_multiplier, sgd_step,
+                         zero_velocities)
 
 
 def one_layer(w):
@@ -148,49 +148,23 @@ class TestTStep:
         assert params[0]["t"][0] == -1.0 and vel[0]["t"][0] == 0.0
 
 
-def replay(schedule, history):
-    """Multiplier after feeding ScheduleState one metric per epoch, as
-    train_run does."""
-    state = ScheduleState(schedule)
-    for epoch, metric in enumerate(history):
-        state.epoch_multiplier(epoch, metric)
-    return state.multiplier
-
-
 class TestSchedules:
     def test_step_schedule_epochs(self):
         sched = StepSchedule(epochs=[80, 120, 160])
-        state = ScheduleState(sched)
-        assert state.epoch_multiplier(79) == 1.0
-        assert state.epoch_multiplier(80) == pytest.approx(0.1)
-        assert state.epoch_multiplier(120) == pytest.approx(0.01)
-        assert state.epoch_multiplier(160) == pytest.approx(0.001)
+        assert lr_multiplier(sched, 79) == 1.0
+        assert lr_multiplier(sched, 80) == pytest.approx(0.1)
+        assert lr_multiplier(sched, 120) == pytest.approx(0.01)
+        assert lr_multiplier(sched, 160) == pytest.approx(0.001)
 
-    def test_plateau_improving_stays(self):
-        sched = PlateauSchedule(patience=10)
-        history = [1.0 - 0.01 * e for e in range(30)]
-        assert replay(sched, history) == 1.0
-
-    def test_plateau_flat_cuts_once(self):
-        sched = PlateauSchedule(patience=10)
-        history = [1.0] + [1.0] * 10
-        assert replay(sched, history) == pytest.approx(0.1)
-
-    def test_plateau_counter_resets(self):
-        sched = PlateauSchedule(patience=3)
-        state = ScheduleState(sched)
-        for e, m in enumerate([1.0, 1.0, 1.0, 1.0]):
-            state.epoch_multiplier(e, m)
-        assert state.multiplier == pytest.approx(0.1)
-        # fresh stale count: two more flat epochs do not cut again
-        state.epoch_multiplier(4, 1.0)
-        state.epoch_multiplier(5, 1.0)
-        assert state.multiplier == pytest.approx(0.1)
+    def test_cuts_multiply_in_turn_and_a_repeat_cuts_once(self):
+        """The bits of 1.0 * f * f, and an epoch listed twice cuts once."""
+        sched = StepSchedule(epochs=[3, 1, 3], factor=0.3)
+        assert [lr_multiplier(sched, e) for e in range(5)] == \
+            [1.0, 1.0 * 0.3, 1.0 * 0.3, 1.0 * 0.3 * 0.3, 1.0 * 0.3 * 0.3]
 
     def test_multiplier_monotone_powers_of_ten(self):
         sched = StepSchedule(epochs=[2, 5, 7])
-        state = ScheduleState(sched)
-        mults = [state.epoch_multiplier(e) for e in range(10)]
+        mults = [lr_multiplier(sched, e) for e in range(10)]
         assert all(a >= b for a, b in zip(mults, mults[1:]))
         for m in mults:
             k = round(np.log10(1 / m))
