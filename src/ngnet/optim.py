@@ -25,8 +25,8 @@ NON_GRADIENT_KEYS = {"running_mean", "running_var"}
 
 @dataclass
 class StepSchedule:
-    """Cut the learning rate by `factor` at each of `epochs` (0-based); no
-    epochs, no cut."""
+    """Multiply the learning rate by `factor` at each of `epochs` (0-based);
+    no epochs, no cut."""
     epochs: list = field(default_factory=list)
     factor: float = 0.1
 
