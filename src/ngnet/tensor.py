@@ -30,9 +30,12 @@ The backward unfolds tap-major: one copy of a window view of the padded
 channels-last block gives ``(n*H'*W', 9*C)`` columns in ``(3, 3, C)``
 order, whose innermost run, kernel column by channel, is contiguous.  The
 kernel gradient sums ``G.T @ U`` over blocks.  The input gradient is a
-stride-1 conv of the output gradient, zero-inserted at stride 2 and padded,
-with the kernels flipped and C_in and C_out swapped (Dumoulin & Visin 2016,
-arXiv:1603.07285): one GEMM per block, no scatter-add.
+conv of the padded output gradient with the kernels flipped and C_in and
+C_out swapped (Dumoulin & Visin 2016, arXiv:1603.07285) by output phase
+(Shi et al. 2016, arXiv:1609.07009): rows and columns [p::s, q::s] take
+the flipped taps [(1-p)%s::s, (1-q)%s::s] alone, with no zeros inserted.
+One GEMM per phase and block, no scatter-add; blocks are sized by the
+unfold of all phases, H'*W'*9*C_out values per sample.
 """
 
 from __future__ import annotations
@@ -74,18 +77,18 @@ def _unfold_block(x, stride, xp, cols):
                                  j:j + stride * w_out:stride]
 
 
-def _unfold_taps(xp, stride, h_out, w_out, cols):
-    """Copy the 3x3 windows of xp (n, H+2, W+2, C), a zero-padded
-    channels-last block, into the leading n*H'*W' rows of cols (rows,
-    9*C): one row per output position, columns in (3, 3, C) order."""
+def _unfold_taps(xp, stride, h_out, w_out, cols, taps=(3, 3)):
+    """Copy the windows of taps (rows, columns) of xp (n, H, W, C), a padded
+    channels-last block, to the front of cols as (n*H'*W', taps*C) rows,
+    one per output position, columns in (tap row, tap column, C) order."""
     n, _, _, c = xp.shape
     sn, sh, sw, sc = xp.strides
     win = np.lib.stride_tricks.as_strided(
-        xp, (n, h_out, w_out, 3, 3, c),
+        xp, (n, h_out, w_out, *taps, c),
         (sn, stride * sh, stride * sw, sh, sw, sc), writeable=False)
-    u = cols[:n * h_out * w_out]
-    u.reshape(win.shape)[...] = win
-    return u
+    u = cols.reshape(-1)[:win.size].reshape(win.shape)
+    u[...] = win
+    return u.reshape(n * h_out * w_out, -1)
 
 
 def conv2d_forward(x, kernels, stride=1):
@@ -132,9 +135,9 @@ def conv2d_backward(grad_out, x, kernels, stride=1, input_grad=True):
     with G the block's grad_out as channels-last rows (n*H'*W', C_out):
 
         grad_k += G.T @ U       U: the tap-major unfold of x
-        grad_x  = V @ F         V: the tap-major unfold (stride 1) of G,
-                                   zero-inserted at stride 2 and padded
-                                F: (9*C_out, C_in), the kernels flipped
+        grad_x  = V @ F         per output phase: V the stride-1 unfold of
+                                G padded once, F (taps*C_out, C_in) the
+                                kernels flipped, both at the phase's taps
     """
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -158,20 +161,34 @@ def conv2d_backward(grad_out, x, kernels, stride=1, input_grad=True):
             xp[:n], stride, h_out, w_out, cols)
     # grad_x blocks hold no more unfold bytes than these, so the wider
     # gradient unfold of a widening conv does not raise the peak
-    step = _block_samples(b, c_out, h, w, cols.nbytes)
+    step = _block_samples(b, c_out, h_out, w_out, cols.nbytes)
     del xp, cols
     grad_k = np.ascontiguousarray(gk.reshape(c_out, 3, 3, c).transpose(0, 3, 1, 2))
     if not input_grad:
         return None, grad_k
-    flipped = kernels[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)
-    gp = np.zeros((step, h + 2, w + 2, c_out))
-    cols = np.empty((step * h * w, 9 * c_out))
+    flipped = kernels[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
     gx = np.empty((b, h, w, c))
+    phases, size = [], 0  # gx[:, p::s, q::s], its taps, F at those taps
+    for p in range(stride):
+        for q in range(stride):
+            out = gx[:, p::stride, q::stride]
+            f = flipped[(1 - p) % stride::stride, (1 - q) % stride::stride]
+            if out.size:  # none at stride 2 when H or W is 1
+                phases.append((out, f.shape[:2], f.reshape(-1, c)))
+                size = max(size, out.shape[1] * out.shape[2] * f.size // c)
+    gp = np.zeros((step, h_out + 2, w_out + 2, c_out))
+    # row s*m + p of any phase takes its first tap from row m + s - 1 of gp
+    gw = gp[:, stride - 1:, stride - 1:]
+    cols = np.empty(step * size)
     for s in range(0, b, step):
         n = min(step, b - s)
-        gp[:n, 1:1 + stride * h_out:stride, 1:1 + stride * w_out:stride] = g[s:s + n]
-        np.matmul(_unfold_taps(gp[:n], 1, h, w, cols), flipped,
-                  out=gx[s:s + n].reshape(n * h * w, c))
+        gp[:n, 1:-1, 1:-1] = g[s:s + n]
+        for out, taps, f in phases:
+            u = _unfold_taps(gw[:n], 1, *out.shape[1:3], cols, taps)
+            if stride == 1:
+                np.matmul(u, f, out=gx[s:s + n].reshape(-1, c))
+            else:
+                out[s:s + n] = (u @ f).reshape(out[s:s + n].shape)
     return gx.transpose(0, 3, 1, 2), grad_k
 
 

@@ -81,7 +81,8 @@ def batch_conv2d_backward(g, x, k, stride):
 # 80-sample eval batch (three blocks); the ResNet-8 convs at 32/16/8 at
 # batch 32 and at the 96-sample eval batch; five samples at 32x32 (one
 # sample per block at 8 channels, a short last block at 3); odd sizes; a
-# batch of one.
+# batch of one; stride 2 at a height and/or width of one, where the odd
+# output phases have no rows.
 CONV_SHAPES = [
     (16, 3, 8, 8, 3, 1),
     (32, 3, 8, 8, 6, 1), (32, 6, 8, 8, 6, 1), (32, 6, 4, 4, 12, 1),
@@ -93,6 +94,7 @@ CONV_SHAPES = [
     (5, 8, 32, 32, 8, 1), (5, 3, 32, 32, 8, 1),
     (3, 5, 7, 5, 4, 1), (3, 5, 7, 5, 4, 2),
     (1, 6, 8, 8, 6, 1), (1, 12, 2, 2, 24, 1), (1, 4, 7, 5, 3, 2),
+    (2, 3, 1, 5, 4, 2), (2, 3, 5, 1, 4, 2), (2, 3, 1, 1, 4, 2),
 ]
 
 
@@ -244,21 +246,25 @@ class TestConv2dBackward:
             alone, _ = conv2d_backward(g[n:n + 1], x[n:n + 1], k, stride)
             assert np.array_equal(alone, gx[n:n + 1])
 
-    def test_backward_peak_memory(self):
-        """The 96-sample eval backward at 8 channels and 32x32 holds no
-        batch-sized unfold (54 MiB): its peak stays below grad_x, one padded
-        block of input or gradient and two unfold blocks."""
+    @pytest.mark.parametrize("c, hw, c_out, stride", [
+        (8, 32, 8, 1), (8, 32, 16, 2), (16, 16, 32, 2)])
+    def test_backward_peak_memory(self, c, hw, c_out, stride):
+        """The 96-sample eval backwards of the ResNet-8 convs at 32x32 and
+        16x16 hold no batch-sized unfold (54 MiB at 8 channels and 32x32):
+        the peak stays below grad_x, one padded block of input and two
+        unfold blocks."""
         rng = np.random.default_rng(13)
-        x = rng.standard_normal((96, 8, 32, 32))
-        k = rng.standard_normal((8, 8, 3, 3))
-        g = rng.standard_normal((96, 32, 32, 8)).transpose(0, 3, 1, 2)
+        x = rng.standard_normal((96, c, hw, hw))
+        k = rng.standard_normal((c_out, c, 3, 3))
+        h_out, w_out = _conv_geometry(hw, hw, stride)
+        g = rng.standard_normal((96, h_out, w_out, c_out)).transpose(0, 3, 1, 2)
         tracemalloc.start()
         try:
-            gx, _ = conv2d_backward(g, x, k, 1)
+            gx, _ = conv2d_backward(g, x, k, stride)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        padded_block = 8 * 34 * 34 * x.itemsize
+        padded_block = c * (hw + 2) ** 2 * x.itemsize
         assert peak < gx.nbytes + padded_block + 2 * UNFOLD_BLOCK_BYTES
 
     @settings(max_examples=40, deadline=None)
@@ -267,9 +273,9 @@ class TestConv2dBackward:
            st.integers(0, 2 ** 31))
     def test_against_loop_oracle_any_shape(self, b, c, c_out, h, w, stride,
                                            seed):
-        """Odd and even H and W: at stride 2 the zero-inserted gradient
-        ends in two zero rows (columns) when H (W) is even, in one when it
-        is odd."""
+        """Odd and even H and W: at stride 2 the odd output phase has as
+        many rows (columns) as the even one when H (W) is even, one fewer
+        when it is odd, and none when it is 1."""
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((b, c, h, w))
         k = rng.standard_normal((c_out, c, 3, 3))
@@ -281,7 +287,7 @@ class TestConv2dBackward:
 
     @pytest.mark.parametrize("shape", [(32, 3, 32, 32, 8, 1),
                                        (32, 3, 8, 8, 6, 1),
-                                       (1, 4, 7, 5, 3, 2)])
+                                       (1, 4, 7, 5, 3, 2), (2, 3, 1, 1, 4, 2)])
     def test_without_input_grad(self, shape):
         x, k, g, stride = conv_case(shape)
         gx, gk = conv2d_backward(g, x, k, stride, input_grad=False)
