@@ -181,6 +181,10 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value):
+    return _is_number(value) and -math.inf < value < math.inf
+
+
 def _is_count(value, least):
     return _is_number(value) and isinstance(value, int) and value >= least
 
@@ -201,9 +205,8 @@ def _each(ok, what):
 
 
 POSITIVE = (lambda v: _is_count(v, 1), "a positive integer")
-NUMBER = (_is_number, "a number")
-NON_NEGATIVE = (lambda v: _is_number(v) and 0 <= v < math.inf,
-                "a finite number >= 0")
+FINITE = (_is_finite, "a finite number")
+NON_NEGATIVE = (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0")
 BOOL = (lambda v: isinstance(v, bool), "true or false")
 TEXT = (lambda v: isinstance(v, str), "text")
 
@@ -216,14 +219,14 @@ RULES = {
     "model.depth": POSITIVE, "model.width": POSITIVE,
     "model.input_hw": POSITIVE, "model.in_channels": POSITIVE,
     "model.hidden": _each(lambda h: _is_count(h, 1), "positive integers"),
-    "activation.base": TEXT, "activation.t_init": NUMBER,
+    "activation.base": TEXT, "activation.t_init": FINITE,
     "activation.ng": BOOL, "activation.trainable": BOOL,
     "activation.granularity": _one_of(GRANULARITIES),
     "activation.base_kwargs": (lambda v: isinstance(v, dict),
                                "keyword arguments"),
-    "optim.lr": NUMBER, "optim.momentum": NUMBER,
-    "optim.weight_decay": NUMBER,
-    "optim.t_lr": NUMBER, "optim.t_momentum": NUMBER,
+    "optim.lr": FINITE, "optim.momentum": FINITE,
+    "optim.weight_decay": FINITE,
+    "optim.t_lr": FINITE, "optim.t_momentum": FINITE,
     "schedule.epochs": (lambda v: all(_is_count(e, 0) for e in v),
                         "integers >= 0"),
     "schedule.factor": (lambda v: _is_number(v) and 0 < v < math.inf,
@@ -238,8 +241,7 @@ RULES = {
     "depth_start": POSITIVE, "depth_step": POSITIVE, "depth_count": POSITIVE,
     "seed": (lambda v: _is_count(v, 0), "an integer >= 0"),
     "out": TEXT, "run_id": TEXT,
-    "t_values": _each(lambda t: _is_number(t) and math.isfinite(t),
-                      "finite numbers"),
+    "t_values": _each(_is_finite, "finite numbers"),
 }
 
 

@@ -583,6 +583,11 @@ class TestCli:
         ("dataset.classes=1", "dataset.classes"),
         ("model.hidden=,", "model.hidden"),
         ("experiment=capacity_sweep t_values=,", "t_values"),
+        # non-finite numbers would train a silent diverged run
+        ("optim.lr=nan", "optim.lr"),
+        ("optim.weight_decay=nan", "optim.weight_decay"),
+        ("optim.lr=inf", "optim.lr"),
+        ("activation.t_init=inf", "activation.t_init"),
     ])
     def test_invalid_config_is_a_clean_error(self, tmp_path, capsys,
                                              override, name):
