@@ -77,15 +77,17 @@ def _unfold_block(x, stride, xp, cols):
                                  j:j + stride * w_out:stride]
 
 
-def _unfold_taps(xp, stride, h_out, w_out, cols, taps=(3, 3)):
-    """Copy the windows of taps (rows, columns) of xp (n, H, W, C), a padded
-    channels-last block, to the front of cols as (n*H'*W', taps*C) rows,
-    one per output position, columns in (tap row, tap column, C) order."""
+def _unfold_taps(xp, stride, h_out, w_out, cols, taps=(3, 3), first=0):
+    """Copy the windows of taps (rows, columns) of xp (n, H, W, C), a
+    contiguous padded channels-last block, from row and column first on, to
+    the front of cols as (n*H'*W', taps*C) rows, one per output position,
+    columns in (tap row, tap column, C) order."""
     n, _, _, c = xp.shape
     sn, sh, sw, sc = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, (n, h_out, w_out, *taps, c),
-        (sn, stride * sh, stride * sw, sh, sw, sc), writeable=False)
+    # a strided view of xp's buffer; np.ndarray checks that it fits there
+    win = np.ndarray((n, h_out, w_out, *taps, c), xp.dtype, xp,
+                     first * (sh + sw),
+                     (sn, stride * sh, stride * sw, sh, sw, sc))
     u = cols.reshape(-1)[:win.size].reshape(win.shape)
     u[...] = win
     return u.reshape(n * h_out * w_out, -1)
@@ -177,14 +179,14 @@ def conv2d_backward(grad_out, x, kernels, stride=1, input_grad=True):
                 phases.append((out, f.shape[:2], f.reshape(-1, c)))
                 size = max(size, out.shape[1] * out.shape[2] * f.size // c)
     gp = np.zeros((step, h_out + 2, w_out + 2, c_out))
-    # row s*m + p of any phase takes its first tap from row m + s - 1 of gp
-    gw = gp[:, stride - 1:, stride - 1:]
     cols = np.empty(step * size)
     for s in range(0, b, step):
         n = min(step, b - s)
         gp[:n, 1:-1, 1:-1] = g[s:s + n]
         for out, taps, f in phases:
-            u = _unfold_taps(gw[:n], 1, *out.shape[1:3], cols, taps)
+            # row s*m + p of each phase reads its first tap at gp row m + s - 1
+            u = _unfold_taps(gp[:n], 1, *out.shape[1:3], cols, taps,
+                             stride - 1)
             if stride == 1:
                 np.matmul(u, f, out=gx[s:s + n].reshape(-1, c))
             else:
