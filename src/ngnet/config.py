@@ -18,8 +18,8 @@ run_id, dataset.path) keep their text as written.
 
 from __future__ import annotations
 
-import math
 import os
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .activations import GRANULARITIES
@@ -182,7 +182,8 @@ def _is_number(value):
 
 
 def _is_finite(value):
-    return _is_number(value) and -math.inf < value < math.inf
+    """A number float64 holds: not nan or inf, nor an integer beyond it."""
+    return _is_number(value) and abs(value) <= sys.float_info.max
 
 
 def _is_count(value, least):
@@ -229,7 +230,7 @@ RULES = {
     "optim.t_lr": FINITE, "optim.t_momentum": FINITE,
     "schedule.epochs": (lambda v: all(_is_count(e, 0) for e in v),
                         "integers >= 0"),
-    "schedule.factor": (lambda v: _is_number(v) and 0 < v < math.inf,
+    "schedule.factor": (lambda v: _is_finite(v) and v > 0,
                         "a finite number > 0"),
     "dataset.kind": _one_of(DATASET_KINDS), "dataset.path": TEXT,
     "dataset.classes": (lambda v: _is_count(v, 2), "an integer >= 2"),

@@ -583,11 +583,14 @@ class TestCli:
         ("dataset.classes=1", "dataset.classes"),
         ("model.hidden=,", "model.hidden"),
         ("experiment=capacity_sweep t_values=,", "t_values"),
-        # non-finite numbers would train a silent diverged run
+        # nan or inf would train a silent diverged run, and an integer
+        # beyond float64 would stop the run with an OverflowError
         ("optim.lr=nan", "optim.lr"),
         ("optim.weight_decay=nan", "optim.weight_decay"),
         ("optim.lr=inf", "optim.lr"),
         ("activation.t_init=inf", "activation.t_init"),
+        pytest.param("optim.lr=1" + "0" * 400, "optim.lr",
+                     id="optim.lr=an integer beyond float64"),
     ])
     def test_invalid_config_is_a_clean_error(self, tmp_path, capsys,
                                              override, name):
