@@ -11,7 +11,7 @@ from ngnet import network
 from ngnet.errors import ConfigError, ContractError
 from ngnet.network import (Activation, ActivationSpec, BatchNorm, Conv,
                            Dense, GlobalAvgPool, InitScheme, MaxPool,
-                           NetworkSpec, backward, build_mlp, build_plain_cnn,
+                           NetworkSpec, ResBlockEnd, ResBlockStart, backward, build_mlp, build_plain_cnn,
                            build_resnet, build_toy_cnn, forward, init_params)
 from ngnet.tensor import conv2d_backward, conv2d_forward
 
@@ -88,6 +88,49 @@ class TestBuilders:
         strides = [l.stride for l in spec.layers
                    if type(l).__name__ == "ResBlockStart"]
         assert strides == [1, 1, 1, 2, 1, 1, 2, 1, 1]
+
+    @pytest.mark.parametrize("with_bn", [False, True])
+    def test_exact_layers(self, with_bn):
+        """Every layer of the small plain CNN, ResNet-8 and toy CNN:
+        kind, channels, stride and bias; a conv is biased only where no
+        batch norm follows it."""
+        def conv(ch, stride=1):
+            return ("conv", ch, stride, not with_bn)
+
+        def unit(ch, stride=1):
+            return [conv(ch, stride)] + [("bn",)] * with_bn + [("act",)]
+
+        plain = (unit(2) + unit(2) + [("pool",)] + unit(4) + [("pool",)]
+                 + unit(8) + [("gap",), ("dense", 3)])
+        resnet = unit(2)
+        for width, stride in ((2, 1), (4, 2), (8, 2)):
+            resnet += ([("start", stride)] + unit(width, stride)
+                       + [conv(width)] + [("bn",)] * with_bn
+                       + [("end",), ("act",)])
+        resnet += [("gap",), ("dense", 3)]
+        toy = [("conv", 3, 1, True), ("act",), ("conv", 3, 1, True), ("act",),
+               ("dense", 3)]
+
+        def layers(spec):
+            kinds = {Conv: lambda l: ("conv", l.channels, l.stride, l.bias),
+                     BatchNorm: lambda l: ("bn",),
+                     Activation: lambda l: ("act",),
+                     MaxPool: lambda l: ("pool",),
+                     GlobalAvgPool: lambda l: ("gap",),
+                     ResBlockStart: lambda l: ("start", l.stride),
+                     ResBlockEnd: lambda l: ("end",),
+                     Dense: lambda l: ("dense", l.units)}
+            assert all(l.spec is NG_RELU for l in spec.layers
+                       if isinstance(l, Activation))
+            return [kinds[type(l)](l) for l in spec.layers]
+
+        spec = build_plain_cnn(5, 2, 3, with_bn, NG_RELU, input_hw=8)
+        assert layers(spec) == plain and spec.input_shape == (3, 8, 8)
+        spec = build_resnet(8, 2, 3, NG_RELU, with_bn=with_bn, input_hw=8,
+                            in_channels=2)
+        assert layers(spec) == resnet and spec.input_shape == (2, 8, 8)
+        spec = build_toy_cnn(3, NG_RELU, input_hw=8)
+        assert layers(spec) == toy and spec.input_shape == (3, 8, 8)
 
 
 class TestInit:
