@@ -2,8 +2,13 @@
 
     ngnet run --config exp.cfg [--seed N] [--out DIR] [--override k=v ...]
     ngnet sweep --config exp.cfg ...          # experiment kind from config
-    ngnet grad-check [--seed N] [--tolerance X]
+    ngnet grad-check --config exp.cfg [--seed N] [--override k=v ...]
+                     [--tolerance X]
     ngnet inspect-cifar PATH
+
+``grad-check`` checks the model ``run`` would train from the same config
+and seed, at its initial parameters, on the first 16 training samples; it
+writes nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .errors import NgnetError
 def _add_common(p):
     p.add_argument("--config", required=True, help="key=value config file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory for CSVs")
     p.add_argument("--override", action="append", default=[],
                    metavar="KEY=VALUE", help="config override (repeatable)")
 
@@ -60,15 +64,14 @@ def cmd_sweep(args):
 
 
 def cmd_grad_check(args):
-    from .datasets import make_blobs
     from .instrumentation import grad_check
-    from .network import ActivationSpec, InitScheme, build_mlp, init_params
+    from .network import InitScheme, init_params
+    from .runner import build_model, get_dataset
 
-    act = ActivationSpec(base=args.base, ng=not args.plain, t_init=-1.0,
-                         granularity="element")
-    spec = build_mlp([args.width] * args.layers, 3, act, input_dim=6)
-    params = init_params(spec, InitScheme("msra", args.seed))
-    data = make_blobs(classes=3, dims=6, n=32, seed=args.seed)
+    cfg = _load_cfg(args)
+    data = get_dataset(cfg)
+    spec = build_model(cfg, data.num_classes)
+    params = init_params(spec, InitScheme(cfg.init, cfg.seed))
     report = grad_check(spec, params, data.train_x[:16], data.train_y[:16],
                         tolerance=args.tolerance)
     for group, err in sorted(report.max_rel_err.items()):
@@ -94,24 +97,19 @@ def main(argv=None):
     parser = argparse.ArgumentParser(prog="ngnet")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="train a single configured run")
-    _add_common(p)
-    p.set_defaults(fn=cmd_run)
+    for name, fn, text in (("run", cmd_run, "train a single configured run"),
+                           ("sweep", cmd_sweep,
+                            "run the configured experiment sweep")):
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.add_argument("--out", default=None, help="output directory for CSVs")
+        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("sweep", help="run the configured experiment sweep")
+    p = sub.add_parser("grad-check", help="finite-difference check of the "
+                       "configured model at its initial parameters")
     _add_common(p)
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("grad-check",
-                       help="finite-difference check on a small MLP")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--base", default="relu")
-    p.add_argument("--plain", action="store_true",
-                   help="check the unwrapped activation")
-    p.add_argument("--layers", type=int, default=3)
-    p.add_argument("--width", type=int, default=8)
     p.add_argument("--tolerance", type=float, default=1e-4)
-    p.set_defaults(fn=cmd_grad_check)
+    p.set_defaults(fn=cmd_grad_check, out=None)
 
     p = sub.add_parser("inspect-cifar", help="summarize a CIFAR-10 binary file")
     p.add_argument("path")

@@ -27,6 +27,7 @@ import numpy as np
 from .activations import reduce_to_param
 from .errors import ContractError, RegimeError
 from .network import Activation, Conv, Dense, NetworkSpec, backward, forward
+from .optim import NON_GRADIENT_KEYS
 
 KINK_WINDOW = 1e-3
 FD_STEP = 1e-5
@@ -208,7 +209,7 @@ def grad_check(spec: NetworkSpec, params: dict, batch, labels,
     within the kink window of any probe input are excluded and counted
     rather than checked."""
     n_params = sum(v.size for p in params.values() for k, v in p.items()
-                   if k not in ("running_mean", "running_var"))
+                   if k not in NON_GRADIENT_KEYS)
     if n_params > GRAD_CHECK_MAX_PARAMS:
         raise ContractError(f"grad_check is for small nets ({n_params} params)")
     params = copy.deepcopy(params)  # BN running stats mutate; keep caller's intact

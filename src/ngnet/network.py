@@ -143,6 +143,17 @@ def check_input_hw(family, input_hw):
                           f"(two max pools), got {input_hw}")
 
 
+def _conv_unit(width, with_bn, activation=None, stride=1) -> list:
+    """A conv, biased unless batch norm follows it, then the batch norm if
+    `with_bn`, then the activation if one is given."""
+    layers: list = [Conv(width, stride, bias=not with_bn)]
+    if with_bn:
+        layers.append(BatchNorm())
+    if activation is not None:
+        layers.append(Activation(activation))
+    return layers
+
+
 def build_plain_cnn(depth, base_width, num_classes, with_bn, activation,
                     input_hw=32, in_channels=3) -> NetworkSpec:
     """VGG-style stack: stem conv + three equal stages at widths w, 2w, 4w
@@ -150,25 +161,13 @@ def build_plain_cnn(depth, base_width, num_classes, with_bn, activation,
     classifier.  depth = 2 + 3k (stem + 3k convs + classifier)."""
     check_depth("plain_cnn", depth)
     check_input_hw("plain_cnn", input_hw)
-    k = (depth - 2) // 3
-
-    def conv_act(ch, layers):
-        layers.append(Conv(ch, bias=not with_bn))
-        if with_bn:
-            layers.append(BatchNorm())
-        layers.append(Activation(activation))
-
-    layers: list = []
-    conv_act(base_width, layers)          # stem
-    for _ in range(k):
-        conv_act(base_width, layers)
-    layers.append(MaxPool())
-    for _ in range(k):
-        conv_act(2 * base_width, layers)
-    layers.append(MaxPool())
-    for _ in range(k):
-        conv_act(4 * base_width, layers)
-    layers.append(GlobalAvgPool())
+    k = (depth - 2) // DEPTH_STEPS["plain_cnn"]
+    layers = _conv_unit(base_width, with_bn, activation)     # stem
+    for width, pool in ((base_width, MaxPool), (2 * base_width, MaxPool),
+                        (4 * base_width, GlobalAvgPool)):
+        for _ in range(k):
+            layers += _conv_unit(width, with_bn, activation)
+        layers.append(pool())
     layers.append(Dense(num_classes))
     return NetworkSpec(layers, (in_channels, input_hw, input_hw))
 
@@ -178,27 +177,17 @@ def build_resnet(depth, base_width, num_classes, activation, with_bn=True,
     """Three stages of two-conv identity blocks; downsampling blocks use
     stride 2 and a zero-padded strided identity shortcut.  depth = 6k + 2."""
     check_depth("resnet", depth)
-    k = (depth - 2) // 6
-    layers: list = [Conv(base_width, bias=not with_bn)]
-    if with_bn:
-        layers.append(BatchNorm())
-    layers.append(Activation(activation))
+    k = (depth - 2) // DEPTH_STEPS["resnet"]
+    layers = _conv_unit(base_width, with_bn, activation)     # stem
     for stage in range(3):
         width = base_width * (2 ** stage)
         for block in range(k):
             stride = 2 if stage > 0 and block == 0 else 1
             layers.append(ResBlockStart(stride))
-            layers.append(Conv(width, stride=stride, bias=not with_bn))
-            if with_bn:
-                layers.append(BatchNorm())
-            layers.append(Activation(activation))
-            layers.append(Conv(width, bias=not with_bn))
-            if with_bn:
-                layers.append(BatchNorm())
-            layers.append(ResBlockEnd())
-            layers.append(Activation(activation))
-    layers.append(GlobalAvgPool())
-    layers.append(Dense(num_classes))
+            layers += _conv_unit(width, with_bn, activation, stride)
+            layers += _conv_unit(width, with_bn)
+            layers += [ResBlockEnd(), Activation(activation)]
+    layers += [GlobalAvgPool(), Dense(num_classes)]
     return NetworkSpec(layers, (in_channels, input_hw, input_hw))
 
 
@@ -215,11 +204,8 @@ def build_toy_cnn(num_classes, activation, input_hw=8,
                   in_channels=3) -> NetworkSpec:
     """Two conv layers of three kernels and a dense classifier; the small
     capacity-sweep model."""
-    layers = [
-        Conv(3), Activation(activation),
-        Conv(3), Activation(activation),
-        Dense(num_classes),
-    ]
+    layers = [*_conv_unit(3, False, activation),
+              *_conv_unit(3, False, activation), Dense(num_classes)]
     return NetworkSpec(layers, (in_channels, input_hw, input_hw))
 
 

@@ -7,6 +7,7 @@ their published tolerances live in test_acceptance.py.
 
 import copy
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -695,12 +696,40 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         assert "sweep" in res.stdout
 
-    def test_grad_check_wrapped_and_plain(self, capsys):
-        assert cli_main(["grad-check", "--layers", "2", "--width", "6"]) == 0
+    @pytest.mark.parametrize("seed", [7, 977])
+    def test_grad_check_is_the_benchmark_check(self, seed, capsys):
+        """grad-check on a config checks what perfbench's gradcheck workload
+        checks: same counts and verdict as its recorded reference."""
+        ref = json.loads((CONFIGS.parent / "perfbench" / "reference.json")
+                         .read_text())
+        ref = ref["gradcheck_toy_cnn"][str(seed)]
+        cfg = str(CONFIGS / "capacity.cfg")
+        code = cli_main(["grad-check", "--config", cfg, "--seed", str(seed)])
+        assert code == (0 if ref["passed"] else 1)
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == (f"checked={ref['checked']} "
+                        f"excluded_kink={ref['excluded_kink']} "
+                        f"passed={ref['passed']}")
+
+    def test_grad_check_plain_activation(self, capsys):
+        cfg = str(CONFIGS / "capacity.cfg")
+        assert cli_main(["grad-check", "--config", cfg,
+                         "--override", "activation.ng=false"]) == 0
         out = capsys.readouterr().out
-        assert "ng_t" in out and "passed=True" in out
-        assert cli_main(["grad-check", "--plain", "--layers", "2",
-                         "--width", "6"]) == 0
+        assert "passed=True" in out and "ng_t" not in out
+
+    def test_grad_check_refuses_a_large_net(self, capsys):
+        assert cli_main(["grad-check", "--config",
+                         str(CONFIGS / "critical_depth.cfg")]) == 2
+        assert ("grad_check is for small nets (10785 params)"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "grad-check",
+                                         "inspect-cifar"])
+    def test_help(self, command):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--help"])
+        assert exc.value.code == 0
 
     def test_inspect_cifar(self, tmp_path, capsys):
         path = str(tmp_path / "batch.bin")

@@ -11,8 +11,9 @@ from ngnet import network
 from ngnet.errors import ConfigError, ContractError
 from ngnet.network import (Activation, ActivationSpec, BatchNorm, Conv,
                            Dense, GlobalAvgPool, InitScheme, MaxPool,
-                           NetworkSpec, ResBlockEnd, ResBlockStart, backward, build_mlp, build_plain_cnn,
-                           build_resnet, build_toy_cnn, forward, init_params)
+                           NetworkSpec, ResBlockEnd, ResBlockStart, backward,
+                           build_mlp, build_plain_cnn, build_resnet,
+                           build_toy_cnn, forward, init_params)
 from ngnet.tensor import conv2d_backward, conv2d_forward
 
 RELU = ActivationSpec(base="relu")
