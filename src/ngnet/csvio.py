@@ -43,16 +43,9 @@ def emit_csv(rows, path, schema):
     `schema`.  Appending refuses run_ids already present in the file.
     """
     columns = SCHEMAS[schema]
-
+    refuse_present_run_ids(path, schema,
+                           [r["run_id"] for r in rows if "run_id" in r])
     exists = _nonempty(path)
-    if exists:
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh))
-        if header != columns:
-            raise NgnetError(f"{path}: existing header {header} "
-                             f"differs from {columns}")
-        refuse_present_run_ids(path, [r["run_id"] for r in rows
-                                      if "run_id" in r])
     try:
         with open(path, "a", newline="") as fh:
             writer = csv.writer(fh)
@@ -68,12 +61,18 @@ def _nonempty(path):
     return os.path.exists(path) and os.path.getsize(path) > 0
 
 
-def refuse_present_run_ids(path, run_ids):
-    """Raise NgnetError if the CSV at `path` already holds any of `run_ids`;
-    a missing or empty file holds none."""
+def refuse_present_run_ids(path, schema, run_ids):
+    """Raise NgnetError if the CSV at `path` has a header other than the
+    SCHEMAS entry `schema`, or already holds any of `run_ids`; a missing or
+    empty file has neither."""
     if not _nonempty(path):
         return
-    clash = {r.get("run_id") for r in read_csv(path)} & set(map(str, run_ids))
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != SCHEMAS[schema]:
+            raise NgnetError(f"{path}: existing header {reader.fieldnames} "
+                             f"differs from {SCHEMAS[schema]}")
+        clash = {r["run_id"] for r in reader} & set(map(str, run_ids))
     if clash:
         raise NgnetError(f"{path}: run_id already present: {sorted(clash)}")
 

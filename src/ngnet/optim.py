@@ -8,7 +8,8 @@ biases, batch-norm parameters, PReLU slopes, or t.
 The shift update puts the learning rate inside the momentum buffer:
 ``dt <- t_momentum * dt + t_lr * grad``, applied as ``t <- t - dt`` (descent
 sign).  With a constant learning rate this is the same trajectory as the
-weight rule.
+weight rule.  A tensor trains, and has a velocity, only once
+``network.backward`` returns a gradient for it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from .errors import DivergenceError
 
 DECAYED_KEYS = {"W"}
-NON_GRADIENT_KEYS = {"running_mean", "running_var"}
 
 
 @dataclass
@@ -59,12 +59,6 @@ class OptimConfig:
             raise ValueError("weight decay must be non-negative")
 
 
-def zero_velocities(params: dict) -> dict:
-    return {i: {k: np.zeros_like(v) for k, v in p.items()
-                if k not in NON_GRADIENT_KEYS}
-            for i, p in params.items()}
-
-
 def _check_finite(grads: dict):
     for i, p in grads.items():
         for key, g in p.items():
@@ -77,10 +71,11 @@ def sgd_step(params: dict, grads: dict, velocities: dict, cfg: OptimConfig,
              lr_multiplier: float = 1.0):
     """One in-place momentum-SGD step over every gradient in `grads`.
 
-    Shift parameters t (and only they) follow the t recurrence with
-    t_lr/t_momentum; a shift that does not train has no gradient and is
-    left alone.  Raises DivergenceError before touching anything if any
-    gradient is non-finite.
+    `velocities` maps ``(layer, key)`` to a momentum buffer, made at zero
+    on the tensor's first gradient, so a run starts from ``{}``.  Shift
+    parameters t (and only they) follow the t recurrence with
+    t_lr/t_momentum.  Raises DivergenceError before touching anything if
+    any gradient is non-finite.
     """
     _check_finite(grads)
     lr = cfg.lr * lr_multiplier
@@ -88,7 +83,9 @@ def sgd_step(params: dict, grads: dict, velocities: dict, cfg: OptimConfig,
     for i, layer_grads in grads.items():
         for key, g in layer_grads.items():
             w = params[i][key]
-            v = velocities[i][key]
+            v = velocities.get((i, key))
+            if v is None:
+                v = velocities[i, key] = np.zeros_like(w)
             if key == "t":
                 v *= cfg.t_momentum
                 v += t_lr * g

@@ -22,11 +22,11 @@ from . import instrumentation as instr
 from .config import ExperimentConfig, _fill, sample_shape
 from .csvio import emit_csv, refuse_present_run_ids
 from .datasets import Dataset, augment, make_blobs, make_spirals, load_cifar10_binary
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, NgnetError
 from .network import (InitScheme, NetworkSpec, backward, build_mlp,
                       build_plain_cnn, build_resnet, build_toy_cnn, forward,
                       init_params)
-from .optim import lr_multiplier, sgd_step, zero_velocities
+from .optim import lr_multiplier, sgd_step
 
 # a run converged if its final train accuracy beats chance by this much
 CONVERGENCE_MARGIN = 0.1
@@ -126,7 +126,7 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
     data = data if data is not None else get_dataset(cfg)
     spec = build_model(cfg, data.num_classes)
     params = init_params(spec, InitScheme(cfg.init, cfg.seed))
-    velocities = zero_velocities(params)
+    velocities: dict = {}
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(99,)))
     res = RunResult(cfg.run_id, spec=spec, params=params)
 
@@ -338,16 +338,23 @@ def _csv_path(cfg: ExperimentConfig, name):
 
 def _refuse_present(cfg: ExperimentConfig, runs, summary=None,
                     summary_ids=()):
-    """Refuse, before the first run trains, run ids that the output
-    directory already holds in a CSV this sweep writes: the per-run CSVs
-    and the sweep's `summary` CSV, whose extra rows carry `summary_ids`."""
+    """Make the output directory, refusing before the first run trains a
+    run id that repeats, an output path that cannot be a directory, and a
+    CSV this sweep writes (the per-run CSVs and the `summary` CSV, whose
+    extra rows carry `summary_ids`) with another header or a present id."""
     ids = [run.run_id for run in runs] + list(summary_ids)
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise ConfigError(f"run_id repeats within the sweep: {repeated}")
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        raise NgnetError(f"cannot make directory {cfg.out}: {exc}") from exc
     for name in list(RUN_CSVS) + ([summary] if summary else []):
-        refuse_present_run_ids(_csv_path(cfg, name), ids)
+        refuse_present_run_ids(_csv_path(cfg, name), name, ids)
 
 
 def _write_run(cfg: ExperimentConfig, results):
-    os.makedirs(cfg.out, exist_ok=True)
     for schema, attr in RUN_CSVS.items():
         rows = [row for res in results for row in getattr(res, attr)]
         if rows:

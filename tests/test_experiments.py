@@ -670,6 +670,45 @@ class TestCli:
         assert calls == []
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("t_values,run_id", [
+        ("-1,-1", "capacity_sweep-s7-t-1"),
+        ("-0.1234567,-0.1234568", "capacity_sweep-s7-t-0.123457")])
+    def test_run_id_repeated_within_a_sweep_refused_before_training(
+            self, tmp_path, capsys, monkeypatch, t_values, run_id):
+        calls = count_training(monkeypatch)
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", str(CONFIGS / "capacity.cfg"),
+                         "--out", str(out), "--override", "epochs=1",
+                         "--override", f"t_values={t_values}"]) == 2
+        assert f"run_id repeats within the sweep: ['{run_id}']" in \
+            capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    def test_output_path_of_a_file_refused_before_training(
+            self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        calls = count_training(monkeypatch)
+        assert cli_main(["run", "--config", self.write_cfg(tmp_path),
+                         "--out", str(out)]) == 2
+        assert f"cannot make directory {out}" in capsys.readouterr().err
+        assert calls == [] and out.read_text() == "not a directory\n"
+
+    def test_foreign_csv_header_refused_before_training(
+            self, tmp_path, capsys, monkeypatch):
+        """A per-run CSV with another header stops the run before it
+        trains, not after metrics.csv was written."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "layerstats.csv").write_text("run_id,step,layer\nx,1,0\n")
+        before = (out / "layerstats.csv").read_bytes()
+        calls = count_training(monkeypatch)
+        assert cli_main(["run", "--config", self.write_cfg(tmp_path),
+                         "--out", str(out)]) == 2
+        assert "existing header" in capsys.readouterr().err
+        assert calls == [] and os.listdir(out) == ["layerstats.csv"]
+        assert (out / "layerstats.csv").read_bytes() == before
+
     def test_free_text_keys_keep_their_text(self, tmp_path):
         raw = load_config(self.write_cfg(tmp_path),
                           ["run_id=007", "out=3", "dataset.path=1.50"])

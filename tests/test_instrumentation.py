@@ -15,7 +15,7 @@ from ngnet.instrumentation import (KINK_WINDOW, grad_check, mean_shift_trace,
                                    weight_variance_trace)
 from ngnet.network import (ActivationSpec, BatchNorm, Conv, Dense,
                            InitScheme, backward, build_mlp, build_plain_cnn,
-                           build_resnet, forward, init_params)
+                           build_resnet, build_toy_cnn, forward, init_params)
 from ngnet.tensor import conv2d_backward
 
 NG_RELU = ActivationSpec(base="relu", ng=True, t_init=-1.0)
@@ -336,6 +336,21 @@ class TestGradCheck:
         assert report.excluded_kink == near
         trainable = sum(v.size for p in params.values() for v in p.values())
         assert report.checked + report.excluded_kink == trainable
+
+    def test_counts_only_what_trains(self):
+        """A fixed element-wise shift takes no gradient, so its values are
+        neither checked nor counted against the size limit: 1467 of this
+        toy CNN's 2331 values train.  `passed` is not asserted: a weight
+        probe can flip a ReLU branch (ROADMAP item 3)."""
+        act = ActivationSpec(ng=True, trainable=False, granularity="element")
+        spec = build_toy_cnn(3, act, input_hw=12)
+        params = init_params(spec, InitScheme("msra", 0))
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((4, 3, 12, 12)), rng.integers(0, 3, 4)
+        report = grad_check(spec, params, x, y)
+        assert sum(v.size for p in params.values() for v in p.values()) == 2331
+        assert report.checked + report.excluded_kink == 1467
+        assert "ng_t" not in report.max_rel_err
 
     def test_refuses_large_nets(self):
         spec, params, x, y = self._probe(IDENT, hidden=(64, 64))

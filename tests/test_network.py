@@ -649,12 +649,12 @@ class TestShapes:
 
     def test_determinism_bitwise_trajectory(self):
         # same seed and config: identical params after two training steps
-        from ngnet.optim import OptimConfig, sgd_step, zero_velocities
+        from ngnet.optim import OptimConfig, sgd_step
         outs = []
         for _ in range(2):
             spec = build_mlp([6], 3, NG_RELU, input_dim=4)
             params = init_params(spec, InitScheme("msra", 9))
-            vel = zero_velocities(params)
+            vel = {}
             rng = np.random.default_rng(9)
             x = rng.standard_normal((8, 4))
             y = rng.integers(0, 3, 8)
