@@ -18,7 +18,8 @@ import sys
 
 import numpy as np
 
-from .config import build_experiment_config, load_config
+from .config import (_is_finite, _parse_scalar, build_experiment_config,
+                     load_config)
 from .datasets import read_cifar10_records
 from .errors import NgnetError
 
@@ -28,6 +29,15 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--override", action="append", default=[],
                    metavar="KEY=VALUE", help="config override (repeatable)")
+
+
+def _tolerance(text):
+    """The --tolerance value: a finite number > 0."""
+    value = _parse_scalar(text)
+    if not (_is_finite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, "
+                                         f"got {text!r}")
+    return value
 
 
 def _load_cfg(args):
@@ -108,7 +118,7 @@ def main(argv=None):
     p = sub.add_parser("grad-check", help="finite-difference check of the "
                        "configured model at its initial parameters")
     _add_common(p)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-4)
     p.set_defaults(fn=cmd_grad_check, out=None)
 
     p = sub.add_parser("inspect-cifar", help="summarize a CIFAR-10 binary file")

@@ -86,8 +86,12 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path: str, overrides=()) -> dict:
-    with open(path) as fh:
-        cfg = parse_config_text(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    cfg = parse_config_text(text)
     for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"override must be key=value, got {ov!r}")
@@ -139,7 +143,7 @@ class ExperimentConfig:
     depth_start: int = 8
     depth_step: int = 6
     depth_count: int = 4
-    probe_steps: int = 8
+    probe_steps: int = 0  # sandwich probes at the end of each run
 
 
 def sample_shape(cfg: ExperimentConfig) -> tuple:
@@ -206,6 +210,7 @@ def _each(ok, what):
 
 
 POSITIVE = (lambda v: _is_count(v, 1), "a positive integer")
+COUNT = (lambda v: _is_count(v, 0), "an integer >= 0")
 FINITE = (_is_finite, "a finite number")
 NON_NEGATIVE = (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0")
 BOOL = (lambda v: isinstance(v, bool), "true or false")
@@ -223,8 +228,9 @@ RULES = {
     "activation.base": TEXT, "activation.t_init": FINITE,
     "activation.ng": BOOL, "activation.trainable": BOOL,
     "activation.granularity": _one_of(GRANULARITIES),
-    "activation.base_kwargs": (lambda v: isinstance(v, dict),
-                               "keyword arguments"),
+    "activation.base_kwargs": (
+        lambda v: isinstance(v, dict) and all(map(_is_finite, v.values())),
+        "keyword arguments, each a finite number"),
     "optim.lr": FINITE, "optim.momentum": FINITE,
     "optim.weight_decay": FINITE,
     "optim.t_lr": FINITE, "optim.t_momentum": FINITE,
@@ -238,9 +244,9 @@ RULES = {
     "dataset.subset": POSITIVE,
     "dataset.spread": NON_NEGATIVE, "dataset.noise": NON_NEGATIVE,
     "dataset.augment": BOOL, "dataset.as_images": BOOL,
-    "epochs": POSITIVE, "batch_size": POSITIVE, "probe_steps": POSITIVE,
+    "epochs": POSITIVE, "batch_size": POSITIVE, "probe_steps": COUNT,
     "depth_start": POSITIVE, "depth_step": POSITIVE, "depth_count": POSITIVE,
-    "seed": (lambda v: _is_count(v, 0), "an integer >= 0"),
+    "seed": COUNT,
     "out": TEXT, "run_id": TEXT,
     "t_values": _each(_is_finite, "finite numbers"),
 }
@@ -289,6 +295,8 @@ def _validate(cfg: ExperimentConfig):
         _name_key(where, check_depth, family, depth)
     shape = sample_shape(cfg)
     _name_key("model.input_hw", check_input_hw, family, shape[-1])
+    if cfg.experiment == "variance_study" and cfg.probe_steps == 0:
+        raise ConfigError("probe_steps must be >= 1 for a variance_study")
     d = cfg.dataset
     if d.augment and len(shape) != 3:
         raise ConfigError(f"dataset.augment needs image input, but samples "
@@ -301,7 +309,7 @@ def _validate(cfg: ExperimentConfig):
         if n_train < 1:
             raise ConfigError(f"dataset.n={d.n} leaves no training samples "
                               f"for {d.classes} classes")
-        if cfg.experiment == "variance_study" and cfg.probe_steps > n_train:
+        if cfg.probe_steps > n_train:
             raise ConfigError(f"probe_steps={cfg.probe_steps} exceeds the "
                               f"{n_train} training samples")
         # the families whose builders take with_bn; cifar10_binary's size is

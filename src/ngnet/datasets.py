@@ -13,7 +13,6 @@ Synthetic tasks come in two flavours:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,11 +103,14 @@ def make_spirals(classes=3, n=1500, seed=0, noise=0.08,
 def read_cifar10_records(path):
     """Raw records from one CIFAR-10 binary batch file: labels (N,), pixels
     (N, 3, 32, 32) uint8."""
-    size = os.path.getsize(path)
-    if size == 0 or size % CIFAR_RECORD:
+    try:
+        raw = np.fromfile(path, dtype=np.uint8)
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from None
+    if raw.size == 0 or raw.size % CIFAR_RECORD:
         raise FormatError(
-            f"{path}: length {size} is not a multiple of {CIFAR_RECORD}")
-    raw = np.fromfile(path, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
+            f"{path}: length {raw.size} is not a multiple of {CIFAR_RECORD}")
+    raw = raw.reshape(-1, CIFAR_RECORD)
     labels = raw[:, 0]
     bad = np.nonzero(labels >= 10)[0]
     if bad.size:

@@ -7,7 +7,8 @@ repeated runs emit bitwise-identical CSVs.
 A sweep is a list of run configs: deep copies of the sweep's config, each
 with its run's ``activation.*``, ``model.depth``, ``init`` and ``run_id``
 set, so a run config describes its run completely.  One loop,
-``train_runs``, trains the list in order on the sweep's one dataset.
+``train_runs``, trains the list in order on the sweep's one dataset and
+writes each run's per-run CSV rows when that run ends.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ def _eval_acc(spec, params, x, y):
 def train_run(cfg: ExperimentConfig, data: Dataset = None,
               collect_stats: bool = False) -> RunResult:
     """Train the one run `cfg` describes, on `data` if given (it must be
-    ``get_dataset(cfg)``), else on the dataset the config builds."""
+    ``get_dataset(cfg)``), else on the dataset the config builds; then
+    probe its first `probe_steps` training samples."""
     data = data if data is not None else get_dataset(cfg)
     spec = build_model(cfg, data.num_classes)
     params = init_params(spec, InitScheme(cfg.init, cfg.seed))
@@ -174,6 +176,9 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
         res.final_train_acc = float(train_acc)
         if collect_stats:
             _collect_epoch_stats(res, data, epoch + 1, step)
+    probes = instr.sandwich_probes(spec, params, data.train_x[:cfg.probe_steps],
+                                   data.train_y[:cfg.probe_steps], cfg.optim.lr)
+    res.layerstats_rows += [dict(row, run_id=res.run_id) for row in probes]
     t_means = [row["t_mean"] for row in instr.t_trace(spec, params)]
     res.final_mean_t = float(np.mean(t_means)) if t_means else float("nan")
     return res
@@ -214,15 +219,18 @@ def run_config(cfg: ExperimentConfig, name: str, **fields) -> ExperimentConfig:
 
 
 def train_runs(runs, data: Dataset, collect_stats: bool = False):
-    """Train each run config in order on the sweep's one dataset."""
-    return [train_run(run, data, collect_stats) for run in runs]
+    """Train each run config in order on the sweep's one dataset, appending
+    each run's per-run CSV rows when it ends."""
+    results = []
+    for run in runs:
+        results.append(train_run(run, data, collect_stats))
+        _write_run(run, results[-1])
+    return results
 
 
 def run_single(cfg: ExperimentConfig):
     _refuse_present(cfg, [cfg])
-    results = train_runs([cfg], get_dataset(cfg), collect_stats=True)
-    _write_run(cfg, results)
-    return results
+    return train_runs([cfg], get_dataset(cfg), collect_stats=True)
 
 
 def run_capacity_sweep(cfg: ExperimentConfig):
@@ -242,7 +250,6 @@ def run_capacity_sweep(cfg: ExperimentConfig):
                 "max_train_acc": res.max_train_acc,
                 "final_mean_t": res.final_mean_t, "diverged": res.diverged}
                for (name, _), res in zip(settings, results)]
-    _write_run(cfg, results)
     emit_csv(summary, _csv_path(cfg, "capacity"), schema="capacity")
     return results, summary
 
@@ -273,7 +280,6 @@ def run_critical_depth(cfg: ExperimentConfig):
                         "variant": vname, "depth": critical.get(vname, 0),
                         "converged": True, "final_train_acc": float("nan"),
                         "diverged": False})
-    _write_run(cfg, results)
     emit_csv(summary, _csv_path(cfg, "critical_depth"),
              schema="critical_depth")
     return results, critical
@@ -303,7 +309,6 @@ def run_learning_behavior(cfg: ExperimentConfig):
                             "epochs_to_threshold": spread[vname],
                             "final_train_acc": float("nan"),
                             "diverged": False}]
-    _write_run(cfg, results)
     emit_csv(summary, _csv_path(cfg, "learning_behavior"),
              schema="learning_behavior")
     return results, spread
@@ -311,20 +316,12 @@ def run_learning_behavior(cfg: ExperimentConfig):
 
 def run_variance_study(cfg: ExperimentConfig):
     """Wrapped vs plain run with per-epoch layer statistics, shift traces,
-    and per-sample sandwich probes on the dense head."""
-    data = get_dataset(cfg)
+    and each run's closing per-sample sandwich probes on the dense head."""
     runs = [run_config(cfg, vname, activation=act)
             for vname, act in VARIANTS.items()]
     _refuse_present(cfg, runs)
-    results = dict(zip(VARIANTS, train_runs(runs, data, collect_stats=True)))
-    xs, ys = data.train_x[:cfg.probe_steps], data.train_y[:cfg.probe_steps]
-    for res in results.values():
-        res.layerstats_rows += [
-            dict(row, run_id=res.run_id)
-            for row in instr.sandwich_probes(res.spec, res.params, xs, ys,
-                                             cfg.optim.lr)]
-    _write_run(cfg, list(results.values()))
-    return results
+    return dict(zip(VARIANTS, train_runs(runs, get_dataset(cfg),
+                                         collect_stats=True)))
 
 
 # per-run CSV schema -> the RunResult attribute holding its rows
@@ -354,9 +351,9 @@ def _refuse_present(cfg: ExperimentConfig, runs, summary=None,
         refuse_present_run_ids(_csv_path(cfg, name), name, ids)
 
 
-def _write_run(cfg: ExperimentConfig, results):
+def _write_run(cfg: ExperimentConfig, res: RunResult):
     for schema, attr in RUN_CSVS.items():
-        rows = [row for res in results for row in getattr(res, attr)]
+        rows = getattr(res, attr)
         if rows:
             emit_csv(rows, _csv_path(cfg, schema), schema=schema)
 

@@ -346,9 +346,16 @@ class TestVarianceStudy:
             assert header == SCHEMAS[name]
 
 
+def bits(rows):
+    """Rows with each float as its hex string, so that rows compare bitwise
+    and a nan equals a nan."""
+    return [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
+            for row in rows]
+
+
 class TestSweepRunsStandAlone:
     """A sweep run is its own config: training that config alone, on the
-    dataset it builds itself, gives the metrics rows the sweep wrote for
+    dataset it builds itself, gives every per-run row the sweep wrote for
     it, bitwise."""
 
     @staticmethod
@@ -359,15 +366,17 @@ class TestSweepRunsStandAlone:
         return run
 
     @staticmethod
-    def check(cfg, results, runs):
-        alone = [train_run(run).rows for run in runs]
-        assert alone == [res.rows for res in results]
-        path = os.path.join(cfg.out, "alone.csv")
-        emit_csv([row for rows in alone for row in rows], path,
-                 schema="metrics")
-        with open(path, "rb") as a, \
-                open(os.path.join(cfg.out, "metrics.csv"), "rb") as b:
-            assert a.read() == b.read()
+    def check(cfg, results, runs, collect_stats=False):
+        alone = [train_run(run, collect_stats=collect_stats) for run in runs]
+        for schema, attr in runner.RUN_CSVS.items():
+            assert [bits(getattr(res, attr)) for res in alone] == \
+                [bits(getattr(res, attr)) for res in results]
+            rows = [row for res in alone for row in getattr(res, attr)]
+            if rows:
+                path = os.path.join(cfg.out, f"alone-{schema}.csv")
+                emit_csv(rows, path, schema=schema)
+                assert Path(path).read_bytes() == \
+                    Path(cfg.out, f"{schema}.csv").read_bytes()
 
     def test_critical_depth(self, tmp_path):
         cfg = mlp_cfg(tmp_path, experiment="critical_depth", run_id="cd",
@@ -393,6 +402,14 @@ class TestSweepRunsStandAlone:
                 runs.append(run)
         self.check(cfg, results, runs)
 
+    def test_variance_study(self, tmp_path):
+        """Epoch rows, then the closing probe rows, and the shift traces."""
+        cfg = mlp_cfg(tmp_path, experiment="variance_study", run_id="vs",
+                      probe_steps=2, epochs=2)
+        results = run_variance_study(cfg)
+        runs = [self.run_of(cfg, v, ng=v == "ng") for v in ("ng", "plain")]
+        self.check(cfg, list(results.values()), runs, collect_stats=True)
+
 
 class TestExperimentDispatch:
     def test_unknown_kind_rejected(self, tmp_path):
@@ -412,6 +429,35 @@ class TestExperimentDispatch:
                           for name in os.listdir(cfg.out)})
         assert blobs[0].keys() == blobs[1].keys()
         assert blobs[0] == blobs[1]
+
+    def test_failed_run_leaves_the_runs_before_it(self, tmp_path,
+                                                  monkeypatch):
+        """Each run's rows are on disk when it ends: a sweep whose third run
+        fails leaves the first two runs' rows, as an uninterrupted sweep
+        writes them, and no summary."""
+        whole = mlp_cfg(tmp_path, experiment="learning_behavior", epochs=2,
+                        out=str(tmp_path / "whole"))
+        run_learning_behavior(whole)
+        cfg = copy.deepcopy(whole)
+        cfg.out = str(tmp_path / "failed")
+        calls = []
+
+        def failing_third(run, *args, **kwargs):
+            if len(calls) == 2:
+                raise RuntimeError("third run fails")
+            calls.append(run.run_id)
+            return train_run(run, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "train_run", failing_third)
+        with pytest.raises(RuntimeError, match="third run fails"):
+            run_learning_behavior(cfg)
+        header, *lines = Path(whole.out, "metrics.csv").read_bytes() \
+            .splitlines(keepends=True)
+        kept = [line for line in lines
+                if line.split(b",")[0].decode() in calls]
+        assert Path(cfg.out, "metrics.csv").read_bytes() == \
+            header + b"".join(kept)
+        assert sorted(os.listdir(cfg.out)) == ["metrics.csv"]
 
     def test_summary_run_id_refused_before_training(self, tmp_path,
                                                     monkeypatch):
@@ -460,6 +506,43 @@ optim.weight_decay = 0
 epochs = 2
 seed = 5
 """
+
+
+def python_m_ngnet(argv, cwd=None):
+    """Run ``python -m ngnet argv`` on this checkout's source."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "ngnet", *argv], env=env,
+                          cwd=cwd, capture_output=True, text=True,
+                          timeout=120)
+
+
+# command line -> what its error line must name (see refusal_argv).  The
+# CLI refuses CLI_REFUSALS before any config rule runs; REFUSALS adds four
+# refusals of config rules that other tests run in-process.
+CLI_REFUSALS = {
+    ("run", "--config", "{tmp}/nonexistent.cfg"): "nonexistent.cfg",
+    ("run", "--config", "{tmp}"): "Is a directory",
+    ("run", "--config", "{file}"): "cannot read config",
+    **{("grad-check", "--config", "{cfg}", "--tolerance", t): "--tolerance"
+       for t in ("nan", "0", "inf")},
+    ("inspect-cifar", "{tmp}/missing.bin"): "missing.bin",
+}
+SELU = ("run", "--config", "{cfg}", "--override", "activation.base=selu",
+        "--override")
+REFUSALS = {
+    **CLI_REFUSALS,
+    SELU + ("activation.base_kwargs.lam=inf",): "activation.base_kwargs",
+    SELU + ("activation.base_kwargs.alpha=inf",): "activation.base_kwargs",
+    ("run", "--config", "{cfg}", "--override", "optim.lr=nan"): "optim.lr",
+    ("run", "--config", "{cfg}", "--out", "{file}"): "cannot make directory",
+}
+
+
+def refusal_cases(table):
+    return pytest.mark.parametrize("argv, named", table.items(),
+                                   ids=[" ".join(argv) for argv in table])
 
 
 class TestCli:
@@ -534,7 +617,10 @@ class TestCli:
         ("depth_step=abc", "depth_step"),
         ("depth_count=2.5", "depth_count"),
         ("t_values=-1,abc", "t_values"),
-        ("probe_steps=0", "probe_steps"),
+        # a variance_study without probes; elsewhere 0 means "no probes"
+        pytest.param("experiment=variance_study probe_steps=0", "probe_steps",
+                     id="probe_steps=0-probe_steps"),
+        ("probe_steps=121", "probe_steps"),  # 160 spiral points train 120
         ("model=3", "model"),
         ("optim=0.1", "optim"),
         ("dataset=blobs", "dataset"),
@@ -590,6 +676,10 @@ class TestCli:
         ("optim.weight_decay=nan", "optim.weight_decay"),
         ("optim.lr=inf", "optim.lr"),
         ("activation.t_init=inf", "activation.t_init"),
+        ("activation.base=selu activation.base_kwargs.lam=inf",
+         "activation.base_kwargs"),
+        ("activation.base=selu activation.base_kwargs.alpha=inf",
+         "activation.base_kwargs"),
         pytest.param("optim.lr=1" + "0" * 400, "optim.lr",
                      id="optim.lr=an integer beyond float64"),
     ])
@@ -726,14 +816,37 @@ class TestCli:
         assert build_experiment_config(load_config(path)).seed is not None
 
     def test_python_m_ngnet(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        res = subprocess.run([sys.executable, "-m", "ngnet", "--help"],
-                             env=env, capture_output=True, text=True,
-                             timeout=120)
+        res = python_m_ngnet(["--help"])
         assert res.returncode == 0, res.stderr
         assert "sweep" in res.stdout
+
+    def refusal_argv(self, tmp_path, argv):
+        """`argv` with {cfg} the smoke config, {file} a file that holds a
+        byte no text decodes, and {tmp} the directory that holds both, and
+        that the command runs in."""
+        (tmp_path / "binary").write_bytes(b"\xff\n")
+        cfg = self.write_cfg(tmp_path)
+        return [a.format(cfg=cfg, file=tmp_path / "binary", tmp=tmp_path)
+                for a in argv]
+
+    @refusal_cases(CLI_REFUSALS)
+    def test_refusal_is_a_clean_error(self, tmp_path, capsys, monkeypatch,
+                                      argv, named):
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = cli_main(self.refusal_argv(tmp_path, argv))
+        except SystemExit as exc:  # argparse refuses an argument this way
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and named in err
+
+    @refusal_cases(REFUSALS)
+    def test_refusal_through_python_m_ngnet(self, tmp_path, argv, named):
+        res = python_m_ngnet(self.refusal_argv(tmp_path, argv), tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "error:" in res.stderr and named in res.stderr
+        assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("seed", [7, 977])
     def test_grad_check_is_the_benchmark_check(self, seed, capsys):
