@@ -6,11 +6,12 @@ trainable shift ``t``.  For a ReLU base this is ``max(x, t)``: inputs above
 linear on its input distribution, and raising ``t`` during training
 introduces nonlinearity.
 
-Shift granularity (``t``'s storage shape, see ``shift_shape``):
+Shift granularity (``t``'s storage shape, see ``shift_shape``: the
+trailing shape of the channels-last input sample it broadcasts against):
   * element: one t per input element (per feature-map position, or per node
     of a dense layer);
-  * channel: one t shared by all spatial positions of a channel (dense
-    layers fall back to per-node);
+  * channel: one t, shape (C,), shared by all spatial positions of a
+    channel (dense layers fall back to per-node);
   * layer: a single scalar t.
 
 The forward also returns the branch mask ``m = x >= t``, which the layer
@@ -29,12 +30,13 @@ kernels is not read and may be None.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import as_f64
+from .tensor import _colsum, _wide, as_f64
 
 GRANULARITIES = ("element", "channel", "layer")
 
@@ -178,25 +180,20 @@ def make_base(name: str, **kwargs) -> BaseActivation:
 
 
 def shift_shape(granularity: str, sample_shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Storage shape of t for one input sample of the given shape."""
+    """Storage shape of t for one channels-last input sample, (H, W, C) or
+    (D,): the trailing shape of the sample that t broadcasts against."""
     if granularity == "layer":
         return (1,)
-    if len(sample_shape) == 3:  # (C, H, W)
-        if granularity == "channel":
-            return (sample_shape[0], 1, 1)
-        if granularity == "element":
-            return tuple(sample_shape)
-    elif len(sample_shape) == 1:  # dense features: channel falls back to per-node
-        if granularity in ("channel", "element"):
-            return tuple(sample_shape)
+    if granularity == "channel":
+        return tuple(sample_shape[-1:])
+    if granularity == "element":
+        return tuple(sample_shape)
     raise ShapeError(f"granularity {granularity!r} undefined for shape {sample_shape}")
 
 
 # The kernels take the base, the shift t at its storage shape (it broadcasts
 # against x, which may carry a leading batch axis) and, in the backward, the
-# mask the forward returned.  Every full-shape result is C-contiguous, also
-# for a transposed-view x such as a conv output, so reductions downstream
-# run in the same order whatever the input layout.
+# mask the forward returned.
 
 def ng_forward(base: BaseActivation, t, x, a=None):
     """(f(x - t) + t, branch mask x >= t), elementwise.
@@ -206,12 +203,14 @@ def ng_forward(base: BaseActivation, t, x, a=None):
     identity whenever every input clears the shift.  Both branches agree
     with f(x - t) + t for finite inputs; x == t == ±inf returns x.
     """
+    t = _wide(t, x)
     m = np.greater_equal(x, t, out=np.empty(x.shape, dtype=bool))
     if isinstance(base, ReLU):
         # f(u) + t is 0.0 + t on the lower branch, which turns a stored
         # -0.0 into +0.0; on a tie np.maximum returns its second operand,
         # so x == t gives x, signed zeros included, and a NaN propagates
-        return np.maximum(t + 0.0, x, out=np.empty(x.shape)), m
+        t += 0.0
+        return np.maximum(t, x, out=np.empty(x.shape)), m
     x = as_f64(x)
     shifted = base.f(x - t, a) + t
     if base.linear_positive:
@@ -233,20 +232,11 @@ def ng_backward_input(base: BaseActivation, t, x, m, grad_out, a=None):
 
 
 def reduce_to_param(g, param_shape):
-    """Sum a full-shape gradient down to a parameter's storage shape.
-
-    Sums over every leading axis the parameter lacks (the batch axis among
-    them) and over every broadcast axis of the parameter.  With a
-    batch-mean loss upstream this yields the exact gradient of that loss.
-    """
-    g = as_f64(g)
-    extra = g.ndim - len(param_shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, d in enumerate(param_shape) if d == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(param_shape)
+    """Sum a full-shape gradient down to a parameter's storage shape, a
+    trailing shape of g's samples (or (1,)): the column sums of g's
+    (N, size) view.  With a batch-mean loss upstream this yields the exact
+    gradient of that loss."""
+    return _colsum(as_f64(g), math.prod(param_shape)).reshape(param_shape)
 
 
 def ng_grad_t(base: BaseActivation, t, x, m, grad_out, a=None):

@@ -17,10 +17,13 @@ cache holds the branch mask ``x >= t`` its forward returned, and its input
 ``x`` only when the base's backward reads it
 (``BaseActivation.backward_reads_x``: SELU and PReLU).
 
-Batch norm runs on one channels-last row per sample (``_bn_rows``), a free
-view of a conv output, and takes its per-channel statistics as column
-reductions; each direction allocates two full-size arrays, and the cache
-keeps ``xhat`` as those rows.
+Every layer takes and returns C-contiguous channels-last ``(B, H, W, C)``
+batches (``ngnet.tensor``), or ``(B, D)`` features, and per-channel
+parameters broadcast on the last axis.  ``forward`` converts the
+``(B, C, H, W)`` input batch once; a ``Dense`` on a 4-D input flattens it
+in ``(C, H, W)`` order, the order of ``W``'s columns.  Batch norm sums per
+channel over its input's ``(N, C)`` view; its forward allocates two
+full-size arrays (the cached ``xhat`` and the output), its backward one.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ from .activations import (BaseActivation, PReLU, make_base,
                           ng_backward_input, ng_forward, ng_grad_t,
                           prelu_grad_a, shift_shape)
 from .errors import ConfigError, ContractError, ShapeError
-from .tensor import (_conv_geometry, as_f64, conv2d_backward, conv2d_forward,
-                     global_avg_pool_backward, global_avg_pool_forward,
-                     maxpool2_backward, maxpool2_forward)
+from .tensor import (_colsum, _conv_geometry, _wide, as_f64, conv2d_backward,
+                     conv2d_forward, global_avg_pool_backward,
+                     global_avg_pool_forward, maxpool2_backward,
+                     maxpool2_forward)
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
@@ -250,24 +254,27 @@ def draw_weight(kind, shape, rng) -> np.ndarray:
 
 def init_params(spec: NetworkSpec, scheme: InitScheme) -> dict:
     """Per-layer parameter dict; bitwise-deterministic in (spec, scheme).
-    Tracks each layer's input sample shape (no batch axis) as it walks."""
+    Tracks each layer's channels-last input sample shape (no batch axis)
+    as it walks."""
     params: dict = {}
     shape = tuple(spec.input_shape)
+    if len(shape) == 3:  # (C, H, W) -> (H, W, C)
+        shape = (*shape[1:], shape[0])
     for i, layer in enumerate(spec.layers):
         rng = np.random.default_rng(np.random.SeedSequence(scheme.seed, spawn_key=(i,)))
         p: dict = {}
         if isinstance(layer, Conv):
-            p["W"] = draw_weight(scheme.kind, (layer.channels, shape[0], 3, 3), rng)
+            p["W"] = draw_weight(scheme.kind, (layer.channels, shape[-1], 3, 3), rng)
             if layer.bias:
                 p["b"] = np.zeros(layer.channels)
-            shape = (layer.channels,) + _conv_geometry(*shape[1:], layer.stride)
+            shape = _conv_geometry(*shape[:2], layer.stride) + (layer.channels,)
         elif isinstance(layer, Dense):
             in_dim = int(np.prod(shape))
             p["W"] = draw_weight(scheme.kind, (layer.units, in_dim), rng)
             p["b"] = np.zeros(layer.units)
             shape = (layer.units,)
         elif isinstance(layer, BatchNorm):
-            c = shape[0]
+            c = shape[-1]
             p["gamma"] = np.ones(c)
             p["beta"] = np.zeros(c)
             p["running_mean"] = np.zeros(c)
@@ -282,12 +289,12 @@ def init_params(spec: NetworkSpec, scheme: InitScheme) -> dict:
             if a_spec.base == "prelu":
                 p["a"] = np.full(shift_shape("channel", shape), PReLU.A_INIT)
         elif isinstance(layer, MaxPool):
-            c, h, w = shape
+            h, w, c = shape
             if h % 2 or w % 2:
                 raise ConfigError(f"max pool on odd spatial dims {shape}")
-            shape = (c, h // 2, w // 2)
+            shape = (h // 2, w // 2, c)
         elif isinstance(layer, GlobalAvgPool):
-            shape = (shape[0],)
+            shape = (shape[-1],)
         # markers: shape-preserving, no parameters
         if p:
             params[i] = p
@@ -308,6 +315,7 @@ def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train",
             keep_cache=True, act_inputs: dict = None):
     """Run the network; returns (logits, loss, cache).
 
+    `batch` is (B, C, H, W), converted to channels-last here, or (B, D).
     The logits are the last layer's output; loss is their softmax
     cross-entropy against `labels`, or None without labels.  train mode
     uses batch statistics for batch norm and updates the running ones; eval
@@ -320,6 +328,8 @@ def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train",
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be train or eval, got {mode!r}")
     x = as_f64(batch)
+    if x.ndim == 4:
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
     skip_stack = []
     caches = []
     for i, layer in enumerate(spec.layers):
@@ -328,9 +338,11 @@ def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train",
             c["x"] = x
             x = conv2d_forward(x, params[i]["W"], layer.stride)
             if layer.bias:
-                x = x + params[i]["b"][None, :, None, None]
+                x += _wide(params[i]["b"], x)
         elif isinstance(layer, Dense):
-            flat = x.reshape(x.shape[0], -1)
+            # in (C, H, W) order, the order of W's columns
+            flat = (x.transpose(0, 3, 1, 2) if x.ndim == 4 else x).reshape(
+                x.shape[0], -1)
             c["x"] = flat
             x = flat @ params[i]["W"].T + params[i]["b"]
         elif isinstance(layer, BatchNorm):
@@ -368,66 +380,37 @@ def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train",
     return x, loss, {"layers": caches, "probs": probs, "labels": labels}
 
 
-def _bn_rows(x):
-    """One channels-last row per sample, (B, H*W*C), of a (B, C) or
-    (B, C, H, W) batch: a view of a conv output, whose memory is
-    channels-last; a copy of a C-contiguous 4-D input."""
-    return np.moveaxis(x, 1, -1).reshape(x.shape[0], -1)
-
-
-def _bn_unrows(rows, shape):
-    """The (B, C, ...) view of sample rows, for a batch of `shape`."""
-    return np.moveaxis(rows.reshape((shape[0],) + shape[2:] + (shape[1],)),
-                       -1, 1)
-
-
-def _colsum(rows, ch):
-    """Per-channel sums of sample rows: one BLAS product over their (N, C)
-    view, several times faster than (N, C).sum(axis=0)."""
-    cols = rows.reshape(-1, ch)
-    return np.ones(cols.shape[0]) @ cols
-
-
 def _coldot(a, b, ch):
-    """Per-channel sums of a*b over sample rows, with no temporary."""
+    """Per-channel sums of a*b, with no temporary."""
     return np.einsum("ij,ij->j", a.reshape(-1, ch), b.reshape(-1, ch))
 
 
-def _wide(v, rows):
-    """Per-channel `v` repeated along one sample row.  Elementwise ops with
-    it run NumPy's inner loop over a whole row; `v` broadcast over the
-    (N, C) view runs it C elements at a time, 2-3x slower at C = 8."""
-    return np.tile(v, rows.shape[1] // v.size)
-
-
 def _bn_forward(p, x, mode, c):
-    """Batch norm on the sample rows of `x` (_bn_rows).  Allocates two
-    full-size arrays: the centred rows, normalised in place and cached as
-    xhat, and the output, returned as a (B, C, ...) view of channels-last
-    memory like a conv output."""
-    ch = x.shape[1]
-    rows = _bn_rows(x)
+    """Batch norm over every axis but the last.  Allocates two full-size
+    arrays: the centred input, normalised in place and cached as xhat, and
+    the output."""
+    ch = x.shape[-1]
     if mode == "train":
         if x.shape[0] < 2:
             raise ConfigError("batch norm needs batch size >= 2 in train mode")
-        n = rows.size // ch
-        mean = _colsum(rows, ch) / n
-        xhat = rows - _wide(mean, rows)
+        n = x.size // ch
+        mean = _colsum(x, ch) / n
+        xhat = x - _wide(mean, x)
         # two passes: E[x^2] - E[x]^2 would cancel catastrophically
         var = _coldot(xhat, xhat, ch) / n
         p["running_mean"] = BN_MOMENTUM * p["running_mean"] + (1 - BN_MOMENTUM) * mean
         p["running_var"] = BN_MOMENTUM * p["running_var"] + (1 - BN_MOMENTUM) * var
     else:
-        xhat = rows - _wide(p["running_mean"], rows)
+        xhat = x - _wide(p["running_mean"], x)
         var = p["running_var"]
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= _wide(inv_std, rows)
+    xhat *= _wide(inv_std, x)
     c["xhat"] = xhat
     c["inv_std"] = inv_std
     c["train_stats"] = mode == "train"
-    y = xhat * _wide(p["gamma"], rows)
-    y += _wide(p["beta"], rows)
-    return _bn_unrows(y, x.shape)
+    y = xhat * _wide(p["gamma"], x)
+    y += _wide(p["beta"], x)
+    return y
 
 
 def _shortcut(skip, out_shape):
@@ -435,11 +418,11 @@ def _shortcut(skip, out_shape):
     channels (parameter-free)."""
     if skip.shape == out_shape:
         return skip
-    strided = skip[:, :, ::2, ::2]
-    if strided.shape[2:] != out_shape[2:] or strided.shape[1] > out_shape[1]:
+    strided = skip[:, ::2, ::2]
+    if strided.shape[1:3] != out_shape[1:3] or strided.shape[3] > out_shape[3]:
         raise ShapeError(f"cannot form shortcut {skip.shape} -> {out_shape}")
     padded = np.zeros(out_shape)
-    padded[:, :strided.shape[1]] = strided
+    padded[..., :strided.shape[3]] = strided
     return padded
 
 
@@ -447,7 +430,7 @@ def _shortcut_backward(grad_out, skip_shape):
     if grad_out.shape == skip_shape:
         return grad_out
     g = np.zeros(skip_shape)
-    g[:, :, ::2, ::2] = grad_out[:, :skip_shape[1]]
+    g[:, ::2, ::2] = grad_out[..., :skip_shape[3]]
     return g
 
 
@@ -483,7 +466,7 @@ def backward(spec: NetworkSpec, params: dict, cache,
             if out_grads is not None:
                 out_grads.setdefault(i, grad)  # unless batch norm follows
             if layer.bias:
-                gb = grad.sum(axis=(0, 2, 3))
+                gb = _colsum(grad, layer.channels)
             # nothing reads the gradient of the network input
             grad, gw = conv2d_backward(grad, c["x"], params[i]["W"], layer.stride,
                                        input_grad=i > 0)
@@ -495,7 +478,10 @@ def backward(spec: NetworkSpec, params: dict, cache,
                 out_grads[i] = grad
             gw = grad.T @ c["x"]
             gb = grad.sum(axis=0)
-            grad = (grad @ params[i]["W"]).reshape(c["in_shape"])
+            grad = grad @ params[i]["W"]
+            if len(c["in_shape"]) == 4:  # back from (C, H, W) order
+                b, h, w, ch = c["in_shape"]
+                grad = grad.reshape(b, ch, h, w).transpose(0, 2, 3, 1).copy()
             grads[i] = {"W": gw, "b": gb}
         elif isinstance(layer, BatchNorm):
             if out_grads is not None:
@@ -526,23 +512,21 @@ def backward(spec: NetworkSpec, params: dict, cache,
 
 
 def _bn_backward(p, grad, c):
-    """Input, gamma and beta gradients of _bn_forward, on sample rows.
-    Allocates two full-size arrays: the gradient's rows (a copy, since
-    `grad` may also feed a shortcut) and the C-contiguous input gradient,
-    whose memory holds the train-mode temporary until it is written."""
+    """Input, gamma and beta gradients of _bn_forward.  Allocates one
+    full-size array, the input gradient; `grad`, which may also feed a
+    shortcut, is only read."""
     xhat, inv_std = c["xhat"], c["inv_std"]
-    ch = grad.shape[1]
-    g = np.array(np.moveaxis(grad, 1, -1), order="C").reshape(xhat.shape)
-    dbeta = _colsum(g, ch)
-    dgamma = _coldot(g, xhat, ch)
+    ch = grad.shape[-1]
+    dbeta = _colsum(grad, ch)
+    dgamma = _coldot(grad, xhat, ch)
     dx = np.empty(grad.shape)
     if c["train_stats"]:
-        # dx = gamma/sigma * (g - dbeta/n - xhat*dgamma/n); until the result
-        # is copied in, dx's memory holds the temporary t
-        n = g.size // ch
-        t = np.multiply(xhat, _wide(dgamma / n, g), out=dx.reshape(g.shape))
-        t += _wide(dbeta / n, g)
-        g -= t
-    g *= _wide(p["gamma"] * inv_std, g)
-    np.copyto(dx, _bn_unrows(g, grad.shape))
+        # dx = gamma/sigma * (g - dbeta/n - xhat*dgamma/n)
+        n = grad.size // ch
+        np.multiply(xhat, _wide(dgamma / n, grad), out=dx)
+        dx += _wide(dbeta / n, grad)
+        np.subtract(grad, dx, out=dx)
+        dx *= _wide(p["gamma"] * inv_std, grad)
+    else:
+        np.multiply(grad, _wide(p["gamma"] * inv_std, grad), out=dx)
     return dx, {"gamma": dgamma, "beta": dbeta}

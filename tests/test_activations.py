@@ -1,4 +1,10 @@
-"""Shifted-activation semantics: forward rule, both gradients, invariants."""
+"""Shifted-activation semantics: forward rule, both gradients, invariants.
+
+Inputs are channels-last (B, H, W, C), with per-channel t and slopes of
+shape (C,), as the network passes them.
+"""
+
+import math
 
 import numpy as np
 import pytest
@@ -36,8 +42,10 @@ def ref_backward_input(base, t, x, grad_out, a=None):
 
 
 def ref_reduce_to_param(g, param_shape, batched):
-    """Reference for reduce_to_param: the version that took the batch axis
-    as an argument and summed it first, on its own."""
+    """The version of reduce_to_param that took the batch axis as an
+    argument and summed it first, on its own, in NumPy's order; the kernel
+    sums in another order (colsum_reduce), so within the float64 sum
+    bound."""
     g = np.ascontiguousarray(g, dtype=np.float64)
     if batched:
         g = g.sum(axis=0)
@@ -50,14 +58,24 @@ def ref_reduce_to_param(g, param_shape, batched):
     return g.reshape(param_shape)
 
 
-def ref_grad_t(base, t, x, grad_out, a=None):
-    """Reference for ng_grad_t: grad_out * (1 - f'(x - t)) summed down to
-    t's storage shape, with a batch axis wherever x has one more axis than
-    t (a layer-wide t on a conv input is summed over all axes at once)."""
+def colsum_reduce(g, param_shape):
+    """g summed down to a trailing shape of its samples: each column of its
+    (N, size) view summed by one BLAS product with a vector of ones."""
+    cols = g.reshape(-1, math.prod(param_shape))
+    return (np.ones(len(cols)) @ cols).reshape(param_shape)
+
+
+def ref_grad_t_terms(base, t, x, grad_out, a=None):
+    """The terms ng_grad_t sums: grad_out * (1 - f'(x - t)), u rebuilt."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     u = x - np.broadcast_to(t, x.shape)
-    g = np.ascontiguousarray(grad_out) * (1.0 - base.df(u, a))
-    return ref_reduce_to_param(g, t.shape, x.ndim == t.ndim + 1)
+    return np.ascontiguousarray(grad_out) * (1.0 - base.df(u, a))
+
+
+def ref_grad_t(base, t, x, grad_out, a=None):
+    """Reference for ng_grad_t, which must match it bitwise: the terms
+    summed down to t's storage shape by columns."""
+    return colsum_reduce(ref_grad_t_terms(base, t, x, grad_out, a), t.shape)
 
 
 def t_arr(t):
@@ -106,9 +124,9 @@ class TestForward:
 
     def test_granularities_agree(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((2, 3, 4, 4))
-        y_elem = fwd(ReLU(), np.full((3, 4, 4), -0.5), x)
-        y_chan = fwd(ReLU(), np.full((3, 1, 1), -0.5), x)
+        x = rng.standard_normal((2, 4, 4, 3))
+        y_elem = fwd(ReLU(), np.full((4, 4, 3), -0.5), x)
+        y_chan = fwd(ReLU(), np.full((3,), -0.5), x)
         y_layer = fwd(ReLU(), [-0.5], x)
         np.testing.assert_array_equal(y_elem, y_chan)
         np.testing.assert_array_equal(y_chan, y_layer)
@@ -221,10 +239,10 @@ class TestGradT:
 
     def test_channel_reduction(self):
         rng = np.random.default_rng(8)
-        x = rng.standard_normal((4, 2, 3, 3))  # batch of 4, 2 channels
-        g = grad_t(ReLU(), np.full((2, 1, 1), 0.1), x, np.ones_like(x))
+        x = rng.standard_normal((4, 3, 3, 2))  # batch of 4, 2 channels
+        g = grad_t(ReLU(), np.full((2,), 0.1), x, np.ones_like(x))
         # each channel's entry equals the count of inactive elements
-        expect = ((x - 0.1) < 0).sum(axis=(0, 2, 3)).astype(float)
+        expect = ((x - 0.1) < 0).sum(axis=(0, 1, 2)).astype(float)
         np.testing.assert_allclose(g.ravel(), expect)
 
     def test_kink_belongs_to_t_exactly(self):
@@ -290,9 +308,10 @@ class TestSELU:
 
 class TestShiftShape:
     def test_conv_shapes(self):
-        assert shift_shape("element", (4, 8, 8)) == (4, 8, 8)
-        assert shift_shape("channel", (4, 8, 8)) == (4, 1, 1)
-        assert shift_shape("layer", (4, 8, 8)) == (1,)
+        """A conv sample is (H, W, C); t is its trailing shape."""
+        assert shift_shape("element", (8, 8, 4)) == (8, 8, 4)
+        assert shift_shape("channel", (8, 8, 4)) == (4,)
+        assert shift_shape("layer", (8, 8, 4)) == (1,)
 
     def test_dense_shapes(self):
         assert shift_shape("element", (16,)) == (16,)
@@ -324,7 +343,9 @@ def test_linear_identity_property(xs, t):
 
 def check_against_reference(base, t, x, grad_out, a=None):
     """Forward, input gradient and t-gradient bitwise equal to the
-    reference, with C-contiguous full-shape results."""
+    reference, with C-contiguous full-shape results; the t-gradient also
+    within the float64 sum bound, n*eps*sum(|term|), of the NumPy-order
+    sum of the same terms."""
     y, m = ng_forward(base, t, x, a)
     dx = ng_backward_input(base, t, x, m, grad_out, a)
     dt = ng_grad_t(base, t, x, m, grad_out, a)
@@ -333,12 +354,14 @@ def check_against_reference(base, t, x, grad_out, a=None):
     assert_bitwise(y, ref_forward(base, t, x, a))
     assert_bitwise(dx, ref_backward_input(base, t, x, grad_out, a))
     assert_bitwise(dt, ref_grad_t(base, t, x, grad_out, a))
-
-
-def channels_last_view(arr):
-    """The same values laid out like a conv output: a transposed view of a
-    contiguous (B, H, W, C) array."""
-    return np.ascontiguousarray(arr.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    terms = ref_grad_t_terms(base, t, x, grad_out, a)
+    if np.isfinite(terms).all():
+        batched = x.ndim == t.ndim + 1
+        n = terms.size // t.size
+        bound = n * np.finfo(np.float64).eps * colsum_reduce(abs(terms),
+                                                             t.shape)
+        assert (abs(dt - ref_reduce_to_param(terms, t.shape, batched))
+                <= bound).all()
 
 
 # Finite values, both signed zeros and exact ties; infinities are left out:
@@ -355,7 +378,7 @@ def test_bitwise_equals_reference(data):
     granularity = data.draw(st.sampled_from(GRANULARITIES), label="granularity")
     batch = data.draw(st.integers(1, 3), label="batch")
     if data.draw(st.booleans(), label="conv"):
-        sample = tuple(data.draw(st.tuples(*[st.integers(1, 3)] * 3), label="chw"))
+        sample = tuple(data.draw(st.tuples(*[st.integers(1, 3)] * 3), label="hwc"))
     else:
         sample = (data.draw(st.integers(1, 4), label="features"),)
     shape = (batch,) + sample
@@ -370,14 +393,9 @@ def test_bitwise_equals_reference(data):
                     label="nan")
     x[nan] = np.nan
     grad_out = data.draw(arrays(np.float64, shape, elements=_VALUES), label="g")
-    if len(sample) == 3:
-        if data.draw(st.booleans(), label="x channels-last"):
-            x = channels_last_view(x)
-        if data.draw(st.booleans(), label="g channels-last"):
-            grad_out = channels_last_view(grad_out)
     a = None
     if base.has_slope_param:
-        a = data.draw(arrays(np.float64, (sample[0],) + (1,) * (len(sample) - 1),
+        a = data.draw(arrays(np.float64, shift_shape("channel", sample),
                              elements=st.floats(0.01, 0.99)), label="a")
     check_against_reference(base, t, x, grad_out, a)
 
@@ -386,14 +404,14 @@ def test_bitwise_equals_reference(data):
 @pytest.mark.parametrize("granularity", GRANULARITIES)
 def test_signed_zero_ties_and_nan_bitwise(base, granularity):
     """Every pairing of ±0.0 in x with a stored t of ±0.0, and NaN inputs,
-    on a channels-last conv-output view, at every granularity."""
+    on a conv output (B, H, W, C), at every granularity."""
     b = make_base(base)
-    t_shape = shift_shape(granularity, (2, 3, 2))
-    a = np.full((2, 1, 1), 0.25) if b.has_slope_param else None
+    t_shape = shift_shape(granularity, (3, 2, 2))
+    a = np.full((2,), 0.25) if b.has_slope_param else None
     rng = np.random.default_rng(11)
     for t_val in (0.0, -0.0):
         t = np.full(t_shape, t_val)
-        x = rng.choice([0.0, -0.0, np.nan, 0.25, -0.25], size=(3, 2, 3, 2))
-        g = rng.choice([0.0, -0.0, 1.5, -2.0], size=x.shape)
-        check_against_reference(b, t, channels_last_view(x), g, a)
-        check_against_reference(b, t, x, channels_last_view(g), a)
+        for _ in range(2):
+            x = rng.choice([0.0, -0.0, np.nan, 0.25, -0.25], size=(3, 3, 2, 2))
+            g = rng.choice([0.0, -0.0, 1.5, -2.0], size=x.shape)
+            check_against_reference(b, t, x, g, a)

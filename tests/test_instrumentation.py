@@ -201,10 +201,10 @@ class TestMeanShiftTrace:
             elif isinstance(spec.layers[i + 1], BatchNorm):
                 # the gradient at the batch-norm output, whose per-channel
                 # sums are the beta gradient
-                np.testing.assert_allclose(g.sum(axis=(0, 2, 3)),
+                np.testing.assert_allclose(g.sum(axis=(0, 1, 2)),
                                            grads[i + 1]["beta"], rtol=0,
                                            atol=1e-12)
-                assert np.abs(g.mean(axis=(0, 2, 3))).max() > 1e-6
+                assert np.abs(g.mean(axis=(0, 1, 2))).max() > 1e-6
             else:
                 gw = conv2d_backward(g, z, params[i]["W"], layer.stride)[1]
                 assert np.array_equal(grads[i]["W"], gw)

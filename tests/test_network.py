@@ -288,6 +288,52 @@ class TestCache:
                 assert np.array_equal(inputs[i], cache["layers"][i]["x"])
 
 
+def layout_nets():
+    """(spec, batch): a plain CNN with and without batch norm, a BN
+    ResNet-8 (stride 2 and the zero-padded shortcut), the toy CNN and an
+    MLP."""
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((4, 3, 8, 8))
+    return [
+        pytest.param(build_plain_cnn(5, 2, 3, False, NG_RELU, input_hw=8), x,
+                     id="plain_cnn"),
+        pytest.param(build_plain_cnn(5, 2, 3, True, NG_RELU, input_hw=8), x,
+                     id="plain_cnn_bn"),
+        pytest.param(build_resnet(8, 2, 3, NG_RELU, input_hw=8), x,
+                     id="resnet_bn"),
+        pytest.param(build_toy_cnn(3, NG_RELU, input_hw=8), x, id="toy_cnn"),
+        pytest.param(build_mlp([6, 5], 3, NG_RELU, input_dim=4),
+                     rng.standard_normal((4, 4)), id="mlp"),
+    ]
+
+
+class TestLayout:
+    @pytest.mark.parametrize("spec, x", layout_nets())
+    def test_one_channels_last_layout_between_layers(self, spec, x):
+        """Every activation input, conv/dense pre-activation gradient and
+        cached conv input is C-contiguous, with its channels (features) on
+        the last axis."""
+        params = init_params(spec, InitScheme("msra", 4))
+        act_inputs, out_grads = {}, {}
+        _, _, cache = forward(spec, params, x, np.arange(len(x)) % 3,
+                              act_inputs=act_inputs)
+        backward(spec, params, cache, out_grads=out_grads)
+        seen = []
+        for i, layer in enumerate(spec.layers):
+            if isinstance(layer, Activation):
+                # a per-channel shift: (C,) for a conv input, (D,) for dense
+                seen.append((act_inputs[i], params[i]["t"].shape[0]))
+            if isinstance(layer, Conv):
+                seen.append((cache["layers"][i]["x"], params[i]["W"].shape[1]))
+                seen.append((out_grads[i], layer.channels))
+            if isinstance(layer, Dense):
+                seen.append((out_grads[i], layer.units))
+        assert len(seen) == len(act_inputs) + len(out_grads) + count(spec, Conv)
+        for a, channels in seen:
+            assert a.flags.c_contiguous and a.shape[0] == len(x)
+            assert a.shape[-1] == channels and a.ndim in (2, 4)
+
+
 class TestBackward:
     def test_mlp_finite_differences(self):
         spec = build_mlp([5], 3, NG_RELU, input_dim=4)
@@ -421,10 +467,20 @@ def _ref_reshape(p, ndim):
     return p.reshape((1, -1) + (1,) * (ndim - 2))
 
 
+def nchw(a):
+    """The channels-first view of a channels-last batch; 2-D as it is."""
+    return a.transpose(0, 3, 1, 2) if a.ndim == 4 else a
+
+
+def nhwc(a):
+    """A channels-first batch as a C-contiguous channels-last one."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1) if a.ndim == 4 else a)
+
+
 def ref_bn_forward(p, x, mode, c):
     """Batch norm as it was computed before it ran on channels-last rows:
     NumPy reductions over the batch and spatial axes and broadcast per-channel
-    arithmetic, about five full-size temporaries."""
+    arithmetic, about five full-size temporaries; x channels-first."""
     axes = (0,) if x.ndim == 2 else (0, 2, 3)
     if mode == "train":
         mean = x.mean(axis=axes)
@@ -465,18 +521,16 @@ def bn_params(ch, rng):
 
 
 def bn_inputs():
-    """(x, mode) pairs: a conv output (a channels-last view), C-contiguous
-    4-D and 2-D batches, and the eval-mode batch of one sandwich_probes
-    runs."""
+    """(x, mode) pairs, channels-last: a conv output, another 4-D batch, a
+    2-D batch, and the eval-mode batch of one sandwich_probes runs."""
     rng = np.random.default_rng(17)
-    conv_out = conv2d_forward(rng.standard_normal((6, 4, 8, 8)),
+    conv_out = conv2d_forward(nhwc(rng.standard_normal((6, 4, 8, 8))),
                               rng.standard_normal((5, 4, 3, 3)))
-    assert not conv_out.flags.c_contiguous
     cases = []
     for mode in ("train", "eval"):
         cases += [
             pytest.param(conv_out, mode, id=f"conv_out-{mode}"),
-            pytest.param(rng.standard_normal((6, 5, 4, 4)) * 3 + 2, mode,
+            pytest.param(nhwc(rng.standard_normal((6, 5, 4, 4)) * 3 + 2), mode,
                          id=f"c_contiguous-{mode}"),
             pytest.param(rng.standard_normal((7, 5)) - 1, mode,
                          id=f"rows-{mode}"),
@@ -492,18 +546,19 @@ class TestBatchNorm:
 
     @pytest.mark.parametrize("x, mode", bn_inputs())
     def test_matches_reference(self, x, mode):
-        p = bn_params(x.shape[1], np.random.default_rng(x.size))
+        p = bn_params(x.shape[-1], np.random.default_rng(x.size))
         p_ref = copy.deepcopy(p)
         c, c_ref = {}, {}
         y = network._bn_forward(p, x, mode, c)
-        y_ref = ref_bn_forward(p_ref, x, mode, c_ref)
+        y_ref = ref_bn_forward(p_ref, nchw(x), mode, c_ref)
         grad = np.random.default_rng(1).standard_normal(x.shape)
         grad_in = grad.copy()
         dx, g = network._bn_backward(p, grad, c)
-        dx_ref, g_ref = ref_bn_backward(p_ref, grad, c_ref)
+        dx_ref, g_ref = ref_bn_backward(p_ref, nchw(grad), c_ref)
         assert np.array_equal(grad, grad_in)  # a shortcut may share it
         assert y.shape == dx.shape == x.shape
-        for got, want in [(y, y_ref), (dx, dx_ref),
+        assert y.flags.c_contiguous and dx.flags.c_contiguous
+        for got, want in [(y, nhwc(y_ref)), (dx, nhwc(dx_ref)),
                           (g["gamma"], g_ref["gamma"]),
                           (g["beta"], g_ref["beta"])] + [
                 (p[k], p_ref[k]) for k in ("running_mean", "running_var")]:
@@ -512,7 +567,7 @@ class TestBatchNorm:
 
     @pytest.mark.parametrize("x, mode", bn_inputs())
     def test_repeat_is_bitwise(self, x, mode):
-        p = bn_params(x.shape[1], np.random.default_rng(3))
+        p = bn_params(x.shape[-1], np.random.default_rng(3))
         grad = np.random.default_rng(4).standard_normal(x.shape)
         outs = []
         for _ in range(2):
@@ -525,10 +580,11 @@ class TestBatchNorm:
             assert np.array_equal(a, b)
 
     def test_allocates_two_full_size_arrays(self):
-        """A channels-last conv output at (32, 8, 32, 32): the reference
-        peaks at 3x the input's bytes in each direction."""
+        """A conv output at (32, 32, 32, 8): the forward allocates two
+        full-size arrays and the backward one; the reference peaks at 3x the
+        input's bytes in each direction."""
         rng = np.random.default_rng(5)
-        x = conv2d_forward(rng.standard_normal((32, 8, 32, 32)),
+        x = conv2d_forward(rng.standard_normal((32, 32, 32, 8)),
                            rng.standard_normal((8, 8, 3, 3)))
         grad = rng.standard_normal(x.shape)
         p = bn_params(8, rng)
@@ -545,6 +601,7 @@ class TestBatchNorm:
         finally:
             tracemalloc.stop()
         assert max(peaks) < 2.5 * x.nbytes, [b / x.nbytes for b in peaks]
+        assert peaks[1] < 1.5 * x.nbytes, [b / x.nbytes for b in peaks]
 
     def _bn_net(self):
         spec = build_plain_cnn(8, 2, 3, True, IDENT, input_hw=8)
@@ -554,7 +611,7 @@ class TestBatchNorm:
         from ngnet.network import _bn_forward
         p = {"gamma": np.ones(2), "beta": np.full(2, 0.3),
              "running_mean": np.zeros(2), "running_var": np.ones(2)}
-        x = np.full((4, 2, 3, 3), 5.0)
+        x = np.full((4, 3, 3, 2), 5.0)
         out = _bn_forward(p, x, "train", {})
         np.testing.assert_allclose(out, 0.3, atol=1e-12)
 
@@ -619,9 +676,9 @@ class TestLinearityAtInit:
 
 class TestShapes:
     def test_param_shapes_follow_the_sample_shape_plain(self):
-        """init_params tracks each layer's input shape: channels through
-        convs and batch norm, spatial size through the max pools (seen in
-        per-element shifts), features into the classifier."""
+        """init_params tracks each layer's channels-last input shape:
+        channels through convs and batch norm, spatial size through the max
+        pools (seen in per-element shifts), features into the classifier."""
         act = ActivationSpec(base="relu", ng=True, granularity="element")
         spec = build_plain_cnn(5, 4, 3, True, act, input_hw=8)
         params = init_params(spec, InitScheme("msra", 0))
@@ -632,13 +689,13 @@ class TestShapes:
                                           "running_var")}
         assert shapes == [
             ("Conv", {"W": (4, 3, 3, 3)}), ("BatchNorm", bn(4)),
-            ("Activation", {"t": (4, 8, 8)}),
+            ("Activation", {"t": (8, 8, 4)}),
             ("Conv", {"W": (4, 4, 3, 3)}), ("BatchNorm", bn(4)),
-            ("Activation", {"t": (4, 8, 8)}),
+            ("Activation", {"t": (8, 8, 4)}),
             ("Conv", {"W": (8, 4, 3, 3)}), ("BatchNorm", bn(8)),
-            ("Activation", {"t": (8, 4, 4)}),
+            ("Activation", {"t": (4, 4, 8)}),
             ("Conv", {"W": (16, 8, 3, 3)}), ("BatchNorm", bn(16)),
-            ("Activation", {"t": (16, 2, 2)}),
+            ("Activation", {"t": (2, 2, 16)}),
             ("Dense", {"W": (3, 16), "b": (3,)})]
 
     def test_max_pool_on_odd_spatial_dims_rejected(self):

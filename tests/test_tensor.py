@@ -1,4 +1,9 @@
-"""Kernel semantics pinned by independent brute-force oracles."""
+"""Kernel semantics pinned by independent brute-force oracles.
+
+The kernels take and return channels-last (B, H, W, C) batches; the
+oracles are written channels-first, and each test converts at the call
+(``nhwc``/``nchw``).
+"""
 
 import tracemalloc
 
@@ -12,6 +17,17 @@ from ngnet.tensor import (UNFOLD_BLOCK_BYTES, _conv_geometry, _unfold_taps,
                           conv2d_backward, conv2d_forward,
                           global_avg_pool_backward, global_avg_pool_forward,
                           maxpool2_backward, maxpool2_forward)
+
+
+def nhwc(a):
+    """A channels-first (B, C, H, W) array as the kernels take it: a
+    C-contiguous channels-last copy."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
+def nchw(a):
+    """The channels-first view of a kernel's channels-last result."""
+    return a.transpose(0, 3, 1, 2)
 
 
 def naive_conv2d(x, k, stride):
@@ -36,7 +52,8 @@ def naive_conv2d(x, k, stride):
 def tensordot_conv2d_forward(x, k, stride):
     """Reference for conv2d_forward, which must match it bitwise: the
     channels-first kernel on a batch (B, C, H, W) that pads, gathers
-    (B, C, 3, 3, H', W') patches and contracts them with np.tensordot."""
+    (B, C, 3, 3, H', W') patches and contracts them with np.tensordot,
+    whose result is channels-last (B, H', W', C_out)."""
     h_out, w_out = _conv_geometry(x.shape[2], x.shape[3], stride)
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     cols = np.empty(x.shape[:2] + (3, 3, h_out, w_out))
@@ -44,36 +61,34 @@ def tensordot_conv2d_forward(x, k, stride):
         for j in range(3):
             cols[:, :, i, j] = xp[:, :, i:i + stride * h_out:stride,
                                   j:j + stride * w_out:stride]
-    out = np.tensordot(cols, k, axes=([1, 2, 3], [1, 2, 3]))
-    return out.transpose(0, 3, 1, 2)
+    return np.tensordot(cols, k, axes=([1, 2, 3], [1, 2, 3]))
 
 
 def batch_conv2d_backward(g, x, k, stride):
     """Reference for conv2d_backward, within the float64 sum bound (see
     assert_backward_near): both GEMMs on one batch-sized channels-last
     unfold in (C_in, 3, 3) column order and one batch-sized taps array,
-    scatter-added in row-major tap order."""
-    b, c, h, w = x.shape
+    scatter-added in row-major tap order; g and x channels-last."""
+    b, h, w, c = x.shape
     c_out = k.shape[0]
     h_out, w_out = _conv_geometry(h, w, stride)
     xp = np.zeros((b, h + 2, w + 2, c))
-    xp[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
+    xp[:, 1:-1, 1:-1] = x
     cols = np.empty((b, h_out, w_out, c, 3, 3))
     for i in range(3):
         for j in range(3):
             cols[..., i, j] = xp[:, i:i + stride * h_out:stride,
                                  j:j + stride * w_out:stride]
     cols = cols.reshape(b * h_out * w_out, c * 9)
-    g = np.ascontiguousarray(g)
-    gk = (g.transpose(1, 0, 2, 3).reshape(c_out, -1) @ cols).reshape(k.shape)
-    gt = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
+    gk = (g.transpose(3, 0, 1, 2).reshape(c_out, -1) @ cols).reshape(k.shape)
+    gt = g.reshape(-1, c_out)
     taps = (gt @ k.reshape(c_out, -1)).reshape(b, h_out, w_out, c, 3, 3)
     gxp = np.zeros((b, h + 2, w + 2, c))
     for i in range(3):
         for j in range(3):
             gxp[:, i:i + stride * h_out:stride,
                 j:j + stride * w_out:stride] += taps[..., i, j]
-    return gxp[:, 1:-1, 1:-1].transpose(0, 3, 1, 2), gk
+    return gxp[:, 1:-1, 1:-1], gk
 
 
 # (B, C_in, H, W, C_out, stride): the toy CNN under grad_check; the
@@ -99,14 +114,13 @@ CONV_SHAPES = [
 
 
 def conv_case(shape):
-    """x, kernels and a channels-last view of grad_out, as the network's
-    conv output gradients are laid out."""
+    """x, kernels and grad_out, x and grad_out channels-last."""
     b, c, h, w, c_out, stride = shape
     rng = np.random.default_rng(b * c * h + c_out)
-    x = rng.standard_normal((b, c, h, w))
+    x = nhwc(rng.standard_normal((b, c, h, w)))
     k = rng.standard_normal((c_out, c, 3, 3))
     h_out, w_out = _conv_geometry(h, w, stride)
-    g = rng.standard_normal((b, h_out, w_out, c_out)).transpose(0, 3, 1, 2)
+    g = rng.standard_normal((b, h_out, w_out, c_out))
     return x, k, g, stride
 
 
@@ -132,20 +146,20 @@ def assert_backward_near(gx, gk, want_x, want_k, g, x, k, stride):
     """Each element of both gradients within the float64 bound for a sum of
     n terms, n*eps*sum(|term|), of the wanted one: n = 9*C_out for grad_x,
     B*H'*W' for grad_k.  These sums are long enough to cancel, so a bound
-    relative to the result would not hold."""
+    relative to the result would not hold.  All arrays channels-last."""
     abs_x, abs_k = conv2d_backward(abs(g), abs(x), abs(k), stride)
     eps = np.finfo(np.float64).eps
     assert gx.shape == want_x.shape and gk.shape == want_k.shape
     assert (abs(gx - want_x) <= 9 * k.shape[0] * eps * abs_x).all()
-    assert (abs(gk - want_k) <= g[:, 0].size * eps * abs_k).all()
+    assert (abs(gk - want_k) <= g[..., 0].size * eps * abs_k).all()
 
 
 class TestConv2d:
     def test_all_ones_center(self):
-        x = np.ones((1, 1, 3, 3))
+        x = np.ones((1, 3, 3, 1))
         k = np.ones((1, 1, 3, 3))
         out = conv2d_forward(x, k, stride=1)
-        assert out[0, 0, 1, 1] == 9.0
+        assert out[0, 1, 1, 0] == 9.0
 
     def test_delta_kernel_identity(self):
         rng = np.random.default_rng(1)
@@ -153,15 +167,15 @@ class TestConv2d:
         k = np.zeros((2, 2, 3, 3))
         k[0, 0, 1, 1] = 1.0
         k[1, 1, 1, 1] = 1.0
-        out = conv2d_forward(x, k, stride=1)
-        assert np.array_equal(out, x)  # copy of one summand, hence bitwise
+        out = conv2d_forward(nhwc(x), k, stride=1)
+        assert np.array_equal(nchw(out), x)  # copy of one summand, hence bitwise
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_against_six_loop_oracle(self, stride):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((1, 2, 8, 8))
         k = rng.standard_normal((3, 2, 3, 3))
-        np.testing.assert_allclose(conv2d_forward(x, k, stride)[0],
+        np.testing.assert_allclose(nchw(conv2d_forward(nhwc(x), k, stride))[0],
                                    naive_conv2d(x[0], k, stride),
                                    rtol=0, atol=1e-12)
 
@@ -170,7 +184,7 @@ class TestConv2d:
         """A batch of one included: there tensordot handed BLAS a
         column-major operand."""
         x, k, _, stride = conv_case(shape)
-        want = tensordot_conv2d_forward(x, k, stride)
+        want = tensordot_conv2d_forward(nchw(x), k, stride)
         assert np.array_equal(conv2d_forward(x, k, stride), want)
 
     def test_forward_peak_memory(self):
@@ -178,7 +192,7 @@ class TestConv2d:
         batch-sized unfold: its peak stays below the output, a padded copy
         of the input and two unfold blocks (a whole unfold is 54 MiB)."""
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((96, 8, 32, 32))
+        x = rng.standard_normal((96, 32, 32, 8))
         k = rng.standard_normal((8, 8, 3, 3))
         tracemalloc.start()
         try:
@@ -190,18 +204,18 @@ class TestConv2d:
         assert peak < out.nbytes + padded + 2 * UNFOLD_BLOCK_BYTES
 
     def test_empty_batch(self):
-        x, k = np.zeros((0, 3, 8, 8)), np.ones((4, 3, 3, 3))
-        assert conv2d_forward(x, k).shape == (0, 4, 8, 8)
-        gx, gk = conv2d_backward(np.zeros((0, 4, 8, 8)), x, k)
+        x, k = np.zeros((0, 8, 8, 3)), np.ones((4, 3, 3, 3))
+        assert conv2d_forward(x, k).shape == (0, 8, 8, 4)
+        gx, gk = conv2d_backward(np.zeros((0, 8, 8, 4)), x, k)
         assert gx.shape == x.shape and not gk.any()
 
     def test_rejects_non_3x3(self):
         with pytest.raises(ShapeError):
-            conv2d_forward(np.ones((1, 1, 4, 4)), np.ones((1, 1, 5, 5)))
+            conv2d_forward(np.ones((1, 4, 4, 1)), np.ones((1, 1, 5, 5)))
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((4, 2, 8, 8))
+        x = rng.standard_normal((4, 8, 8, 2))
         k = rng.standard_normal((3, 2, 3, 3))
         assert np.array_equal(conv2d_forward(x, k), conv2d_forward(x, k))
 
@@ -209,19 +223,19 @@ class TestConv2d:
 class TestConv2dBackward:
     def test_zero_grad(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((1, 2, 4, 4))
+        x = rng.standard_normal((1, 4, 4, 2))
         k = rng.standard_normal((3, 2, 3, 3))
-        gx, gk = conv2d_backward(np.zeros((1, 3, 4, 4)), x, k)
+        gx, gk = conv2d_backward(np.zeros((1, 4, 4, 3)), x, k)
         assert not gx.any() and not gk.any()
 
     def test_one_hot_adjoint(self):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((1, 1, 5, 5))
+        x = rng.standard_normal((1, 5, 5, 1))
         k = rng.standard_normal((1, 1, 3, 3))
-        g = np.zeros((1, 1, 5, 5))
-        g[0, 0, 2, 2] = 1.0
+        g = np.zeros((1, 5, 5, 1))
+        g[0, 2, 2, 0] = 1.0
         _, gk = conv2d_backward(g, x, k)
-        patch = x[0, 0, 1:4, 1:4]
+        patch = x[0, 1:4, 1:4, 0]
         np.testing.assert_allclose(gk[0, 0], patch, atol=1e-15)
 
     @pytest.mark.parametrize("shape", CONV_SHAPES)
@@ -233,8 +247,7 @@ class TestConv2dBackward:
         want_x, want_k = batch_conv2d_backward(g, x, k, stride)
         gx, gk = conv2d_backward(g, x, k, stride)
         assert_backward_near(gx, gk, want_x, want_k, g, x, k, stride)
-        assert gk.flags.c_contiguous
-        assert gx.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert gk.flags.c_contiguous and gx.flags.c_contiguous
 
     @pytest.mark.parametrize("shape", CONV_SHAPES)
     def test_input_grad_of_a_sample_alone_is_bitwise_its_slice(self, shape):
@@ -254,10 +267,10 @@ class TestConv2dBackward:
         the peak stays below grad_x, one padded block of input and two
         unfold blocks."""
         rng = np.random.default_rng(13)
-        x = rng.standard_normal((96, c, hw, hw))
+        x = rng.standard_normal((96, hw, hw, c))
         k = rng.standard_normal((c_out, c, 3, 3))
         h_out, w_out = _conv_geometry(hw, hw, stride)
-        g = rng.standard_normal((96, h_out, w_out, c_out)).transpose(0, 3, 1, 2)
+        g = rng.standard_normal((96, h_out, w_out, c_out))
         tracemalloc.start()
         try:
             gx, _ = conv2d_backward(g, x, k, stride)
@@ -281,8 +294,9 @@ class TestConv2dBackward:
         k = rng.standard_normal((c_out, c, 3, 3))
         g = rng.standard_normal((b, c_out) + _conv_geometry(h, w, stride))
         want = [naive_conv2d_backward(g[n], x[n], k, stride) for n in range(b)]
+        g, x = nhwc(g), nhwc(x)
         gx, gk = conv2d_backward(g, x, k, stride)
-        assert_backward_near(gx, gk, np.stack([gx for gx, _ in want]),
+        assert_backward_near(gx, gk, nhwc(np.stack([gx for gx, _ in want])),
                              sum(gk for _, gk in want), g, x, k, stride)
 
     @pytest.mark.parametrize("shape", [(32, 3, 32, 32, 8, 1),
@@ -297,19 +311,18 @@ class TestConv2dBackward:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("b", [1, 3])
     def test_against_loop_oracle(self, stride, b):
-        """Odd, unequal H and W; grad_out arrives as a transposed view."""
+        """Odd, unequal H and W."""
         rng = np.random.default_rng(7 + stride)
         x = rng.standard_normal((b, 2, 7, 5))
         k = rng.standard_normal((3, 2, 3, 3))
         h_out, w_out = (7 - 1) // stride + 1, (5 - 1) // stride + 1
         g = rng.standard_normal((h_out, w_out, b, 3)).transpose(2, 3, 0, 1)
-        assert not g.flags.c_contiguous
         want = [naive_conv2d_backward(g[n], x[n], k, stride) for n in range(b)]
         want_x = np.stack([gx for gx, _ in want])
         want_k = sum(gk for _, gk in want)
-        gx, gk = conv2d_backward(g, x, k, stride)
-        assert gx.shape == x.shape and gk.shape == k.shape
-        np.testing.assert_allclose(gx, want_x, rtol=1e-12, atol=0)
+        gx, gk = conv2d_backward(nhwc(g), nhwc(x), k, stride)
+        assert nchw(gx).shape == x.shape and gk.shape == k.shape
+        np.testing.assert_allclose(nchw(gx), want_x, rtol=1e-12, atol=0)
         np.testing.assert_allclose(gk, want_k, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("stride", [1, 2])
@@ -320,15 +333,16 @@ class TestConv2dBackward:
         k = rng.standard_normal((3, 8, 3, 3))
         g = rng.standard_normal((5, 3) + _conv_geometry(32, 32, stride))
         want = [naive_conv2d_backward(g[n], x[n], k, stride) for n in range(5)]
+        g, x = nhwc(g), nhwc(x)
         gx, gk = conv2d_backward(g, x, k, stride)
-        assert_backward_near(gx, gk, np.stack([gx for gx, _ in want]),
+        assert_backward_near(gx, gk, nhwc(np.stack([gx for gx, _ in want])),
                              sum(gk for _, gk in want), g, x, k, stride)
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("stride", [1, 2])
     def test_finite_differences(self, seed, stride):
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((1, 2, 4, 4))
+        x = nhwc(rng.standard_normal((1, 2, 4, 4)))
         k = rng.standard_normal((2, 2, 3, 3))
         proj = rng.standard_normal(conv2d_forward(x, k, stride).shape)
 
@@ -387,7 +401,8 @@ class TestUnfold:
 
 def argmax_maxpool2_forward(x):
     """Reference for maxpool2_forward, which must match it bitwise: the
-    window copy (B, C, H/2, W/2, 4), its argmax and take_along_axis."""
+    window copy (B, C, H/2, W/2, 4), its argmax and take_along_axis; x
+    channels-first."""
     b, c, h, w = x.shape
     win = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
     win = win.reshape(b, c, h // 2, w // 2, 4)
@@ -406,9 +421,9 @@ def argmax_maxpool2_backward(grad_out, idx):
 
 
 def pool_case(seed):
-    """A random even-sized batch whose windows hold ties, signed zeros,
-    NaN and infinities; every third case integer-valued, so ties are
-    common; odd seeds laid out channels-last, like a conv output."""
+    """A random even-sized channels-first batch whose windows hold ties,
+    signed zeros, NaN and infinities, and a gradient; every third case
+    integer-valued, so ties are common."""
     rng = np.random.default_rng(seed)
     b, c = rng.integers(1, 5, 2)
     h, w = 2 * rng.integers(1, 5, 2)
@@ -419,8 +434,6 @@ def pool_case(seed):
     special = rng.random(x.shape) < 0.3
     x[special] = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf],
                             special.sum())
-    if seed % 2:
-        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
     g = rng.standard_normal((b, c, h // 2, w // 2))
     g[rng.random(g.shape) < 0.2] = -0.0
     g[rng.random(g.shape) < 0.1] = np.nan
@@ -429,37 +442,38 @@ def pool_case(seed):
 
 class TestMaxPool:
     def test_single_window(self):
-        out, _ = maxpool2_forward(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+        out, _ = maxpool2_forward(np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]]))
         assert out[0, 0, 0, 0] == 4.0
 
     def test_tie_routes_top_left(self):
-        x = np.ones((1, 1, 2, 2))
+        x = np.ones((1, 2, 2, 1))
         out, idx = maxpool2_forward(x)
         g = maxpool2_backward(np.ones((1, 1, 1, 1)), idx, x.shape)
         assert g[0, 0, 0, 0] == 1.0 and g.sum() == 1.0
 
     def test_window_scan_oracle(self):
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((1, 1, 4, 4))
+        x = rng.standard_normal((1, 4, 4, 1))
         out, _ = maxpool2_forward(x)
         for i in range(2):
             for j in range(2):
-                assert out[0, 0, i, j] == x[0, 0, 2 * i:2 * i + 2,
-                                            2 * j:2 * j + 2].max()
+                assert out[0, i, j, 0] == x[0, 2 * i:2 * i + 2,
+                                            2 * j:2 * j + 2, 0].max()
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
-            maxpool2_forward(np.ones((1, 1, 3, 4)))
+            maxpool2_forward(np.ones((1, 3, 4, 1)))
 
     @pytest.mark.parametrize("seed", range(60))
     def test_bitwise_equals_argmax_reference(self, seed):
         x, g = pool_case(seed)
-        out, idx = maxpool2_forward(x)
+        out, idx = maxpool2_forward(nhwc(x))
         want_out, want_idx = argmax_maxpool2_forward(x)
-        assert out.tobytes() == want_out.tobytes()  # NaN and -0.0 included
-        assert idx.dtype == want_idx.dtype and np.array_equal(idx, want_idx)
-        gx = maxpool2_backward(g, idx, x.shape)
-        assert gx.tobytes() == argmax_maxpool2_backward(g, idx).tobytes()
+        assert out.tobytes() == nhwc(want_out).tobytes()  # NaN and -0.0 included
+        assert idx.dtype == want_idx.dtype
+        assert np.array_equal(idx, nhwc(want_idx))
+        gx = maxpool2_backward(nhwc(g), idx, nhwc(x).shape)
+        assert gx.tobytes() == nhwc(argmax_maxpool2_backward(g, want_idx)).tobytes()
 
     @pytest.mark.parametrize("window, want", [
         ([-0.0, 0.0, 0.0, -0.0], 0), ([0.0, -0.0, -0.0, 0.0], 0),
@@ -469,7 +483,7 @@ class TestMaxPool:
     def test_tie_and_nan_rules(self, window, want):
         """First maximum wins, a -0.0/+0.0 tie keeps the first, first NaN
         wins; the window is [x00, x01, x10, x11]."""
-        x = np.array(window).reshape(1, 1, 2, 2)
+        x = np.array(window).reshape(1, 2, 2, 1)
         out, idx = maxpool2_forward(x)
         assert idx[0, 0, 0, 0] == want
         assert out.tobytes() == x.reshape(4)[want:want + 1].tobytes()
@@ -479,8 +493,8 @@ class TestMaxPool:
         """A probe whose +h or -h forward picks other window elements than
         the base forward is skipped; every other probe is asserted."""
         rng = np.random.default_rng(100 + seed)
-        x = rng.standard_normal((1, 2, 4, 4))
-        proj = rng.standard_normal((1, 2, 2, 2))
+        x = nhwc(rng.standard_normal((1, 2, 4, 4)))
+        proj = nhwc(rng.standard_normal((1, 2, 2, 2)))
         out, idx = maxpool2_forward(x)
         g = maxpool2_backward(proj, idx, x.shape)
         h = 1e-5
@@ -503,16 +517,16 @@ class TestMaxPool:
 
 class TestGlobalAvgPool:
     def test_constant_channel(self):
-        assert global_avg_pool_forward(np.full((1, 1, 3, 3), 7.0))[0, 0] == 7.0
+        assert global_avg_pool_forward(np.full((1, 3, 3, 1), 7.0))[0, 0] == 7.0
 
     def test_small_mean(self):
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
+        x = np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]])
         assert global_avg_pool_forward(x)[0, 0] == 2.5
 
     @pytest.mark.parametrize("seed", range(20))
     def test_backward_finite_differences(self, seed):
         rng = np.random.default_rng(200 + seed)
-        x = rng.standard_normal((1, 3, 2, 2))
+        x = nhwc(rng.standard_normal((1, 3, 2, 2)))
         proj = rng.standard_normal((1, 3))
         g = global_avg_pool_backward(proj, x.shape)
         h = 1e-5
