@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +93,8 @@ class RunResult:
     layerstats_rows: list = field(default_factory=list)
     ttrace_rows: list = field(default_factory=list)
     diverged: bool = False
+    # (epoch, step, cause) of a divergence, the step counted over the run
+    divergence: tuple = None
     final_train_acc: float = 0.0
     max_train_acc: float = 0.0
     final_mean_t: float = float("nan")
@@ -123,8 +126,9 @@ def _eval_acc(spec, params, x, y):
 def train_run(cfg: ExperimentConfig, data: Dataset = None,
               collect_stats: bool = False) -> RunResult:
     """Train the one run `cfg` describes, on `data` if given (it must be
-    ``get_dataset(cfg)``), else on the dataset the config builds; then
-    probe its first `probe_steps` training samples."""
+    ``get_dataset(cfg)``), else on the dataset the config builds; then probe
+    its first `probe_steps` training samples, unless it diverged, which is
+    reported as one line on stderr."""
     data = data if data is not None else get_dataset(cfg)
     spec = build_model(cfg, data.num_classes)
     params = init_params(spec, InitScheme(cfg.init, cfg.seed))
@@ -138,7 +142,7 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
         mult = lr_multiplier(cfg.schedule, epoch)
         perm = rng.permutation(n)
         loss_sum = hits = seen = 0
-        diverged = False
+        cause = None
         for s in range(0, n, cfg.batch_size):
             idx = perm[s:s + cfg.batch_size]
             xb = data.train_x[idx]
@@ -147,13 +151,13 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
                 xb = augment(xb, rng)
             logits, loss, cache = forward(spec, params, xb, yb, mode="train")
             if not np.isfinite(loss):
-                diverged = True
+                cause = "non-finite loss"
                 break
             try:
                 grads = backward(spec, params, cache)
                 sgd_step(params, grads, velocities, cfg.optim, mult)
-            except DivergenceError:
-                diverged = True
+            except DivergenceError as exc:
+                cause = str(exc)
                 break
             loss_sum += loss * len(yb)
             hits += (logits.argmax(axis=1) == yb).sum()
@@ -161,8 +165,11 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
             step += 1
         row = {"run_id": res.run_id, "epoch": epoch + 1, "step": step,
                "lr_multiplier": float(mult)}
-        if diverged or seen == 0:
+        if cause is not None or seen == 0:
             res.diverged = True
+            res.divergence = (epoch + 1, step + 1, cause or "no samples")
+            print("{}: diverged at epoch {} step {}: {}".format(
+                res.run_id, *res.divergence), file=sys.stderr)
             res.rows.append(dict(row, train_loss=float("nan"), train_acc=0.0,
                                  test_acc=0.0, diverged=True))
             break
@@ -176,8 +183,9 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
         res.final_train_acc = float(train_acc)
         if collect_stats:
             _collect_epoch_stats(res, data, epoch + 1, step)
-    probes = instr.sandwich_probes(spec, params, data.train_x[:cfg.probe_steps],
-                                   data.train_y[:cfg.probe_steps], cfg.optim.lr)
+    probe_n = 0 if res.diverged else cfg.probe_steps
+    probes = instr.sandwich_probes(spec, params, data.train_x[:probe_n],
+                                   data.train_y[:probe_n], cfg.optim.lr)
     res.layerstats_rows += [dict(row, run_id=res.run_id) for row in probes]
     t_means = [row["t_mean"] for row in instr.t_trace(spec, params)]
     res.final_mean_t = float(np.mean(t_means)) if t_means else float("nan")

@@ -346,6 +346,48 @@ class TestVarianceStudy:
             assert header == SCHEMAS[name]
 
 
+class TestDivergedRuns:
+    """A run that diverges is a row of its sweep: its metrics rows are
+    written, it gets no probes, and its cause is one stderr line."""
+
+    @staticmethod
+    def check_written(out, run_ids, err):
+        by_run: dict = {}
+        for row in read_csv(os.path.join(out, "metrics.csv")):
+            by_run.setdefault(row["run_id"], []).append(row)
+        assert sorted(by_run) == sorted(run_ids)
+        assert all(rows[-1]["diverged"] == "true" for rows in by_run.values())
+        path = os.path.join(out, "layerstats.csv")
+        stats = read_csv(path) if os.path.exists(path) else []
+        # probe rows are the only ones with a var_dw
+        assert all(r["var_dw"] == "nan" for r in stats)
+        for run_id in run_ids:
+            assert f"{run_id}: diverged at epoch " in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_diverged_variance_study_writes_both_runs(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert cli_main(["sweep", "--config",
+                         str(CONFIGS / "variance_study.cfg"),
+                         "--override", "optim.lr=1e6",
+                         "--override", "epochs=2", "--out", out]) == 0
+        self.check_written(out, ["variance_study-s7-ng",
+                                 "variance_study-s7-plain"],
+                           capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_diverged_single_run_with_probes(self, tmp_path, capsys):
+        cfg = mlp_cfg(tmp_path, run_id="blowup", probe_steps=2)
+        cfg.optim.lr = 1e6
+        (res,) = run_experiment(cfg)
+        assert res.diverged
+        epoch, step, cause = res.divergence
+        assert res.rows[-1]["epoch"] == epoch and step >= 1 and cause
+        self.check_written(cfg.out, ["blowup"], capsys.readouterr().err)
+
+
 def bits(rows):
     """Rows with each float as its hex string, so that rows compare bitwise
     and a nan equals a nan."""
