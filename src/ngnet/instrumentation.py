@@ -208,9 +208,7 @@ def grad_check(spec: NetworkSpec, params: dict, batch, labels,
     Shift components within the kink window of any probe input are
     excluded and counted rather than checked."""
     params = copy.deepcopy(params)  # BN running stats mutate; keep caller's intact
-    act_inputs: dict = {}
-    _, _, cache = forward(spec, params, batch, labels, mode="train",
-                          act_inputs=act_inputs)
+    _, _, cache = forward(spec, params, batch, labels, mode="train")
     analytic = backward(spec, params, cache)
     n_params = sum(g.size for p in analytic.values() for g in p.values())
     if n_params > GRAD_CHECK_MAX_PARAMS:
@@ -226,8 +224,10 @@ def grad_check(spec: NetworkSpec, params: dict, batch, labels,
                 # moving t across an input's kink invalidates the central
                 # difference; the slope parameter never moves the kink.
                 # Every parameter checked so far is restored exactly, so
-                # the first forward's input to this layer is still current
-                kink = _kink_mask(act_inputs[i], w)
+                # the prefix gives the input the first forward saw
+                head = NetworkSpec(spec.layers[:i], spec.input_shape)
+                x, _, _ = forward(head, params, batch, keep_cache=False)
+                kink = _kink_mask(x, w)
             flat = w.ravel()
             for j in range(flat.size):
                 if kink is not None and kink.ravel()[j]:

@@ -7,7 +7,8 @@ applies it after the layer walk and ``backward`` starts from its gradient.
 Parameters live outside the spec in a per-layer-index dict, so a spec is
 reusable across seeds and schemes.  ``forward`` caches what ``backward``
 reads, or nothing for a loss-only or accuracy forward; both are pure apart
-from batch-norm running statistics, which are updated in train mode.
+from batch-norm running statistics, which are updated in train mode.  A
+prefix's output, ``NetworkSpec(spec.layers[:i], ...)``, is layer i's input.
 
 A plain (unwrapped) activation is represented internally as the shifted
 wrapper with a fixed t = 0, which is exactly ``f(x)``; this keeps a single
@@ -312,7 +313,7 @@ def _softmax(logits):
 
 
 def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train",
-            keep_cache=True, act_inputs: dict = None):
+            keep_cache=True):
     """Run the network; returns (logits, loss, cache).
 
     `batch` is (B, C, H, W), converted to channels-last here, or (B, D).
@@ -321,9 +322,7 @@ def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train",
     uses batch statistics for batch norm and updates the running ones; eval
     mode reads the running statistics only.  With `keep_cache` false the
     cache is None and each layer's intermediates are freed as the walk
-    moves on, for forwards that want only the logits or the loss.  A dict
-    `act_inputs` also receives, by layer index, each Activation layer's
-    input (the cache keeps it only where the backward reads it).
+    moves on, for forwards that want only the logits or the loss.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be train or eval, got {mode!r}")
@@ -348,8 +347,6 @@ def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train",
         elif isinstance(layer, BatchNorm):
             x = _bn_forward(params[i], x, mode, c)
         elif isinstance(layer, Activation):
-            if act_inputs is not None:
-                act_inputs[i] = x
             if layer.base.backward_reads_x:
                 c["x"] = x
             x, c["mask"] = ng_forward(layer.base, params[i]["t"], x,

@@ -24,7 +24,8 @@ neutral; the kernel gradient's sum over blocks is not.
 The forward unfolds a padded block by nine tap copies of stride nine into
 ``(n*H'*W', C*9)`` columns in the kernel's ``(C_in, 3, 3)`` order, the
 operands ``np.tensordot`` builds from channels-first patches, so its
-results are bitwise those of ``tensordot``.  It keeps that unfold until
+results are bitwise those of ``tensordot`` for batches of two or more (for
+one, ``tensordot`` hands BLAS a column-major U).  It keeps that unfold until
 the benchmark stops keeping one value per finite-difference eval, which
 alone makes a faster forward read as a memory regression.
 
@@ -118,9 +119,7 @@ def conv2d_forward(x, kernels, stride=1):
     (B, H', W', C_out).  Per block of samples, one GEMM of the block's
     unfold U (n*H'*W', C_in*9) with the kernels as stored, K (C_out,
     C_in*9): ``U @ K.T``, the BLAS call ``np.tensordot`` makes, written into
-    the block's rows of the output.  For a batch of one ``tensordot`` handed
-    BLAS a column-major U, which rounds differently in the last bit, so U is
-    copied to that layout there (the batch is then its only block).
+    the block's rows of the output.
     """
     x = as_f64(x)
     kernels = as_f64(kernels)
@@ -139,10 +138,8 @@ def conv2d_forward(x, kernels, stride=1):
     for s in range(0, b, step):
         n = min(step, b - s)
         _unfold_block(x[s:s + n], stride, xp[:n], cols[:n])
-        u = cols[:n].reshape(n * h_out * w_out, c * 9)
-        if b == 1:
-            u = np.asfortranarray(u)
-        np.matmul(u, kt, out=out[s:s + n].reshape(n * h_out * w_out, c_out))
+        np.matmul(cols[:n].reshape(n * h_out * w_out, c * 9), kt,
+                  out=out[s:s + n].reshape(n * h_out * w_out, c_out))
     return out
 
 

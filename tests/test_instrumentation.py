@@ -14,8 +14,9 @@ from ngnet.instrumentation import (KINK_WINDOW, grad_check, mean_shift_trace,
                                    stability_score, t_trace, variance_bounds,
                                    weight_variance_trace)
 from ngnet.network import (ActivationSpec, BatchNorm, Conv, Dense,
-                           InitScheme, backward, build_mlp, build_plain_cnn,
-                           build_resnet, build_toy_cnn, forward, init_params)
+                           InitScheme, NetworkSpec, backward, build_mlp,
+                           build_plain_cnn, build_resnet, build_toy_cnn,
+                           forward, init_params)
 from ngnet.tensor import conv2d_backward
 
 NG_RELU = ActivationSpec(base="relu", ng=True, t_init=-1.0)
@@ -321,15 +322,17 @@ class TestGradCheck:
         spec, params, x, y = self._probe(
             ActivationSpec(base="relu", ng=True, t_init=-1.0,
                            granularity="element"), seed=3)
+
+        def z(i):  # layer i's input: the output of the first i layers
+            return forward(NetworkSpec(spec.layers[:i], spec.input_shape),
+                           params, x)[0]
+
         # put two shifts of each activation layer on or near a kink
         for i in (1, 3):
-            z = {}
-            forward(spec, params, x, y, act_inputs=z)
-            params[i]["t"][0] = z[i][0, 0]
-            params[i]["t"][1] = z[i][2, 1] + 0.5 * KINK_WINDOW
-        z = {}
-        forward(spec, params, x, y, act_inputs=z)
-        near = sum(int((np.abs(z[i] - params[i]["t"])
+            zi = z(i)
+            params[i]["t"][0] = zi[0, 0]
+            params[i]["t"][1] = zi[2, 1] + 0.5 * KINK_WINDOW
+        near = sum(int((np.abs(z(i) - params[i]["t"])
                         < KINK_WINDOW).any(axis=0).sum()) for i in (1, 3))
         report = grad_check(spec, params, x, y)
         assert near >= 4

@@ -25,6 +25,13 @@ def count(spec, kind):
     return sum(isinstance(l, kind) for l in spec.layers)
 
 
+def prefix_output(spec, params, x, i, **kw):
+    """Layer i's input: the output of the network's first i layers."""
+    out, _, _ = forward(NetworkSpec(spec.layers[:i], spec.input_shape),
+                        params, x, **kw)
+    return out
+
+
 def whole_net_fd_check(spec, params, x, y, tol=1e-4, h=1e-5, stride=3):
     _, _, cache = forward(spec, params, x, y, mode="train")
     grads = backward(spec, params, cache)
@@ -269,17 +276,17 @@ class TestCache:
     @pytest.mark.parametrize("base", ["relu", "selu"])
     @pytest.mark.parametrize("keep_cache", [True, False])
     def test_act_inputs_are_each_activation_input(self, base, keep_cache):
-        """Bitwise the input the cache used to keep: the previous Dense
-        layer's output, and the cached x where the base still keeps it."""
+        """A prefix's output is bitwise the input the cache used to keep:
+        the previous Dense layer's output, and the cached x where the base
+        still keeps it."""
         spec = build_mlp([6, 5], 3, ActivationSpec(base=base, ng=True),
                          input_dim=4)
         params = init_params(spec, InitScheme("msra", 3))
         x = np.random.default_rng(3).standard_normal((8, 4))
         _, _, cache = forward(spec, params, x)
-        inputs: dict = {}
-        forward(spec, params, x, keep_cache=keep_cache, act_inputs=inputs)
         act = [i for i, l in enumerate(spec.layers) if isinstance(l, Activation)]
-        assert sorted(inputs) == act
+        inputs = {i: prefix_output(spec, params, x, i, keep_cache=keep_cache)
+                  for i in act}
         for i in act:
             z = cache["layers"][i - 1]["x"]
             w, b = params[i - 1]["W"], params[i - 1]["b"]
@@ -314,10 +321,12 @@ class TestLayout:
         cached conv input is C-contiguous, with its channels (features) on
         the last axis."""
         params = init_params(spec, InitScheme("msra", 4))
-        act_inputs, out_grads = {}, {}
-        _, _, cache = forward(spec, params, x, np.arange(len(x)) % 3,
-                              act_inputs=act_inputs)
+        out_grads: dict = {}
+        _, _, cache = forward(spec, params, x, np.arange(len(x)) % 3)
         backward(spec, params, cache, out_grads=out_grads)
+        act_inputs = {i: prefix_output(spec, params, x, i)
+                      for i, l in enumerate(spec.layers)
+                      if isinstance(l, Activation)}
         seen = []
         for i, layer in enumerate(spec.layers):
             if isinstance(layer, Activation):
@@ -332,6 +341,48 @@ class TestLayout:
         for a, channels in seen:
             assert a.flags.c_contiguous and a.shape[0] == len(x)
             assert a.shape[-1] == channels and a.ndim in (2, 4)
+
+
+def prefix_nets():
+    """(spec, batch) per wrapped base: the critical-depth sweep's shallowest
+    plain CNN, a BN ResNet-8 (prefixes that end inside a residual block),
+    the toy CNN and an MLP."""
+    rng = np.random.default_rng(15)
+    x, v = rng.standard_normal((4, 3, 8, 8)), rng.standard_normal((4, 4))
+    return [pytest.param(build(act), batch, id=f"{name}-{act.base}")
+            for act in (NG_RELU, ActivationSpec(base="selu", ng=True),
+                        ActivationSpec(base="prelu", ng=True, t_init=-0.5))
+            for name, build, batch in [
+                ("sweep", lambda a: build_plain_cnn(8, 6, 3, False, a,
+                                                    input_hw=8), x),
+                ("resnet_bn", lambda a: build_resnet(8, 2, 3, a,
+                                                     input_hw=8), x),
+                ("toy_cnn", lambda a: build_toy_cnn(3, a, input_hw=8), x),
+                ("mlp", lambda a: build_mlp([6, 5], 3, a, input_dim=4), v)]]
+
+
+class TestPrefix:
+    @pytest.mark.parametrize("spec, x", prefix_nets())
+    def test_prefix_output_is_the_cached_layer_input(self, spec, x):
+        """Bitwise, at every Conv and Dense layer and every activation whose
+        backward reads its input (SELU, PReLU)."""
+        params = init_params(spec, InitScheme("msra", 6))
+        _, _, cache = forward(spec, params, x, np.arange(len(x)) % 3)
+        checked = 0
+        for i, layer in enumerate(spec.layers):
+            want = cache["layers"][i].get("x")
+            if want is None:
+                continue
+            got = prefix_output(spec, params, x, i, keep_cache=False)
+            if isinstance(layer, Dense):  # the cache keeps it flat
+                got = (got.transpose(0, 3, 1, 2) if got.ndim == 4
+                       else got).reshape(len(x), -1)
+            assert np.array_equal(got, want), i
+            checked += 1
+        acts = [l for l in spec.layers if isinstance(l, Activation)]
+        reads_x = acts[0].spec.base in ("selu", "prelu")
+        assert checked == count(spec, Conv) + count(spec, Dense) + \
+            reads_x * len(acts)
 
 
 class TestBackward:
@@ -654,9 +705,8 @@ def set_shifts_below_preactivations(spec, params, batch, margin=1.0):
     for i, layer in enumerate(spec.layers):
         if not isinstance(layer, Activation):
             continue
-        inputs: dict = {}
-        forward(spec, params, batch, mode="eval", act_inputs=inputs)
-        params[i]["t"].fill(float(inputs[i].min()) - margin)
+        inputs = prefix_output(spec, params, batch, i, mode="eval")
+        params[i]["t"].fill(float(inputs.min()) - margin)
 
 
 class TestLinearityAtInit:
