@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .activations import GRANULARITIES
-from .datasets import synthetic_train_count
+from .datasets import train_count
 from .errors import ConfigError
 from .network import (INIT_SCHEMES, ActivationSpec, check_depth,
                       check_input_hw)
@@ -304,21 +304,21 @@ def _validate(cfg: ExperimentConfig):
     if d.kind == "cifar10_binary" and not os.path.isfile(d.path):
         raise ConfigError(f"dataset.path: no CIFAR-10 batch file at "
                           f"{d.path!r}")
-    if d.kind in ("synthetic_blobs", "synthetic_spirals"):
-        n_train = synthetic_train_count(d.kind, d.n, d.classes)
-        if n_train < 1:
-            raise ConfigError(f"dataset.n={d.n} leaves no training samples "
-                              f"for {d.classes} classes")
-        if cfg.probe_steps > n_train:
-            raise ConfigError(f"probe_steps={cfg.probe_steps} exceeds the "
-                              f"{n_train} training samples")
-        # the families whose builders take with_bn; cifar10_binary's size is
-        # unknown here, so batch norm checks its batch when it trains
-        bn = cfg.model.with_bn and family in ("plain_cnn", "resnet")
-        if bn and (cfg.batch_size == 1 or n_train % cfg.batch_size == 1):
-            raise ConfigError(
-                f"batch_size={cfg.batch_size} leaves a training batch of one "
-                f"of the {n_train} samples; batch norm needs batch size >= 2")
+    n_train = train_count(d)
+    if n_train < 1:
+        what = (f"dataset.subset={d.subset} of {d.path!r}"
+                if d.kind == "cifar10_binary"
+                else f"dataset.n={d.n} for {d.classes} classes")
+        raise ConfigError(f"{what} leaves no training samples")
+    if cfg.probe_steps > n_train:
+        raise ConfigError(f"probe_steps={cfg.probe_steps} exceeds the "
+                          f"{n_train} training samples")
+    # the families whose builders take with_bn
+    bn = cfg.model.with_bn and family in ("plain_cnn", "resnet")
+    if bn and (cfg.batch_size == 1 or n_train % cfg.batch_size == 1):
+        raise ConfigError(
+            f"batch_size={cfg.batch_size} leaves a training batch of one "
+            f"of the {n_train} samples; batch norm needs batch size >= 2")
     _name_key("optim", cfg.optim.validate)
     _name_key("activation.base, activation.base_kwargs",
               cfg.activation.make_base)

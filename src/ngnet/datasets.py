@@ -13,6 +13,7 @@ Synthetic tasks come in two flavours:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +48,14 @@ def _split(x, y, test_frac, rng):
     return x[n_test:], y[n_test:], x[:n_test], y[:n_test]
 
 
-def synthetic_train_count(kind, n, classes):
-    """Training samples make_blobs/make_spirals leave for these knobs;
-    spirals draw n // classes points per arm."""
-    if kind == "synthetic_spirals":
-        n = n // classes * classes
+def train_count(d) -> int:
+    """Training samples the dataset section `d` of a config leaves: spirals
+    draw n // classes points per arm, and a CIFAR file gives at most
+    `subset` of the whole records it holds."""
+    if d.kind == "cifar10_binary":
+        n = min(d.subset, os.path.getsize(d.path) // CIFAR_RECORD)
+        return n - _test_count(n, CIFAR_TEST_FRAC)
+    n = d.n // d.classes * d.classes if d.kind == "synthetic_spirals" else d.n
     return n - _test_count(n, SYNTHETIC_TEST_FRAC)
 
 

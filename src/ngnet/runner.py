@@ -151,7 +151,7 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
                 xb = augment(xb, rng)
             logits, loss, cache = forward(spec, params, xb, yb, mode="train")
             if not np.isfinite(loss):
-                cause = "non-finite loss"
+                cause = "non-finite loss" + _first_non_finite(spec, params, xb)
                 break
             try:
                 grads = backward(spec, params, cache)
@@ -165,9 +165,9 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
             step += 1
         row = {"run_id": res.run_id, "epoch": epoch + 1, "step": step,
                "lr_multiplier": float(mult)}
-        if cause is not None or seen == 0:
+        if cause is not None:
             res.diverged = True
-            res.divergence = (epoch + 1, step + 1, cause or "no samples")
+            res.divergence = (epoch + 1, step + 1, cause)
             print("{}: diverged at epoch {} step {}: {}".format(
                 res.run_id, *res.divergence), file=sys.stderr)
             res.rows.append(dict(row, train_loss=float("nan"), train_acc=0.0,
@@ -190,6 +190,22 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
     t_means = [row["t_mean"] for row in instr.t_trace(spec, params)]
     res.final_mean_t = float(np.mean(t_means)) if t_means else float("nan")
     return res
+
+
+def _first_non_finite(spec, params, batch):
+    """Where a train forward on `batch` first goes non-finite, as
+    " (first at layer i, Kind)" for the shortest prefix whose output is not
+    finite, or "" if none is.  Runs on a copy of params once training has
+    stopped, so a healthy run is never measured differently."""
+    params = copy.deepcopy(params)
+    with np.errstate(all="ignore"):  # the values are known to overflow
+        for i, layer in enumerate(spec.layers):
+            out, _, _ = forward(NetworkSpec(spec.layers[:i + 1],
+                                            spec.input_shape),
+                                params, batch, keep_cache=False)
+            if not np.isfinite(out).all():
+                return f" (first at layer {i}, {type(layer).__name__})"
+    return ""
 
 
 def _collect_epoch_stats(res: RunResult, data, epoch, step):
