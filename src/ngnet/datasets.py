@@ -51,9 +51,10 @@ def _split(x, y, test_frac, rng):
 def train_count(d) -> int:
     """Training samples the dataset section `d` of a config leaves: spirals
     draw n // classes points per arm, and a CIFAR file gives at most
-    `subset` of the whole records it holds."""
+    `subset` of its records.  Raises FormatError on a CIFAR file whose
+    length is not a whole number of records."""
     if d.kind == "cifar10_binary":
-        n = min(d.subset, os.path.getsize(d.path) // CIFAR_RECORD)
+        n = min(d.subset, _record_count(d.path, os.path.getsize(d.path)))
         return n - _test_count(n, CIFAR_TEST_FRAC)
     n = d.n // d.classes * d.classes if d.kind == "synthetic_spirals" else d.n
     return n - _test_count(n, SYNTHETIC_TEST_FRAC)
@@ -111,10 +112,7 @@ def read_cifar10_records(path):
         raw = np.fromfile(path, dtype=np.uint8)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
-    if raw.size == 0 or raw.size % CIFAR_RECORD:
-        raise FormatError(
-            f"{path}: length {raw.size} is not a multiple of {CIFAR_RECORD}")
-    raw = raw.reshape(-1, CIFAR_RECORD)
+    raw = raw.reshape(_record_count(path, raw.size), CIFAR_RECORD)
     labels = raw[:, 0]
     bad = np.nonzero(labels >= 10)[0]
     if bad.size:
@@ -122,6 +120,14 @@ def read_cifar10_records(path):
                           f"label {int(labels[bad[0]])}")
     images = raw[:, 1:].reshape(-1, 3, 32, 32)
     return labels.astype(np.int64), images
+
+
+def _record_count(path, size):
+    """Records in a CIFAR-10 batch file of `size` bytes."""
+    if size == 0 or size % CIFAR_RECORD:
+        raise FormatError(
+            f"{path}: length {size} is not a multiple of {CIFAR_RECORD}")
+    return size // CIFAR_RECORD
 
 
 def write_cifar10_records(path, labels, images):

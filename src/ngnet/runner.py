@@ -198,13 +198,11 @@ def _first_non_finite(spec, params, batch):
     finite, or "" if none is.  Runs on a copy of params once training has
     stopped, so a healthy run is never measured differently."""
     params = copy.deepcopy(params)
-    with np.errstate(all="ignore"):  # the values are known to overflow
-        for i, layer in enumerate(spec.layers):
-            out, _, _ = forward(NetworkSpec(spec.layers[:i + 1],
-                                            spec.input_shape),
-                                params, batch, keep_cache=False)
-            if not np.isfinite(out).all():
-                return f" (first at layer {i}, {type(layer).__name__})"
+    for i, layer in enumerate(spec.layers):
+        head = NetworkSpec(spec.layers[:i + 1], spec.input_shape)
+        out, _, _ = forward(head, params, batch, keep_cache=False)
+        if not np.isfinite(out).all():
+            return f" (first at layer {i}, {type(layer).__name__})"
     return ""
 
 

@@ -824,6 +824,13 @@ class TestCli:
             "dataset.kind=cifar10_binary", f"dataset.path={path}",
             *override.split()], named)
 
+    def test_malformed_cifar_file_refused_at_load(self, tmp_path, capsys):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"\x01" * (3073 + 17))
+        self.check_refused(tmp_path, capsys, [
+            "dataset.kind=cifar10_binary", f"dataset.path={path}"],
+            "length 3090 is not a multiple of 3073")
+
     def test_bad_ladder_depth_refused_before_training(self, tmp_path, capsys,
                                                       monkeypatch):
         calls = count_training(monkeypatch)
