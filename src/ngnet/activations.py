@@ -47,7 +47,6 @@ SELU_ALPHA = 1.6732632423543772
 class BaseActivation:
     """A scalar activation with value and (right-)derivative."""
 
-    name = "base"
     has_slope_param = False
     # True when f(u) == u for u >= 0 and f(u) == neg_slope * u below; lets
     # the kernels return x exactly on the positive branch instead of
@@ -75,7 +74,6 @@ class BaseActivation:
 
 
 class Identity(BaseActivation):
-    name = "identity"
     linear_positive = True
 
     def f(self, u, a=None):
@@ -89,7 +87,6 @@ class Identity(BaseActivation):
 
 
 class ReLU(BaseActivation):
-    name = "relu"
     linear_positive = True
 
     def f(self, u, a=None):
@@ -105,7 +102,6 @@ class ReLU(BaseActivation):
 @dataclass
 class LeakyReLU(BaseActivation):
     alpha: float = 0.01
-    name = "lrelu"
     linear_positive = True
 
     def __post_init__(self):
@@ -126,7 +122,6 @@ class PReLU(BaseActivation):
     """Negative slope `a` is a trainable per-channel parameter, passed in by
     the caller (init 0.25)."""
 
-    name = "prelu"
     has_slope_param = True
     linear_positive = True
     A_INIT = 0.25
@@ -147,7 +142,6 @@ class PReLU(BaseActivation):
 class SELU(BaseActivation):
     lam: float = SELU_LAMBDA
     alpha: float = SELU_ALPHA
-    name = "selu"
 
     def __post_init__(self):
         if self.lam <= 0 or self.alpha <= 0:

@@ -263,13 +263,13 @@ def _leaves(obj, prefix=""):
 
 
 def _built_depths(cfg: ExperimentConfig):
-    """The keys that set the depths the experiment builds, and the depths:
-    the whole ladder of a critical-depth sweep, else model.depth."""
+    """(key, depth) of model.depth, which every experiment checks, and of
+    each depth of a critical-depth sweep's ladder."""
+    yield "model.depth", cfg.model.depth
     if cfg.experiment == "critical_depth":
-        return "depth_start/depth_step/depth_count", [
-            cfg.depth_start + k * cfg.depth_step
-            for k in range(cfg.depth_count)]
-    return "model.depth", [cfg.model.depth]
+        for k in range(cfg.depth_count):
+            yield ("depth_start/depth_step/depth_count",
+                   cfg.depth_start + k * cfg.depth_step)
 
 
 def _name_key(key, check, *args):
@@ -290,9 +290,8 @@ def _validate(cfg: ExperimentConfig):
         if not ok(value):
             raise ConfigError(f"{key} must be {what}, got {value!r}")
     family = cfg.model.family
-    where, depths = _built_depths(cfg)
-    for depth in depths:
-        _name_key(where, check_depth, family, depth)
+    for key, depth in _built_depths(cfg):
+        _name_key(key, check_depth, family, depth)
     shape = sample_shape(cfg)
     _name_key("model.input_hw", check_input_hw, family, shape[-1])
     if cfg.experiment == "variance_study" and cfg.probe_steps == 0:

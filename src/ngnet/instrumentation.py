@@ -187,12 +187,6 @@ def _param_group(key):
             "a": "prelu_a", "t": "ng_t"}[key]
 
 
-def _loss_of(spec, params, batch, labels):
-    _, loss, _ = forward(spec, params, batch, labels, mode="train",
-                         keep_cache=False)
-    return loss
-
-
 def _kink_mask(x, t):
     """Which components of a shift t sit within the kink window of some
     element of its layer's input x."""
@@ -226,7 +220,7 @@ def grad_check(spec: NetworkSpec, params: dict, batch, labels,
                 # Every parameter checked so far is restored exactly, so
                 # the prefix gives the input the first forward saw
                 head = NetworkSpec(spec.layers[:i], spec.input_shape)
-                x, _, _ = forward(head, params, batch, keep_cache=False)
+                x, _, _ = forward(head, params, batch)
                 kink = _kink_mask(x, w)
             flat = w.ravel()
             for j in range(flat.size):
@@ -235,9 +229,9 @@ def grad_check(spec: NetworkSpec, params: dict, batch, labels,
                     continue
                 orig = flat[j]
                 flat[j] = orig + FD_STEP
-                lp = _loss_of(spec, params, batch, labels)
+                lp = forward(spec, params, batch, labels)[1]
                 flat[j] = orig - FD_STEP
-                lm = _loss_of(spec, params, batch, labels)
+                lm = forward(spec, params, batch, labels)[1]
                 flat[j] = orig
                 g_fd = (lp - lm) / (2 * FD_STEP)
                 denom = max(abs(g_fd), abs(g_an.ravel()[j]), 1e-8)

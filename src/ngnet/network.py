@@ -5,10 +5,10 @@ activations, pooling, residual-block markers); the last layer's output is
 the logits.  The softmax cross-entropy loss is not a layer: ``forward``
 applies it after the layer walk and ``backward`` starts from its gradient.
 Parameters live outside the spec in a per-layer-index dict, so a spec is
-reusable across seeds and schemes.  ``forward`` caches what ``backward``
-reads, or nothing for a loss-only or accuracy forward; both are pure apart
-from batch-norm running statistics, which are updated in train mode.  A
-prefix's output, ``NetworkSpec(spec.layers[:i], ...)``, is layer i's input.
+reusable across seeds and schemes.  With labels ``forward`` returns the
+loss and the cache ``backward`` reads, without them the logits alone; it
+is pure apart from batch-norm running statistics, updated in train mode.
+A prefix's output, ``NetworkSpec(spec.layers[:i], ...)``, is layer i's input.
 
 A plain (unwrapped) activation is represented internally as the shifted
 wrapper with a fixed t = 0, which is exactly ``f(x)``; this keeps a single
@@ -312,17 +312,15 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train",
-            keep_cache=True):
+def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train"):
     """Run the network; returns (logits, loss, cache).
 
     `batch` is (B, C, H, W), converted to channels-last here, or (B, D).
-    The logits are the last layer's output; loss is their softmax
-    cross-entropy against `labels`, or None without labels.  train mode
-    uses batch statistics for batch norm and updates the running ones; eval
-    mode reads the running statistics only.  With `keep_cache` false the
-    cache is None and each layer's intermediates are freed as the walk
-    moves on, for forwards that want only the logits or the loss.
+    The logits are the last layer's output.  With `labels`, loss is their
+    softmax cross-entropy and cache what ``backward`` reads; without, both
+    are None, and each layer's intermediates are freed as the walk moves
+    on.  train mode uses batch statistics for batch norm and updates the
+    running ones; eval mode reads the running statistics only.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be train or eval, got {mode!r}")
@@ -330,7 +328,7 @@ def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train",
     if x.ndim == 4:
         x = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
     skip_stack = []
-    caches = []
+    caches = [] if labels is not None else None
     for i, layer in enumerate(spec.layers):
         c = {"in_shape": x.shape}
         if isinstance(layer, Conv):
@@ -364,16 +362,14 @@ def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train",
             x = x + _shortcut(skip, x.shape)
         else:
             raise ConfigError(f"unknown layer {layer!r}")
-        if keep_cache:
+        if caches is not None:
             caches.append(c)
+    if labels is None:
+        return x, None, None
+    labels = np.asarray(labels)
     probs = _softmax(x)
-    loss = None
-    if labels is not None:
-        labels = np.asarray(labels)
-        picked = probs[np.arange(x.shape[0]), labels]
-        loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
-    if not keep_cache:
-        return x, loss, None
+    picked = probs[np.arange(x.shape[0]), labels]
+    loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
     return x, loss, {"layers": caches, "probs": probs, "labels": labels}
 
 
@@ -433,8 +429,8 @@ def _shortcut_backward(grad_out, skip_shape):
 
 def backward(spec: NetworkSpec, params: dict, cache,
              out_grads: dict = None) -> dict:
-    """Gradients of the batch-mean loss, against the labels the forward
-    cached, for every trainable tensor.
+    """Gradients of the batch-mean loss, from the `cache` of a forward with
+    labels, for every trainable tensor.
 
     Returns {layer_index: {name: grad}}; a shift that does not train
     (plain, or `trainable` false) and batch-norm running stats get no
@@ -444,15 +440,14 @@ def backward(spec: NetworkSpec, params: dict, cache,
     (The batch-norm backward subtracts the per-channel mean, so the mean
     of the gradient at the conv output itself is 0 in exact arithmetic.)
     """
+    if cache is None:
+        raise ContractError("backward needs the cache of a forward with labels")
     caches = cache["layers"]
     if len(caches) != len(spec.layers):
         raise ContractError("cache does not match this network spec")
-    labels = cache["labels"]
-    if labels is None:
-        raise ContractError("backward needs labels (none cached)")
     grad = cache["probs"].copy()
     n = grad.shape[0]
-    grad[np.arange(n), labels] -= 1.0
+    grad[np.arange(n), cache["labels"]] -= 1.0
     grad /= n
     grads: dict = {}
     pending_skip: list = []

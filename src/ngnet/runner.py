@@ -117,8 +117,7 @@ EVAL_BATCH = 256
 def _eval_acc(spec, params, x, y):
     hits = 0
     for s in range(0, len(y), EVAL_BATCH):
-        logits, _, _ = forward(spec, params, x[s:s + EVAL_BATCH], mode="eval",
-                               keep_cache=False)
+        logits, _, _ = forward(spec, params, x[s:s + EVAL_BATCH], mode="eval")
         hits += (logits.argmax(axis=1) == y[s:s + EVAL_BATCH]).sum()
     return float(hits) / len(y)
 
@@ -200,7 +199,7 @@ def _first_non_finite(spec, params, batch):
     params = copy.deepcopy(params)
     for i, layer in enumerate(spec.layers):
         head = NetworkSpec(spec.layers[:i + 1], spec.input_shape)
-        out, _, _ = forward(head, params, batch, keep_cache=False)
+        out, _, _ = forward(head, params, batch)
         if not np.isfinite(out).all():
             return f" (first at layer {i}, {type(layer).__name__})"
     return ""

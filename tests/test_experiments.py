@@ -840,6 +840,19 @@ class TestCli:
         assert "depth_step" in capsys.readouterr().err
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_model_depth_refused_beside_a_ladder(self, tmp_path, capsys,
+                                                 monkeypatch, command):
+        """A critical-depth config's model.depth is checked at load with its
+        ladder: ``run`` builds it, and a ``sweep`` that reads only the
+        ladder still refuses it."""
+        calls = count_training(monkeypatch)
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(CONFIGS / "critical_depth.cfg"),
+                         "--out", str(out), "--override", "model.depth=9"]) == 2
+        assert "model.depth" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
     def test_repeated_run_id_refused_before_training(self, tmp_path, capsys,
                                                      monkeypatch):
         cfg = self.write_cfg(tmp_path)

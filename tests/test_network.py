@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ngnet import network
+from ngnet import network, runner
 from ngnet.errors import ConfigError, ContractError
 from ngnet.network import (Activation, ActivationSpec, BatchNorm, Conv,
                            Dense, GlobalAvgPool, InitScheme, MaxPool,
@@ -234,14 +234,33 @@ class TestCache:
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("spec, x", cache_nets())
     def test_no_cache_is_bitwise_the_cached_call(self, spec, x, mode):
+        """A forward without labels gives the labelled forward's logits,
+        bitwise, and neither a loss nor a cache."""
         params = init_params(spec, InitScheme("msra", 5))
         y = np.arange(len(x)) % 3
         # each call on its own copy: a train forward moves BN running stats
         lo, loss, cache = forward(spec, copy.deepcopy(params), x, y, mode)
-        lo_nc, loss_nc, none = forward(spec, copy.deepcopy(params), x, y,
-                                       mode, keep_cache=False)
-        assert cache is not None and none is None
-        assert np.array_equal(lo, lo_nc) and loss == loss_nc
+        lo_nc, loss_nc, none = forward(spec, copy.deepcopy(params), x,
+                                       mode=mode)
+        assert cache is not None and loss is not None
+        assert loss_nc is None and none is None
+        assert np.array_equal(lo, lo_nc)
+
+    def test_label_less_forward_computes_no_softmax(self, monkeypatch):
+        """The accuracy forward, the non-finite re-walk and a prefix
+        forward never call the softmax nothing would read."""
+        def refuse(logits):
+            raise AssertionError("softmax of a label-less forward")
+
+        spec = build_plain_cnn(5, 2, 3, False, NG_RELU, input_hw=8)
+        params = init_params(spec, InitScheme("msra", 7))
+        x = np.random.default_rng(7).standard_normal((4, 3, 8, 8))
+        monkeypatch.setattr(network, "_softmax", refuse)
+        logits, loss, cache = forward(spec, params, x, mode="eval")
+        assert logits.shape == (4, 3) and loss is None and cache is None
+        assert 0.0 <= runner._eval_acc(spec, params, x, np.arange(4) % 3) <= 1.0
+        assert runner._first_non_finite(spec, params, x) == ""
+        assert prefix_output(spec, params, x, 3).shape == (4, 8, 8, 2)
 
     def test_eval_forward_without_cache_is_small(self):
         """The 96-sample eval forward of the BN ResNet-8 at 32x32 peaked at
@@ -249,10 +268,10 @@ class TestCache:
         spec = build_resnet(8, 8, 3, NG_RELU, input_hw=32)
         params = init_params(spec, InitScheme("msra", 0))
         x = np.random.default_rng(0).standard_normal((96, 3, 32, 32))
-        forward(spec, params, x[:2], mode="eval", keep_cache=False)  # warm-up
+        forward(spec, params, x[:2], mode="eval")  # warm-up
         tracemalloc.start()
         try:
-            forward(spec, params, x, mode="eval", keep_cache=False)
+            forward(spec, params, x, mode="eval")
             peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
             tracemalloc.stop()
@@ -274,8 +293,7 @@ class TestCache:
                     {"in_shape", "mask"} | ({"x"} if reads_x else set())
 
     @pytest.mark.parametrize("base", ["relu", "selu"])
-    @pytest.mark.parametrize("keep_cache", [True, False])
-    def test_act_inputs_are_each_activation_input(self, base, keep_cache):
+    def test_act_inputs_are_each_activation_input(self, base):
         """A prefix's output is bitwise the input the cache used to keep:
         the previous Dense layer's output, and the cached x where the base
         still keeps it."""
@@ -283,10 +301,9 @@ class TestCache:
                          input_dim=4)
         params = init_params(spec, InitScheme("msra", 3))
         x = np.random.default_rng(3).standard_normal((8, 4))
-        _, _, cache = forward(spec, params, x)
+        _, _, cache = forward(spec, params, x, np.arange(8) % 3)
         act = [i for i, l in enumerate(spec.layers) if isinstance(l, Activation)]
-        inputs = {i: prefix_output(spec, params, x, i, keep_cache=keep_cache)
-                  for i in act}
+        inputs = {i: prefix_output(spec, params, x, i) for i in act}
         for i in act:
             z = cache["layers"][i - 1]["x"]
             w, b = params[i - 1]["W"], params[i - 1]["b"]
@@ -373,7 +390,7 @@ class TestPrefix:
             want = cache["layers"][i].get("x")
             if want is None:
                 continue
-            got = prefix_output(spec, params, x, i, keep_cache=False)
+            got = prefix_output(spec, params, x, i)
             if isinstance(layer, Dense):  # the cache keeps it flat
                 got = (got.transpose(0, 3, 1, 2) if got.ndim == 4
                        else got).reshape(len(x), -1)
@@ -478,13 +495,15 @@ class TestBackward:
         assert calls == [True] * (count(spec, Conv) - 1) + [False]
 
     def test_needs_the_labels_the_forward_cached(self):
+        """A forward without labels gives no cache, and backward refuses
+        the missing one."""
         spec = build_mlp([5], 3, RELU, input_dim=4)
         params = init_params(spec, InitScheme("msra", 2))
         x = np.random.default_rng(2).standard_normal((6, 4))
         _, loss, cache = forward(spec, params, x)
-        assert loss is None
+        assert loss is None and cache is None
         with pytest.raises(ContractError, match="labels"):
-            backward(spec, params, cache)
+            backward(spec, params, None)
 
     def test_refuses_a_cache_of_another_network(self):
         spec = build_mlp([5], 3, RELU, input_dim=4)
