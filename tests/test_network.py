@@ -293,11 +293,12 @@ class TestCache:
                     {"in_shape", "mask"} | ({"x"} if reads_x else set())
 
     @pytest.mark.parametrize("base", ["relu", "selu"])
-    def test_act_inputs_are_each_activation_input(self, base):
+    @pytest.mark.parametrize("ng", [True, False])
+    def test_act_inputs_are_each_activation_input(self, base, ng):
         """A prefix's output is bitwise the input the cache used to keep:
         the previous Dense layer's output, and the cached x where the base
-        still keeps it."""
-        spec = build_mlp([6, 5], 3, ActivationSpec(base=base, ng=True),
+        still keeps it, with and without the NG shift."""
+        spec = build_mlp([6, 5], 3, ActivationSpec(base=base, ng=ng),
                          input_dim=4)
         params = init_params(spec, InitScheme("msra", 3))
         x = np.random.default_rng(3).standard_normal((8, 4))
