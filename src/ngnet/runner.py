@@ -260,7 +260,8 @@ def run_capacity_sweep(cfg: ExperimentConfig):
     Emits one summary row per setting (max train accuracy; final mean t for
     the trainable run) alongside the usual per-epoch metrics.
     """
-    settings = [("none", {"base": "identity", "ng": False})]
+    # the identity base takes none of the sweep base's keyword arguments
+    settings = [("none", {"base": "identity", "base_kwargs": {}, "ng": False})]
     settings += [(f"t{t:g}", {"ng": True, "trainable": False, "t_init": t})
                  for t in cfg.t_values]
     settings += [("trainable", {"ng": True, "trainable": True})]

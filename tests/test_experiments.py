@@ -654,6 +654,20 @@ class TestCli:
         assert len(read_csv(os.path.join(out, "capacity.csv"))) == 4
         assert "capacity_sweep complete" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("base, kwarg", [("selu", "lam=1.1"),
+                                             ("lrelu", "alpha=0.2")])
+    def test_capacity_sweep_over_a_base_with_keywords(self, tmp_path, base,
+                                                      kwarg):
+        """The `none` setting's identity base takes none of the keyword
+        arguments of the sweep's base."""
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", str(CONFIGS / "capacity.cfg"),
+                         "--out", str(out), "--override", "epochs=1",
+                         "--override", f"activation.base={base}",
+                         "--override",
+                         f"activation.base_kwargs.{kwarg}"]) == 0
+        assert len(read_csv(os.path.join(out, "capacity.csv"))) == 6
+
     def test_missing_seed_is_a_clean_error(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, CONFIG_TEXT.replace("seed = 5", ""))
         assert cli_main(["run", "--config", cfg]) == 2
