@@ -3,9 +3,11 @@
     python tests/make_golden.py              # regenerate tests/golden/
     python tests/make_golden.py --out DIR    # write a fresh set to DIR
 
-Each config in ``configs/``, and ``perfbench/resnet_bn_32px.cfg`` (the one
-batch-norm config), runs as ``ngnet sweep --override epochs=2`` into its
-own subdirectory, with BLAS pinned to one thread, and
+Each config in ``configs/``, ``perfbench/resnet_bn_32px.cfg`` (the one
+batch-norm config), and ``configs/capacity.cfg`` once more for each base
+no shipped config trains (PReLU, leaky ReLU, SELU, the last two with a
+keyword argument), runs as ``ngnet sweep --override epochs=2`` plus its
+own overrides into its own subdirectory, with BLAS pinned to one thread, and
 ``stamp.json`` records the environment that wrote them: NumPy version,
 the BLAS library with the kernel it picked for this CPU, and the cores
 the process may use.  ``tests/test_golden.py`` reruns this script and
@@ -29,11 +31,17 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
-# output subdirectory -> config file
-CONFIGS = {name: ROOT / "configs" / f"{name}.cfg"
+CAPACITY = ROOT / "configs" / "capacity.cfg"
+# output subdirectory -> (config file, overrides besides the epochs)
+CONFIGS = {name: (ROOT / "configs" / f"{name}.cfg", ())
            for name in ("capacity", "critical_depth", "learning_behavior",
                         "variance_study")}
-CONFIGS["resnet_bn_32px"] = ROOT / "perfbench" / "resnet_bn_32px.cfg"
+CONFIGS["resnet_bn_32px"] = (ROOT / "perfbench" / "resnet_bn_32px.cfg", ())
+CONFIGS["capacity_prelu"] = (CAPACITY, ("activation.base=prelu",))
+CONFIGS["capacity_lrelu"] = (CAPACITY, ("activation.base=lrelu",
+                                        "activation.base_kwargs.alpha=0.2"))
+CONFIGS["capacity_selu"] = (CAPACITY, ("activation.base=selu",
+                                       "activation.base_kwargs.lam=1.1"))
 EPOCHS = 2
 
 
@@ -74,12 +82,14 @@ def write(out: Path):
     from ngnet.cli import main as cli_main
 
     out.mkdir(parents=True, exist_ok=True)
-    for name, config in CONFIGS.items():
+    for name, (config, overrides) in CONFIGS.items():
         run_dir = out / name
         if run_dir.exists():
             shutil.rmtree(run_dir)
-        code = cli_main(["sweep", "--config", str(config),
-                         "--override", f"epochs={EPOCHS}", "--out", str(run_dir)])
+        argv = ["sweep", "--config", str(config), "--out", str(run_dir)]
+        for override in (f"epochs={EPOCHS}",) + overrides:
+            argv += ["--override", override]
+        code = cli_main(argv)
         if code:
             raise SystemExit(f"{name}: ngnet exited {code}")
     (out / "stamp.json").write_text(json.dumps(stamp(), indent=1) + "\n")
