@@ -15,8 +15,10 @@ trailing shape of the channels-last input sample it broadcasts against):
   * layer: a single scalar t.
 
 The forward also returns the branch mask ``m = x >= t``, which the layer
-caches for its backward.  For the bases that are the identity on
-``u = x - t >= 0`` (identity, ReLU, leaky ReLU, PReLU) the mask alone picks
+caches for its backward.  The bases that are the identity on
+``u = x - t >= 0`` differ only in their slope below it: 0 for ReLU, and
+for ``Leaky`` 1.0 (identity), a fixed ``alpha`` (leaky ReLU) or the
+trained per-channel ``a`` (PReLU).  For them the mask alone picks
 each element's branch, so the gradients need no recomputed ``x - t``: the
 input gradient is ``grad * f'`` with ``f' = 1`` where ``m`` holds and the
 base's negative slope elsewhere, and the t-gradient is ``grad * (1 - f')``.
@@ -30,6 +32,7 @@ kernels is not read and may be None.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -73,19 +76,6 @@ class BaseActivation:
         return self.has_slope_param or not self.linear_positive
 
 
-class Identity(BaseActivation):
-    linear_positive = True
-
-    def f(self, u, a=None):
-        return u
-
-    def df(self, u, a=None):
-        return np.ones_like(u)
-
-    def neg_slope(self, a=None):
-        return 1.0
-
-
 class ReLU(BaseActivation):
     linear_positive = True
 
@@ -99,32 +89,22 @@ class ReLU(BaseActivation):
         return 0.0
 
 
+# the initial value of PReLU's trainable slope, in every channel
+PRELU_A_INIT = 0.25
+
+
 @dataclass
-class LeakyReLU(BaseActivation):
-    alpha: float = 0.01
+class Leaky(BaseActivation):
+    """u for u >= 0 and slope * u below: the identity (slope 1.0), leaky
+    ReLU (a fixed slope in (0, 1)) and PReLU (slope None: the trainable
+    per-channel slope `a`, passed in by the caller)."""
+
+    slope: float | None
     linear_positive = True
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"leaky slope must be in (0,1), got {self.alpha}")
-
-    def f(self, u, a=None):
-        return np.where(u >= 0.0, u, self.alpha * u)
-
-    def df(self, u, a=None):
-        return np.where(u >= 0.0, 1.0, self.alpha)
-
-    def neg_slope(self, a=None):
-        return self.alpha
-
-
-class PReLU(BaseActivation):
-    """Negative slope `a` is a trainable per-channel parameter, passed in by
-    the caller (init 0.25)."""
-
-    has_slope_param = True
-    linear_positive = True
-    A_INIT = 0.25
+    @property
+    def has_slope_param(self) -> bool:
+        return self.slope is None
 
     def f(self, u, a=None):
         return np.where(u >= 0.0, u, self.neg_slope(a) * u)
@@ -133,6 +113,8 @@ class PReLU(BaseActivation):
         return np.where(u >= 0.0, 1.0, self.neg_slope(a))
 
     def neg_slope(self, a=None):
+        if self.slope is not None:
+            return self.slope
         if a is None:
             raise ContractError("PReLU needs its slope parameter")
         return np.asarray(a, dtype=np.float64)
@@ -156,21 +138,32 @@ class SELU(BaseActivation):
                         self.lam * self.alpha * np.exp(np.minimum(u, 0.0)))
 
 
+def _lrelu(alpha=0.01):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"leaky slope must be in (0,1), got {alpha}")
+    return Leaky(alpha)
+
+
+# name -> factory, whose parameters are the keyword arguments the base takes
 _BASES = {
-    "identity": Identity,
+    "identity": lambda: Leaky(1.0),
     "relu": ReLU,
-    "lrelu": LeakyReLU,
-    "prelu": PReLU,
+    "lrelu": _lrelu,
+    "prelu": lambda: Leaky(None),
     "selu": SELU,
 }
 
 
 def make_base(name: str, **kwargs) -> BaseActivation:
     try:
-        cls = _BASES[name]
+        make = _BASES[name]
     except KeyError:
         raise ValueError(f"unknown base activation {name!r}") from None
-    return cls(**kwargs)
+    takes = inspect.signature(make).parameters
+    for key in sorted(kwargs.keys() - takes):
+        raise ValueError(f"base activation {name!r} takes no keyword argument "
+                         f"{key!r} (it takes {', '.join(takes) or 'none'})")
+    return make(**kwargs)
 
 
 def shift_shape(granularity: str, sample_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -247,7 +240,7 @@ def ng_grad_t(base: BaseActivation, t, x, m, grad_out, a=None):
 
 def prelu_grad_a(base: BaseActivation, t, x, grad_out, a):
     """Gradient w.r.t. the PReLU slope, evaluated on the shifted input."""
-    if not isinstance(base, PReLU):
+    if not base.has_slope_param:
         raise ContractError("slope gradient is defined only for a PReLU base")
     x = as_f64(x)
     a = np.asarray(a, dtype=np.float64)

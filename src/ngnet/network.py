@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import (BaseActivation, PReLU, make_base,
+from .activations import (PRELU_A_INIT, BaseActivation, make_base,
                           ng_backward_input, ng_forward, ng_grad_t,
                           prelu_grad_a, shift_shape)
 from .errors import ConfigError, ContractError, ShapeError
@@ -109,7 +109,7 @@ class GlobalAvgPool:
 
 @dataclass
 class ResBlockStart:
-    stride: int = 1
+    pass
 
 
 @dataclass
@@ -188,7 +188,7 @@ def build_resnet(depth, base_width, num_classes, activation, with_bn=True,
         width = base_width * (2 ** stage)
         for block in range(k):
             stride = 2 if stage > 0 and block == 0 else 1
-            layers.append(ResBlockStart(stride))
+            layers.append(ResBlockStart())
             layers += _conv_unit(width, with_bn, activation, stride)
             layers += _conv_unit(width, with_bn)
             layers += [ResBlockEnd(), Activation(activation)]
@@ -287,8 +287,8 @@ def init_params(spec: NetworkSpec, scheme: InitScheme) -> dict:
                 p["t"] = np.full(t_shape, float(a_spec.t_init))
             else:
                 p["t"] = np.zeros((1,))
-            if a_spec.base == "prelu":
-                p["a"] = np.full(shift_shape("channel", shape), PReLU.A_INIT)
+            if layer.base.has_slope_param:
+                p["a"] = np.full(shift_shape("channel", shape), PRELU_A_INIT)
         elif isinstance(layer, MaxPool):
             h, w, c = shape
             if h % 2 or w % 2:

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ngnet.activations import (GRANULARITIES, SELU, SELU_ALPHA, SELU_LAMBDA,
-                               LeakyReLU, PReLU, ReLU, make_base,
-                               ng_backward_input, ng_forward, ng_grad_t,
-                               prelu_grad_a, shift_shape)
+                               Leaky, ReLU, make_base, ng_backward_input,
+                               ng_forward, ng_grad_t, prelu_grad_a,
+                               shift_shape)
 from ngnet.errors import ContractError
 
 BASES = ("identity", "relu", "lrelu", "prelu", "selu")
@@ -115,7 +115,7 @@ class TestForward:
 
     def test_lrelu_substitution(self):
         # 0.1 * (-2 - (-1)) + (-1) = -1.1
-        assert np.isclose(fwd(LeakyReLU(0.1), [-1.0], [-2.0])[0], -1.1)
+        assert np.isclose(fwd(Leaky(0.1), [-1.0], [-2.0])[0], -1.1)
 
     def test_relu_is_max(self):
         rng = np.random.default_rng(0)
@@ -217,7 +217,7 @@ class TestGradT:
         assert grad_t(ReLU(), [0.5], [0.5], [1.0])[0] == 0.0
 
     def test_lrelu_general_factor(self):
-        g = grad_t(LeakyReLU(0.1), [0.0], [-1.0], [1.0])
+        g = grad_t(Leaky(0.1), [0.0], [-1.0], [1.0])
         assert np.isclose(g[0], 0.9)
 
     @pytest.mark.parametrize("base", ["relu", "lrelu", "selu"])
@@ -253,7 +253,7 @@ class TestGradT:
 class TestPReLU:
     @staticmethod
     def slope_grad(t, x, grad_out, a):
-        return prelu_grad_a(PReLU(), t_arr(t), np.asarray(x, dtype=float),
+        return prelu_grad_a(Leaky(None), t_arr(t), np.asarray(x, dtype=float),
                             np.asarray(grad_out, dtype=float), a)
 
     def test_positive_inputs_zero_slope_grad(self):
@@ -278,7 +278,7 @@ class TestPReLU:
         h = 1e-5
 
         def loss(av):
-            return float((fwd(PReLU(), [0.1], x, np.array([av])) * proj).sum())
+            return float((fwd(Leaky(None), [0.1], x, np.array([av])) * proj).sum())
 
         g = self.slope_grad([0.1], x, proj, np.array([a0]))
         fd = (loss(a0 + h) - loss(a0 - h)) / (2 * h)
@@ -291,7 +291,31 @@ class TestPReLU:
 
     def test_missing_slope_rejected(self):
         with pytest.raises(ContractError):
-            fwd(PReLU(), [0.0], [-1.0])
+            fwd(Leaky(None), [0.0], [-1.0])
+
+
+@pytest.mark.parametrize("name, kwargs", [("identity", {}),
+                                          ("lrelu", {"alpha": 0.1}),
+                                          ("prelu", {})])
+def test_leaky_f_and_df_are_closed_forms(name, kwargs):
+    """f(u) = u and f'(u) = 1 for u >= 0, f(u) = s * u and f'(u) = s below
+    and at NaN, with s 1.0, alpha, or the channel's a; element by element
+    in Python floats, bitwise, so that the kernel references, which read
+    f and df, cannot drift together with the base."""
+    rng = np.random.default_rng(5)
+    u = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan],
+                        rng.standard_normal(31)]).reshape(2, 3, 2, 3)
+    a = rng.uniform(0.01, 0.99, 3) if name == "prelu" else None
+    slope = {"identity": 1.0, "lrelu": 0.1, "prelu": a}[name]
+    pairs = list(zip(u.ravel().tolist(),
+                     np.broadcast_to(slope, u.shape).ravel().tolist()))
+    base = make_base(name, **kwargs)
+    assert_bitwise(base.f(u, a),
+                   np.reshape([v if v >= 0 else s * v for v, s in pairs],
+                              u.shape))
+    assert_bitwise(base.df(u, a),
+                   np.reshape([1.0 if v >= 0 else s for v, s in pairs],
+                              u.shape))
 
 
 class TestSELU:

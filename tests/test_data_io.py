@@ -184,7 +184,7 @@ class TestConfig:
         """)
         cfg = build_experiment_config(raw)
         assert cfg.activation.base_kwargs == {"alpha": 0.2}
-        assert cfg.activation.make_base().alpha == 0.2
+        assert cfg.activation.make_base().slope == 0.2
 
 
 class TestCsv:

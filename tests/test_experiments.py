@@ -776,6 +776,24 @@ class TestCli:
         assert name in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("base, kwarg", [
+        ("identity", "alpha=0.2"), ("relu", "alpha=0.2"),
+        ("prelu", "alpha=0.2"), ("lrelu", "beta=1")])
+    def test_keyword_the_base_does_not_take_is_refused(self, tmp_path,
+                                                       capsys, base, kwarg):
+        """The error names the configured base and the keyword, and no
+        class, factory or lambda behind the base's name."""
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", self.write_cfg(tmp_path),
+                         "--out", str(out),
+                         "--override", f"activation.base={base}",
+                         "--override", f"activation.base_kwargs.{kwarg}"]) == 2
+        err = capsys.readouterr().err
+        assert f"base activation {base!r} takes no keyword argument " \
+            f"{kwarg.split('=')[0]!r}" in err
+        assert not re.search(r"lambda|Leaky|_lrelu|\w\(", err), err
+        assert not out.exists()
+
     def test_every_key_has_a_rule(self):
         """config.RULES holds exactly the leaf keys: the keys without a rule
         and the rules without a key are both empty."""

@@ -93,8 +93,9 @@ class TestBuilders:
 
     def test_resnet_stride_positions(self):
         spec = build_resnet(20, 8, 10, RELU)
-        strides = [l.stride for l in spec.layers
-                   if type(l).__name__ == "ResBlockStart"]
+        strides = [spec.layers[i + 1].stride
+                   for i, l in enumerate(spec.layers)
+                   if isinstance(l, ResBlockStart)]
         assert strides == [1, 1, 1, 2, 1, 1, 2, 1, 1]
 
     @pytest.mark.parametrize("with_bn", [False, True])
@@ -112,7 +113,7 @@ class TestBuilders:
                  + unit(8) + [("gap",), ("dense", 3)])
         resnet = unit(2)
         for width, stride in ((2, 1), (4, 2), (8, 2)):
-            resnet += ([("start", stride)] + unit(width, stride)
+            resnet += ([("start",)] + unit(width, stride)
                        + [conv(width)] + [("bn",)] * with_bn
                        + [("end",), ("act",)])
         resnet += [("gap",), ("dense", 3)]
@@ -125,7 +126,7 @@ class TestBuilders:
                      Activation: lambda l: ("act",),
                      MaxPool: lambda l: ("pool",),
                      GlobalAvgPool: lambda l: ("gap",),
-                     ResBlockStart: lambda l: ("start", l.stride),
+                     ResBlockStart: lambda l: ("start",),
                      ResBlockEnd: lambda l: ("end",),
                      Dense: lambda l: ("dense", l.units)}
             assert all(l.spec is NG_RELU for l in spec.layers
