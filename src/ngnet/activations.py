@@ -160,9 +160,11 @@ def make_base(name: str, **kwargs) -> BaseActivation:
     except KeyError:
         raise ValueError(f"unknown base activation {name!r}") from None
     takes = inspect.signature(make).parameters
-    for key in sorted(kwargs.keys() - takes):
+    unknown = sorted(kwargs.keys() - takes)
+    if unknown:
         raise ValueError(f"base activation {name!r} takes no keyword argument "
-                         f"{key!r} (it takes {', '.join(takes) or 'none'})")
+                         f"{', '.join(map(repr, unknown))} (it takes "
+                         f"{', '.join(takes) or 'none'})")
     return make(**kwargs)
 
 
