@@ -9,7 +9,7 @@ from .activations import (make_base, ng_backward_input, ng_forward, ng_grad_t,
                           prelu_grad_a)
 from .network import (ActivationSpec, InitScheme, NetworkSpec, backward,
                       build_mlp, build_plain_cnn, build_resnet, build_toy_cnn,
-                      forward, init_params)
+                      fold_running_stats, forward, init_params)
 from .optim import OptimConfig, StepSchedule, sgd_step
 from .instrumentation import (grad_check, sandwich_check, variance_bounds,
                               weight_variance_trace)
@@ -19,7 +19,7 @@ __all__ = [
     "prelu_grad_a",
     "ActivationSpec", "InitScheme", "NetworkSpec", "forward", "backward",
     "build_mlp", "build_plain_cnn", "build_resnet", "build_toy_cnn",
-    "init_params",
+    "init_params", "fold_running_stats",
     "OptimConfig", "StepSchedule", "sgd_step",
     "grad_check", "sandwich_check", "variance_bounds",
     "weight_variance_trace",

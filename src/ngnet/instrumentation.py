@@ -19,7 +19,6 @@ updates are outside the regime and are rejected.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,11 +139,7 @@ def mean_shift_trace(spec: NetworkSpec, params: dict, batch, labels):
     """Per linear layer, its ``layerstats.csv`` columns but run id and
     step: the mean of its input z and of the loss gradient g at its
     pre-activation, the two quantities the bounds depend on, and its
-    weight variance; NaN in the probe-only columns.
-
-    Runs on a copy of params, so the train-mode forward leaves the caller's
-    batch-norm running statistics untouched."""
-    params = copy.deepcopy(params)
+    weight variance; NaN in the probe-only columns."""
     return [dict(_PROBE_ONLY, layer=i, mean_z=float(np.mean(z)),
                  mean_g=0.0 if _is_logits(spec, i) else float(np.mean(g)),
                  weight_var=_pop_var(params[i]["W"]))
@@ -201,7 +196,6 @@ def grad_check(spec: NetworkSpec, params: dict, batch, labels,
     batch-norm running statistics and a fixed shift count for nothing.
     Shift components within the kink window of any probe input are
     excluded and counted rather than checked."""
-    params = copy.deepcopy(params)  # BN running stats mutate; keep caller's intact
     _, _, cache = forward(spec, params, batch, labels, mode="train")
     analytic = backward(spec, params, cache)
     n_params = sum(g.size for p in analytic.values() for g in p.values())
@@ -228,11 +222,13 @@ def grad_check(spec: NetworkSpec, params: dict, batch, labels,
                     excluded += 1
                     continue
                 orig = flat[j]
-                flat[j] = orig + FD_STEP
-                lp = forward(spec, params, batch, labels)[1]
-                flat[j] = orig - FD_STEP
-                lm = forward(spec, params, batch, labels)[1]
-                flat[j] = orig
+                try:
+                    flat[j] = orig + FD_STEP
+                    lp = forward(spec, params, batch, labels)[1]
+                    flat[j] = orig - FD_STEP
+                    lm = forward(spec, params, batch, labels)[1]
+                finally:
+                    flat[j] = orig
                 g_fd = (lp - lm) / (2 * FD_STEP)
                 denom = max(abs(g_fd), abs(g_an.ravel()[j]), 1e-8)
                 rel = abs(g_fd - g_an.ravel()[j]) / denom

@@ -6,8 +6,8 @@ the logits.  The softmax cross-entropy loss is not a layer: ``forward``
 applies it after the layer walk and ``backward`` starts from its gradient.
 Parameters live outside the spec in a per-layer-index dict, so a spec is
 reusable across seeds and schemes.  With labels ``forward`` returns the
-loss and the cache ``backward`` reads, without them the logits alone; it
-is pure apart from batch-norm running statistics, updated in train mode.
+loss and the cache ``backward`` reads, without them the logits alone;
+neither it nor ``backward`` writes ``params`` (``fold_running_stats`` does).
 A prefix's output, ``NetworkSpec(spec.layers[:i], ...)``, is layer i's input.
 
 A plain (unwrapped) activation is represented internally as the shifted
@@ -319,8 +319,8 @@ def forward(spec: NetworkSpec, params: dict, batch, labels=None, mode="train"):
     The logits are the last layer's output.  With `labels`, loss is their
     softmax cross-entropy and cache what ``backward`` reads; without, both
     are None, and each layer's intermediates are freed as the walk moves
-    on.  train mode uses batch statistics for batch norm and updates the
-    running ones; eval mode reads the running statistics only.
+    on.  train mode normalises batch norm by the batch statistics and
+    caches them; eval mode reads the running statistics.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be train or eval, got {mode!r}")
@@ -391,19 +391,25 @@ def _bn_forward(p, x, mode, c):
         xhat = x - _wide(mean, x)
         # two passes: E[x^2] - E[x]^2 would cancel catastrophically
         var = _coldot(xhat, xhat, ch) / n
-        p["running_mean"] = BN_MOMENTUM * p["running_mean"] + (1 - BN_MOMENTUM) * mean
-        p["running_var"] = BN_MOMENTUM * p["running_var"] + (1 - BN_MOMENTUM) * var
+        c["mean"], c["var"] = mean, var
     else:
         xhat = x - _wide(p["running_mean"], x)
         var = p["running_var"]
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= _wide(inv_std, x)
-    c["xhat"] = xhat
-    c["inv_std"] = inv_std
-    c["train_stats"] = mode == "train"
+    c["xhat"], c["inv_std"] = xhat, inv_std
     y = xhat * _wide(p["gamma"], x)
     y += _wide(p["beta"], x)
     return y
+
+
+def fold_running_stats(params: dict, cache) -> None:
+    """Update batch norm's running statistics from a train forward's cache."""
+    for i, c in enumerate(cache["layers"]):
+        if "var" in c:
+            p = params[i]
+            p["running_mean"] = BN_MOMENTUM * p["running_mean"] + (1 - BN_MOMENTUM) * c["mean"]
+            p["running_var"] = BN_MOMENTUM * p["running_var"] + (1 - BN_MOMENTUM) * c["var"]
 
 
 def _shortcut(skip, out_shape):
@@ -512,7 +518,7 @@ def _bn_backward(p, grad, c):
     dbeta = _colsum(grad, ch)
     dgamma = _coldot(grad, xhat, ch)
     dx = np.empty(grad.shape)
-    if c["train_stats"]:
+    if "var" in c:  # normalised by the batch statistics
         # dx = gamma/sigma * (g - dbeta/n - xhat*dgamma/n)
         n = grad.size // ch
         np.multiply(xhat, _wide(dgamma / n, grad), out=dx)

@@ -26,8 +26,8 @@ from .csvio import emit_csv, refuse_present_run_ids
 from .datasets import Dataset, augment, make_blobs, make_spirals, load_cifar10_binary
 from .errors import ConfigError, DivergenceError, NgnetError
 from .network import (InitScheme, NetworkSpec, backward, build_mlp,
-                      build_plain_cnn, build_resnet, build_toy_cnn, forward,
-                      init_params)
+                      build_plain_cnn, build_resnet, build_toy_cnn,
+                      fold_running_stats, forward, init_params)
 from .optim import lr_multiplier, sgd_step
 
 # a run converged if its final train accuracy beats chance by this much
@@ -149,6 +149,7 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
             if cfg.dataset.augment:
                 xb = augment(xb, rng)
             logits, loss, cache = forward(spec, params, xb, yb, mode="train")
+            fold_running_stats(params, cache)
             if not np.isfinite(loss):
                 cause = "non-finite loss" + _first_non_finite(spec, params, xb)
                 break
@@ -192,11 +193,8 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
 
 
 def _first_non_finite(spec, params, batch):
-    """Where a train forward on `batch` first goes non-finite, as
-    " (first at layer i, Kind)" for the shortest prefix whose output is not
-    finite, or "" if none is.  Runs on a copy of params once training has
-    stopped, so a healthy run is never measured differently."""
-    params = copy.deepcopy(params)
+    """Where a train forward on `batch` first goes non-finite: " (first at
+    layer i, Kind)" for the shortest non-finite prefix, or "" if none is."""
     for i, layer in enumerate(spec.layers):
         head = NetworkSpec(spec.layers[:i + 1], spec.input_shape)
         out, _, _ = forward(head, params, batch)

@@ -1,12 +1,11 @@
 """Variance-bound sandwich, statistics traces, and the gradient checker."""
 
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngnet import runner
 from ngnet.errors import ContractError, RegimeError
 from ngnet.csvio import SCHEMAS
 from ngnet.instrumentation import (KINK_WINDOW, grad_check, mean_shift_trace,
@@ -16,7 +15,7 @@ from ngnet.instrumentation import (KINK_WINDOW, grad_check, mean_shift_trace,
 from ngnet.network import (ActivationSpec, BatchNorm, Conv, Dense,
                            InitScheme, NetworkSpec, backward, build_mlp,
                            build_plain_cnn, build_resnet, build_toy_cnn,
-                           forward, init_params)
+                           fold_running_stats, forward, init_params)
 from ngnet.tensor import conv2d_backward
 
 NG_RELU = ActivationSpec(base="relu", ng=True, t_init=-1.0)
@@ -188,7 +187,7 @@ class TestMeanShiftTrace:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4,) + spec.input_shape)
         y = rng.integers(0, 3, 4)
-        _, _, cache = forward(spec, copy.deepcopy(params), x, y)
+        _, _, cache = forward(spec, params, x, y)
         out_grads: dict = {}
         grads = backward(spec, params, cache, out_grads=out_grads)
         linear = [i for i, l in enumerate(spec.layers)
@@ -227,7 +226,7 @@ class TestMeanShiftTrace:
         x = rng.standard_normal((9, 4))
         y = rng.integers(0, 7, 9)
         logits = len(spec.layers) - 1
-        _, _, cache = forward(spec, copy.deepcopy(params), x, y)
+        _, _, cache = forward(spec, params, x, y)
         out_grads: dict = {}
         backward(spec, params, cache, out_grads=out_grads)
         np.testing.assert_allclose(out_grads[logits].sum(axis=1), 0,
@@ -359,3 +358,53 @@ class TestGradCheck:
         spec, params, x, y = self._probe(IDENT, hidden=(64, 64))
         with pytest.raises(ContractError):
             grad_check(spec, params, x, y)
+
+
+def _bits(params):
+    """Every params array, by (layer, name), as its shape and bytes."""
+    return {(i, k): (v.shape, v.tobytes())
+            for i, p in params.items() for k, v in p.items()}
+
+
+class TestMeasurementWritesNothing:
+    """forward, backward and every measurement leave params bitwise as they
+    find them; only the training step's fold writes, and only batch
+    norm's running statistics."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_resnet(8, 2, 3, NG_RELU, with_bn=True, input_hw=8),
+        lambda: build_plain_cnn(5, 2, 3, False, NG_RELU, input_hw=8),
+        lambda: build_mlp([6, 5], 3, NG_RELU, input_dim=4),
+    ], ids=["resnet_bn", "plain_cnn", "mlp"])
+    def test_params_bitwise_unchanged(self, build):
+        spec = build()
+        params = init_params(spec, InitScheme("msra", 6))
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((4,) + spec.input_shape) + 1.0
+        y = rng.integers(0, 3, 4)
+        before = _bits(params)
+        cache = forward(spec, params, x, y, "train")[2]
+        calls = {
+            "forward train": lambda: forward(spec, params, x, y, "train"),
+            "forward train, no labels": lambda: forward(spec, params, x),
+            "forward eval": lambda: forward(spec, params, x, y, "eval"),
+            "forward eval, no labels": lambda: forward(spec, params, x,
+                                                       mode="eval"),
+            "backward": lambda: backward(spec, params, cache, out_grads={}),
+            "mean_shift_trace": lambda: mean_shift_trace(spec, params, x, y),
+            "sandwich_probes": lambda: sandwich_probes(spec, params, x, y,
+                                                       0.1),
+            "grad_check": lambda: grad_check(spec, params, x, y),
+            "_first_non_finite": lambda: runner._first_non_finite(
+                spec, params, x),
+        }
+        for name, call in calls.items():
+            call()
+            assert _bits(params) == before, name
+
+        fold_running_stats(params, cache)
+        moved = {key for key, bits in _bits(params).items()
+                 if bits != before[key]}
+        assert moved == {(i, k) for i, layer in enumerate(spec.layers)
+                         if isinstance(layer, BatchNorm)
+                         for k in ("running_mean", "running_var")}

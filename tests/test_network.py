@@ -239,10 +239,8 @@ class TestCache:
         bitwise, and neither a loss nor a cache."""
         params = init_params(spec, InitScheme("msra", 5))
         y = np.arange(len(x)) % 3
-        # each call on its own copy: a train forward moves BN running stats
-        lo, loss, cache = forward(spec, copy.deepcopy(params), x, y, mode)
-        lo_nc, loss_nc, none = forward(spec, copy.deepcopy(params), x,
-                                       mode=mode)
+        lo, loss, cache = forward(spec, params, x, y, mode)
+        lo_nc, loss_nc, none = forward(spec, params, x, mode=mode)
         assert cache is not None and loss is not None
         assert loss_nc is None and none is None
         assert np.array_equal(lo, lo_nc)
@@ -622,6 +620,7 @@ class TestBatchNorm:
         p_ref = copy.deepcopy(p)
         c, c_ref = {}, {}
         y = network._bn_forward(p, x, mode, c)
+        network.fold_running_stats({0: p}, {"layers": [c]})
         y_ref = ref_bn_forward(p_ref, nchw(x), mode, c_ref)
         grad = np.random.default_rng(1).standard_normal(x.shape)
         grad_in = grad.copy()
@@ -646,6 +645,7 @@ class TestBatchNorm:
             q, c = copy.deepcopy(p), {}
             y = network._bn_forward(q, x, mode, c)
             dx, g = network._bn_backward(q, grad, c)
+            network.fold_running_stats({0: q}, {"layers": [c]})
             outs.append([y, dx, g["gamma"], g["beta"], q["running_mean"],
                          q["running_var"]])
         for a, b in zip(*outs):
@@ -705,15 +705,21 @@ class TestBatchNorm:
             forward(spec, params, np.zeros((1, 3, 8, 8)), mode="train")
 
     def test_running_stats_move(self):
+        """A train forward leaves the running statistics alone; folding
+        its cache moves them."""
         spec = self._bn_net()
         params = init_params(spec, InitScheme("msra", 0))
         rng = np.random.default_rng(4)
         x = rng.standard_normal((8, 3, 8, 8)) + 2.0
-        bn_idx = next(i for i, l in enumerate(spec.layers)
-                      if isinstance(l, BatchNorm))
-        before = params[bn_idx]["running_mean"].copy()
-        forward(spec, params, x, mode="train")
-        assert not np.array_equal(before, params[bn_idx]["running_mean"])
+        stats = [(i, k) for i, l in enumerate(spec.layers)
+                 if isinstance(l, BatchNorm)
+                 for k in ("running_mean", "running_var")]
+        before = {(i, k): params[i][k].copy() for i, k in stats}
+        _, _, cache = forward(spec, params, x, np.arange(8) % 3, mode="train")
+        assert all(np.array_equal(before[i, k], params[i][k]) for i, k in stats)
+        network.fold_running_stats(params, cache)
+        assert not any(np.array_equal(before[i, k], params[i][k])
+                       for i, k in stats)
 
 
 def set_shifts_below_preactivations(spec, params, batch, margin=1.0):
