@@ -101,14 +101,15 @@ class RunResult:
     spec: NetworkSpec = None
     params: dict = None
 
-    def epochs_to_threshold(self):
+    def epochs_to_threshold(self, budget):
         """First epoch (1-based) reaching THRESHOLD_FRAC of the final train
-        accuracy; budget+1 if never reached (diverged runs)."""
-        target = THRESHOLD_FRAC * self.final_train_acc
-        for row in self.rows:
-            if not row["diverged"] and row["train_acc"] >= target - 1e-12:
-                return row["epoch"]
-        return len(self.rows) + 1
+        accuracy; `budget` + 1 if never reached, as for a diverged run."""
+        if not self.diverged:
+            target = THRESHOLD_FRAC * self.final_train_acc
+            for row in self.rows:
+                if row["train_acc"] >= target - 1e-12:
+                    return row["epoch"]
+        return budget + 1
 
 
 EVAL_BATCH = 256
@@ -318,7 +319,7 @@ def run_learning_behavior(cfg: ExperimentConfig):
     summary, spread = [], {}
     for vname in VARIANTS:
         rows = [{"run_id": res.run_id, "variant": v, "init": init,
-                 "epochs_to_threshold": res.epochs_to_threshold(),
+                 "epochs_to_threshold": res.epochs_to_threshold(cfg.epochs),
                  "final_train_acc": res.final_train_acc,
                  "diverged": res.diverged}
                 for (v, init), res in zip(grid, results) if v == vname]

@@ -155,12 +155,22 @@ class TestRunResult:
         res = RunResult("r", rows=[_row(1, 0.3), _row(2, 0.85), _row(3, 0.9)],
                         final_train_acc=0.9)
         # threshold = 0.9 * 0.9 = 0.81, first reached at epoch 2
-        assert res.epochs_to_threshold() == 2
+        assert res.epochs_to_threshold(3) == 2
 
     def test_epochs_to_threshold_budget_plus_one_when_missed(self):
         rows = [_row(1, 0.2), _row(2, float("nan"), diverged=True)]
         res = RunResult("r", rows=rows, final_train_acc=1.0, diverged=True)
-        assert res.epochs_to_threshold() == 3
+        assert res.epochs_to_threshold(2) == 3
+
+    @pytest.mark.parametrize("rows, final", [
+        ([_row(1, 0.6), _row(2, 0.0, diverged=True)], 0.6),
+        ([_row(1, 0.0, diverged=True)], 0.0),
+    ], ids=["epoch_2", "epoch_1"])
+    def test_epochs_to_threshold_of_a_diverged_run(self, rows, final):
+        """A diverged run keeps its last good epoch's accuracy as its final
+        one and ends in a row of accuracy 0; it still reads budget+1."""
+        res = RunResult("r", rows=rows, final_train_acc=final, diverged=True)
+        assert res.epochs_to_threshold(4) == 5
 
     def test_converged_requires_above_chance(self):
         res = RunResult("r", final_train_acc=0.34)
