@@ -292,6 +292,15 @@ def _validate(cfg: ExperimentConfig):
     family = cfg.model.family
     for key, depth in _built_depths(cfg):
         _name_key(key, check_depth, family, depth)
+    if cfg.experiment == "critical_depth" and (
+            family == "toy_cnn"
+            or family == "mlp" and isinstance(cfg.model.hidden, list)):
+        fixed = ("model.family=toy_cnn takes no depth" if family == "toy_cnn"
+                 else "model.hidden, a list, fixes the MLP's depth (give "
+                 "one width)")
+        raise ConfigError(
+            f"{fixed}, so every depth of the critical-depth ladder "
+            f"(depth_start/depth_step/depth_count) would train one model")
     shape = sample_shape(cfg)
     _name_key("model.input_hw", check_input_hw, family, shape[-1])
     if cfg.experiment == "variance_study" and cfg.probe_steps == 0:

@@ -895,6 +895,23 @@ class TestCli:
         assert "model.depth" in capsys.readouterr().err
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("override, named", [
+        ("model.family=toy_cnn", "model.family=toy_cnn"),
+        ("model.family=mlp", "model.hidden")])
+    def test_ladder_over_a_fixed_depth_refused(self, tmp_path, override,
+                                               named):
+        """A critical-depth ladder over a model that model.depth does not
+        build (the toy CNN; an MLP whose model.hidden is a list) would
+        train one model at every depth."""
+        out = tmp_path / "out"
+        res = python_m_ngnet(["sweep", "--config",
+                              str(CONFIGS / "critical_depth.cfg"),
+                              "--out", str(out), "--override", override])
+        assert res.returncode == 2, res.stderr
+        assert "error:" in res.stderr and named in res.stderr
+        assert "depth_start/depth_step/depth_count" in res.stderr
+        assert "Traceback" not in res.stderr and not out.exists()
+
     def test_repeated_run_id_refused_before_training(self, tmp_path, capsys,
                                                      monkeypatch):
         cfg = self.write_cfg(tmp_path)
