@@ -104,10 +104,9 @@ class ModelConfig:
     family: str = "mlp"  # mlp | toy_cnn | plain_cnn | resnet
     depth: int = 8
     width: int = 8
-    hidden: list = field(default_factory=lambda: [16, 16])
+    hidden: int = 16  # the width of every hidden layer of an MLP
     with_bn: bool = False
     input_hw: int = 8
-    in_channels: int = 3
 
 
 @dataclass
@@ -121,7 +120,6 @@ class DatasetConfig:
     path: str = ""
     subset: int = 2000
     augment: bool = False
-    as_images: bool = False
 
 
 @dataclass
@@ -148,14 +146,13 @@ class ExperimentConfig:
 
 def sample_shape(cfg: ExperimentConfig) -> tuple:
     """The shape of one input sample, which the dataset is built at and
-    the model for: (3, 32, 32) for CIFAR; (in_channels, input_hw,
-    input_hw) for the image families and an MLP on images; else (dims,)
-    for blobs and (2,) for spirals."""
+    the model for: (3, 32, 32) for CIFAR; (3, input_hw, input_hw) for the
+    image families; else (dims,) for blobs and (2,) for spirals."""
     d, m = cfg.dataset, cfg.model
     if d.kind == "cifar10_binary":
         return (3, 32, 32)
-    if d.as_images or m.family != "mlp":
-        return (m.in_channels, m.input_hw, m.input_hw)
+    if m.family != "mlp":
+        return (3, m.input_hw, m.input_hw)
     return (2,) if d.kind == "synthetic_spirals" else (d.dims,)
 
 
@@ -218,13 +215,12 @@ TEXT = (lambda v: isinstance(v, str), "text")
 
 # Every leaf key of ExperimentConfig -> (predicate, what its value must
 # be).  A key without a rule fails every load; the rules that join keys are
-# in _validate.  One model.hidden value is the width of every hidden layer.
+# in _validate.
 RULES = {
     "experiment": _one_of(EXPERIMENT_KINDS), "init": _one_of(INIT_SCHEMES),
     "model.family": _one_of(FAMILIES), "model.with_bn": BOOL,
     "model.depth": POSITIVE, "model.width": POSITIVE,
-    "model.input_hw": POSITIVE, "model.in_channels": POSITIVE,
-    "model.hidden": _each(lambda h: _is_count(h, 1), "positive integers"),
+    "model.input_hw": POSITIVE, "model.hidden": POSITIVE,
     "activation.base": TEXT, "activation.t_init": FINITE,
     "activation.ng": BOOL, "activation.trainable": BOOL,
     "activation.granularity": _one_of(GRANULARITIES),
@@ -243,7 +239,7 @@ RULES = {
     "dataset.n": POSITIVE, "dataset.dims": POSITIVE,
     "dataset.subset": POSITIVE,
     "dataset.spread": NON_NEGATIVE, "dataset.noise": NON_NEGATIVE,
-    "dataset.augment": BOOL, "dataset.as_images": BOOL,
+    "dataset.augment": BOOL,
     "epochs": POSITIVE, "batch_size": POSITIVE, "probe_steps": COUNT,
     "depth_start": POSITIVE, "depth_step": POSITIVE, "depth_count": POSITIVE,
     "seed": COUNT,
@@ -292,15 +288,11 @@ def _validate(cfg: ExperimentConfig):
     family = cfg.model.family
     for key, depth in _built_depths(cfg):
         _name_key(key, check_depth, family, depth)
-    if cfg.experiment == "critical_depth" and (
-            family == "toy_cnn"
-            or family == "mlp" and isinstance(cfg.model.hidden, list)):
-        fixed = ("model.family=toy_cnn takes no depth" if family == "toy_cnn"
-                 else "model.hidden, a list, fixes the MLP's depth (give "
-                 "one width)")
+    if cfg.experiment == "critical_depth" and family == "toy_cnn":
         raise ConfigError(
-            f"{fixed}, so every depth of the critical-depth ladder "
-            f"(depth_start/depth_step/depth_count) would train one model")
+            "model.family=toy_cnn takes no depth, so every depth of the "
+            "critical-depth ladder (depth_start/depth_step/depth_count) "
+            "would train one model")
     shape = sample_shape(cfg)
     _name_key("model.input_hw", check_input_hw, family, shape[-1])
     if cfg.experiment == "variance_study" and cfg.probe_steps == 0:

@@ -61,12 +61,8 @@ def build_model(cfg: ExperimentConfig, num_classes: int) -> NetworkSpec:
     m = cfg.model
     shape = sample_shape(cfg)
     if m.family == "mlp":
-        if isinstance(m.hidden, list):
-            hidden = m.hidden
-        else:
-            # depth counts weighted layers; the last one is the classifier.
-            hidden = [m.hidden] * max(m.depth - 1, 1)
-        return build_mlp(hidden, num_classes, act,
+        # depth counts weighted layers; the last one is the classifier.
+        return build_mlp([m.hidden] * max(m.depth - 1, 1), num_classes, act,
                          input_dim=int(np.prod(shape)))
     in_channels, input_hw = shape[0], shape[-1]
     if m.family == "toy_cnn":

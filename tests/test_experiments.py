@@ -85,21 +85,14 @@ class TestAssembly:
             build_model(cfg, 3)
 
     def test_mlp_depth_counts_weighted_layers(self, tmp_path):
-        """family=mlp with scalar hidden expands depth into depth-1 hidden
-        layers plus the classifier."""
+        """family=mlp builds depth-1 hidden layers of model.hidden units
+        plus the classifier."""
         cfg = mlp_cfg(tmp_path)
         cfg.model.depth = 6
         spec = build_model(cfg, 3)
         dense = [l for l in spec.layers if isinstance(l, Dense)]
         assert len(dense) == 6
         assert [l.units for l in dense] == [8] * 5 + [3]
-
-    def test_mlp_explicit_hidden_list_wins(self, tmp_path):
-        cfg = mlp_cfg(tmp_path)
-        cfg.model.hidden = [5, 7]
-        spec = build_model(cfg, 3)
-        dense = [l for l in spec.layers if isinstance(l, Dense)]
-        assert [l.units for l in dense] == [5, 7, 3]
 
     def test_non_mlp_families_get_image_data(self, tmp_path):
         cfg = mlp_cfg(tmp_path)
@@ -111,9 +104,8 @@ class TestAssembly:
         ({}, (2,)),
         ({"dataset": {"dims": 5}}, (2,)),  # spirals are planar whatever dims
         ({"dataset": {"kind": "synthetic_blobs", "dims": 5}}, (5,)),
-        ({"dataset": {"as_images": True}}, (3, 8, 8)),
-        ({"model": {"family": "toy_cnn", "in_channels": 2, "input_hw": 4}},
-         (2, 4, 4)),
+        ({"model": {"family": "plain_cnn"}}, (3, 8, 8)),
+        ({"model": {"family": "toy_cnn", "input_hw": 4}}, (3, 4, 4)),
         ({"dataset": {"kind": "cifar10_binary"}}, (3, 32, 32)),
     ])
     def test_sample_shape(self, tmp_path, fields, shape):
@@ -122,7 +114,6 @@ class TestAssembly:
 
     @pytest.mark.parametrize("fields", [
         {"dataset": {"dims": 5}},
-        {"dataset": {"as_images": True}},
         {"dataset": {"kind": "synthetic_blobs", "dims": 5}},
     ])
     def test_mlp_trains_on_the_sample_shape(self, tmp_path, fields):
@@ -217,7 +208,6 @@ class TestTrainRun:
         cfg.model.depth = 5
         cfg.model.width = 4
         cfg.model.with_bn = True
-        cfg.dataset.as_images = True
         cfg.dataset.n = 160
         cfg.epochs = 3
         runs = {}
@@ -409,7 +399,6 @@ class TestDivergedRuns:
         cfg.optim.lr = 1e9
         if family == "plain_cnn":
             cfg.model.family, cfg.model.depth = "plain_cnn", 8
-            cfg.dataset.as_images = True
         res = train_run(cfg)
         cause = res.divergence[2]
         found = re.fullmatch(r"non-finite loss \(first at layer (\d+), "
@@ -740,17 +729,16 @@ class TestCli:
          "batch_size"),
         ("model.hidden=0", "model.hidden"),
         ("model.hidden=4,0", "model.hidden"),
+        ("model.hidden=8,8", "model.hidden"),  # one width for every layer
         ("model.hidden=abc", "model.hidden"),
         ("dataset.dims=0", "dataset.dims"),
         ("dataset.dims=abc", "dataset.dims"),
-        ("model.in_channels=0", "model.in_channels"),
         ("seed=abc", "seed"),
         ("seed=1.5", "seed"),
         ("activation.ng=abc", "activation.ng"),
         ("model.with_bn=abc", "model.with_bn"),
         ("activation.trainable=abc", "activation.trainable"),
         ("dataset.augment=abc", "dataset.augment"),
-        ("dataset.as_images=abc", "dataset.as_images"),
         ("dataset.augment=true", "dataset.augment"),  # on vector input
         ("dataset.kind=cifar10_binary dataset.path=nowhere.bin",
          "dataset.path"),
@@ -896,13 +884,11 @@ class TestCli:
         assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("override, named", [
-        ("model.family=toy_cnn", "model.family=toy_cnn"),
-        ("model.family=mlp", "model.hidden")])
+        ("model.family=toy_cnn", "model.family=toy_cnn")])
     def test_ladder_over_a_fixed_depth_refused(self, tmp_path, override,
                                                named):
         """A critical-depth ladder over a model that model.depth does not
-        build (the toy CNN; an MLP whose model.hidden is a list) would
-        train one model at every depth."""
+        build (the toy CNN) would train one model at every depth."""
         out = tmp_path / "out"
         res = python_m_ngnet(["sweep", "--config",
                               str(CONFIGS / "critical_depth.cfg"),
@@ -911,6 +897,26 @@ class TestCli:
         assert "error:" in res.stderr and named in res.stderr
         assert "depth_start/depth_step/depth_count" in res.stderr
         assert "Traceback" not in res.stderr and not out.exists()
+
+    def test_mlp_ladder_trains_each_depth(self, tmp_path, monkeypatch):
+        """An MLP is built at model.depth, so its critical-depth ladder
+        trains depth - 1 hidden layers of model.hidden units at each rung."""
+        built = []
+
+        def recorded(cfg, num_classes):
+            spec = build_model(cfg, num_classes)
+            built.append([l.units for l in spec.layers
+                          if isinstance(l, Dense)])
+            return spec
+
+        monkeypatch.setattr(runner, "build_model", recorded)
+        assert cli_main(["sweep", "--config",
+                         str(CONFIGS / "critical_depth.cfg"),
+                         "--out", str(tmp_path / "out"),
+                         "--override", "model.family=mlp",
+                         "--override", "epochs=1"]) == 0
+        assert built == [[16] * (depth - 1) + [3]
+                         for _ in range(2) for depth in (8, 14, 20, 26)]
 
     def test_repeated_run_id_refused_before_training(self, tmp_path, capsys,
                                                      monkeypatch):
