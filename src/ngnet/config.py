@@ -99,7 +99,7 @@ def load_config(path: str, overrides=()) -> dict:
     return cfg
 
 
-@dataclass
+@dataclass(slots=True)
 class ModelConfig:
     family: str = "mlp"  # mlp | toy_cnn | plain_cnn | resnet
     depth: int = 8
@@ -109,7 +109,7 @@ class ModelConfig:
     input_hw: int = 8
 
 
-@dataclass
+@dataclass(slots=True)
 class DatasetConfig:
     kind: str = "synthetic_spirals"
     classes: int = 3
@@ -122,7 +122,7 @@ class DatasetConfig:
     augment: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class ExperimentConfig:
     experiment: str = "single_run"
     model: ModelConfig = field(default_factory=ModelConfig)

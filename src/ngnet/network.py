@@ -52,7 +52,7 @@ INIT_SCHEMES = ("xavier", "msra", "orthogonal")
 # Layer specs
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class ActivationSpec:
     """Declarative description of one activation layer."""
     base: str = "relu"

@@ -23,7 +23,7 @@ from .errors import DivergenceError
 DECAYED_KEYS = {"W"}
 
 
-@dataclass
+@dataclass(slots=True)
 class StepSchedule:
     """Multiply the learning rate by `factor` at each of `epochs` (0-based);
     no epochs, no cut."""
@@ -31,7 +31,7 @@ class StepSchedule:
     factor: float = 0.1
 
 
-@dataclass
+@dataclass(slots=True)
 class OptimConfig:
     lr: float = 0.01
     momentum: float = 0.9

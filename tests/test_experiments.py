@@ -792,6 +792,15 @@ class TestCli:
         assert not re.search(r"lambda|Leaky|_lrelu|\w\(", err), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section", ["", "model", "dataset",
+                                         "activation", "optim", "schedule"])
+    def test_section_refuses_an_undeclared_attribute(self, section):
+        """A misspelt field set in code raises instead of doing nothing."""
+        cfg = ExperimentConfig()
+        obj = getattr(cfg, section) if section else cfg
+        with pytest.raises(AttributeError):
+            obj.no_such_key = 1
+
     def test_every_key_has_a_rule(self):
         """config.RULES holds exactly the leaf keys: the keys without a rule
         and the rules without a key are both empty."""
