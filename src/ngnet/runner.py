@@ -124,69 +124,78 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
     """Train the one run `cfg` describes, on `data` if given (it must be
     ``get_dataset(cfg)``), else on the dataset the config builds; then probe
     its first `probe_steps` training samples, unless it diverged, which is
-    reported as one line on stderr."""
-    data = data if data is not None else get_dataset(cfg)
-    spec = build_model(cfg, data.num_classes)
-    params = init_params(spec, InitScheme(cfg.init, cfg.seed))
-    velocities: dict = {}
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(99,)))
-    res = RunResult(cfg.run_id, spec=spec, params=params)
+    reported as one line on stderr.  The run finds its own non-finite
+    values, so NumPy's floating-point warnings are silenced: a diverged
+    run writes that one line and no other."""
+    with np.errstate(all="ignore"):
+        data = data if data is not None else get_dataset(cfg)
+        spec = build_model(cfg, data.num_classes)
+        params = init_params(spec, InitScheme(cfg.init, cfg.seed))
+        velocities: dict = {}
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed,
+                                                           spawn_key=(99,)))
+        res = RunResult(cfg.run_id, spec=spec, params=params)
 
-    n = len(data.train_y)
-    step = 0
-    for epoch in range(cfg.epochs):
-        mult = lr_multiplier(cfg.schedule, epoch)
-        perm = rng.permutation(n)
-        loss_sum = hits = seen = 0
-        cause = None
-        for s in range(0, n, cfg.batch_size):
-            idx = perm[s:s + cfg.batch_size]
-            xb = data.train_x[idx]
-            yb = data.train_y[idx]
-            if cfg.dataset.augment:
-                xb = augment(xb, rng)
-            logits, loss, cache = forward(spec, params, xb, yb, mode="train")
-            fold_running_stats(params, cache)
-            if not np.isfinite(loss):
-                cause = "non-finite loss" + _first_non_finite(spec, params, xb)
+        n = len(data.train_y)
+        step = 0
+        for epoch in range(cfg.epochs):
+            mult = lr_multiplier(cfg.schedule, epoch)
+            perm = rng.permutation(n)
+            loss_sum = hits = seen = 0
+            cause = None
+            for s in range(0, n, cfg.batch_size):
+                idx = perm[s:s + cfg.batch_size]
+                xb = data.train_x[idx]
+                yb = data.train_y[idx]
+                if cfg.dataset.augment:
+                    xb = augment(xb, rng)
+                logits, loss, cache = forward(spec, params, xb, yb,
+                                              mode="train")
+                fold_running_stats(params, cache)
+                if not np.isfinite(loss):
+                    cause = "non-finite loss" + _first_non_finite(
+                        spec, params, xb)
+                    break
+                try:
+                    grads = backward(spec, params, cache)
+                    sgd_step(params, grads, velocities, cfg.optim, mult)
+                except DivergenceError as exc:
+                    cause = str(exc)
+                    break
+                loss_sum += loss * len(yb)
+                hits += (logits.argmax(axis=1) == yb).sum()
+                seen += len(yb)
+                step += 1
+            row = {"run_id": res.run_id, "epoch": epoch + 1, "step": step,
+                   "lr_multiplier": float(mult)}
+            if cause is not None:
+                res.diverged = True
+                res.divergence = (epoch + 1, step + 1, cause)
+                print("{}: diverged at epoch {} step {}: {}".format(
+                    res.run_id, *res.divergence), file=sys.stderr)
+                res.rows.append(dict(row, train_loss=float("nan"),
+                                     train_acc=0.0, test_acc=0.0,
+                                     diverged=True))
                 break
-            try:
-                grads = backward(spec, params, cache)
-                sgd_step(params, grads, velocities, cfg.optim, mult)
-            except DivergenceError as exc:
-                cause = str(exc)
-                break
-            loss_sum += loss * len(yb)
-            hits += (logits.argmax(axis=1) == yb).sum()
-            seen += len(yb)
-            step += 1
-        row = {"run_id": res.run_id, "epoch": epoch + 1, "step": step,
-               "lr_multiplier": float(mult)}
-        if cause is not None:
-            res.diverged = True
-            res.divergence = (epoch + 1, step + 1, cause)
-            print("{}: diverged at epoch {} step {}: {}".format(
-                res.run_id, *res.divergence), file=sys.stderr)
-            res.rows.append(dict(row, train_loss=float("nan"), train_acc=0.0,
-                                 test_acc=0.0, diverged=True))
-            break
-        train_loss = loss_sum / seen
-        train_acc = hits / seen
-        test_acc = _eval_acc(spec, params, data.test_x, data.test_y)
-        res.rows.append(dict(row, train_loss=float(train_loss),
-                             train_acc=float(train_acc),
-                             test_acc=float(test_acc), diverged=False))
-        res.max_train_acc = max(res.max_train_acc, float(train_acc))
-        res.final_train_acc = float(train_acc)
-        if collect_stats:
-            _collect_epoch_stats(res, data, epoch + 1, step)
-    probe_n = 0 if res.diverged else cfg.probe_steps
-    probes = instr.sandwich_probes(spec, params, data.train_x[:probe_n],
-                                   data.train_y[:probe_n], cfg.optim.lr)
-    res.layerstats_rows += [dict(row, run_id=res.run_id) for row in probes]
-    t_means = [row["t_mean"] for row in instr.t_trace(spec, params)]
-    res.final_mean_t = float(np.mean(t_means)) if t_means else float("nan")
-    return res
+            train_loss = loss_sum / seen
+            train_acc = hits / seen
+            test_acc = _eval_acc(spec, params, data.test_x, data.test_y)
+            res.rows.append(dict(row, train_loss=float(train_loss),
+                                 train_acc=float(train_acc),
+                                 test_acc=float(test_acc), diverged=False))
+            res.max_train_acc = max(res.max_train_acc, float(train_acc))
+            res.final_train_acc = float(train_acc)
+            if collect_stats:
+                _collect_epoch_stats(res, data, epoch + 1, step)
+        probe_n = 0 if res.diverged else cfg.probe_steps
+        probes = instr.sandwich_probes(spec, params, data.train_x[:probe_n],
+                                       data.train_y[:probe_n], cfg.optim.lr)
+        res.layerstats_rows += [dict(row, run_id=res.run_id)
+                                for row in probes]
+        t_means = [row["t_mean"] for row in instr.t_trace(spec, params)]
+        res.final_mean_t = (float(np.mean(t_means)) if t_means
+                            else float("nan"))
+        return res
 
 
 def _first_non_finite(spec, params, batch):

@@ -185,8 +185,6 @@ class TestTrainRun:
         for ra, rb in zip(a.rows, b.rows):
             assert ra == rb
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_terminates_series(self, tmp_path):
         cfg = mlp_cfg(tmp_path, run_id="blowup")
         cfg.optim.lr = 1e9
@@ -365,8 +363,23 @@ class TestDivergedRuns:
         for run_id in run_ids:
             assert f"{run_id}: diverged at epoch " in err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_diverged_sweep_writes_one_stderr_line_per_run(self, tmp_path):
+        """The divergence lines are all a diverging sweep writes to stderr:
+        no NumPy floating-point warning escapes."""
+        out = tmp_path / "out"
+        res = python_m_ngnet(["sweep", "--config",
+                              str(CONFIGS / "learning_behavior.cfg"),
+                              "--override", "optim.lr=0.3",
+                              "--override", "epochs=4", "--out", str(out)])
+        assert res.returncode == 0, res.stderr
+        lines = res.stderr.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            f"learning_behavior-s7-ng-{init}"
+            for init in ("xavier", "msra", "orthogonal")]
+        assert all(": diverged at epoch " in line for line in lines)
+        assert res.stdout.endswith(
+            f"learning_behavior complete; wrote CSVs to {out}\n")
+
     def test_diverged_variance_study_writes_both_runs(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert cli_main(["sweep", "--config",
@@ -377,8 +390,6 @@ class TestDivergedRuns:
                                  "variance_study-s7-plain"],
                            capsys.readouterr().err)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_diverged_single_run_with_probes(self, tmp_path, capsys):
         cfg = mlp_cfg(tmp_path, run_id="blowup", probe_steps=2)
         cfg.optim.lr = 1e6
@@ -388,8 +399,6 @@ class TestDivergedRuns:
         assert res.rows[-1]["epoch"] == epoch and step >= 1 and cause
         self.check_written(cfg.out, ["blowup"], capsys.readouterr().err)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("family", ["mlp", "plain_cnn"])
     def test_non_finite_loss_names_its_first_layer(self, tmp_path, capsys,
                                                    family):
