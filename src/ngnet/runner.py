@@ -97,10 +97,11 @@ class RunResult:
     spec: NetworkSpec = None
     params: dict = None
 
-    def epochs_to_threshold(self, budget):
+    def epochs_to_threshold(self, budget, num_classes):
         """First epoch (1-based) reaching THRESHOLD_FRAC of the final train
-        accuracy; `budget` + 1 if never reached, as for a diverged run."""
-        if not self.diverged:
+        accuracy; `budget` + 1 for a run that did not converge, which never
+        learned: it diverged, or ended near chance."""
+        if converged(self, num_classes):
             target = THRESHOLD_FRAC * self.final_train_acc
             for row in self.rows:
                 if row["train_acc"] >= target - 1e-12:
@@ -320,11 +321,13 @@ def run_learning_behavior(cfg: ExperimentConfig):
                        init=init) for vname, init in grid]
     spread_ids = {vname: f"{cfg.run_id}-{vname}-spread" for vname in VARIANTS}
     _refuse_present(cfg, runs, "learning_behavior", spread_ids.values())
-    results = train_runs(runs, get_dataset(cfg))
+    data = get_dataset(cfg)
+    results = train_runs(runs, data)
     summary, spread = [], {}
     for vname in VARIANTS:
         rows = [{"run_id": res.run_id, "variant": v, "init": init,
-                 "epochs_to_threshold": res.epochs_to_threshold(cfg.epochs),
+                 "epochs_to_threshold": res.epochs_to_threshold(
+                     cfg.epochs, data.num_classes),
                  "final_train_acc": res.final_train_acc,
                  "diverged": res.diverged}
                 for (v, init), res in zip(grid, results) if v == vname]

@@ -146,12 +146,12 @@ class TestRunResult:
         res = RunResult("r", rows=[_row(1, 0.3), _row(2, 0.85), _row(3, 0.9)],
                         final_train_acc=0.9)
         # threshold = 0.9 * 0.9 = 0.81, first reached at epoch 2
-        assert res.epochs_to_threshold(3) == 2
+        assert res.epochs_to_threshold(3, num_classes=3) == 2
 
     def test_epochs_to_threshold_budget_plus_one_when_missed(self):
         rows = [_row(1, 0.2), _row(2, float("nan"), diverged=True)]
         res = RunResult("r", rows=rows, final_train_acc=1.0, diverged=True)
-        assert res.epochs_to_threshold(2) == 3
+        assert res.epochs_to_threshold(2, num_classes=3) == 3
 
     @pytest.mark.parametrize("rows, final", [
         ([_row(1, 0.6), _row(2, 0.0, diverged=True)], 0.6),
@@ -161,7 +161,15 @@ class TestRunResult:
         """A diverged run keeps its last good epoch's accuracy as its final
         one and ends in a row of accuracy 0; it still reads budget+1."""
         res = RunResult("r", rows=rows, final_train_acc=final, diverged=True)
-        assert res.epochs_to_threshold(4) == 5
+        assert res.epochs_to_threshold(4, num_classes=3) == 5
+
+    def test_epochs_to_threshold_of_a_run_that_ended_at_chance(self):
+        """A run that never left chance reaches 90% of its final accuracy
+        at once; it never learned, so it reads budget+1."""
+        res = RunResult("r", rows=[_row(1, 0.34), _row(2, 0.35)],
+                        final_train_acc=0.35)
+        assert not converged(res, num_classes=3)
+        assert res.epochs_to_threshold(2, num_classes=3) == 3
 
     def test_converged_requires_above_chance(self):
         res = RunResult("r", final_train_acc=0.34)
