@@ -1,4 +1,5 @@
-"""Golden outputs: the CSVs of the shipped configs at two epochs.
+"""Golden outputs: the CSVs of the shipped configs at two epochs, and
+grad-check reports.
 
     python tests/make_golden.py              # regenerate tests/golden/
     python tests/make_golden.py --out DIR    # write a fresh set to DIR
@@ -7,12 +8,16 @@ Each config in ``configs/``, ``perfbench/resnet_bn_32px.cfg`` (the one
 batch-norm config), and ``configs/capacity.cfg`` once more for each base
 no shipped config trains (PReLU, leaky ReLU, SELU, the last two with a
 keyword argument), runs as ``ngnet sweep --override epochs=2`` plus its
-own overrides into its own subdirectory, with BLAS pinned to one thread, and
-``stamp.json`` records the environment that wrote them: NumPy version,
-the BLAS library with the kernel it picked for this CPU, and the cores
-the process may use.  ``tests/test_golden.py`` reruns this script and
-compares its output with the committed set; regenerating that set is
-the one way to accept a change in what the configs write.
+own overrides into its own subdirectory, with BLAS pinned to one thread.
+``grad_check/<base>-s<seed>.txt`` holds what ``ngnet grad-check --config
+configs/capacity.cfg --seed <seed> --override activation.base=<base>``
+prints, with its exit code as the last line: ReLU at seeds 3, 7 and 977,
+every other base at seed 7.  ``stamp.json`` records the environment that
+wrote them: NumPy version, the BLAS library with the kernel it picked for
+this CPU, and the cores the process may use.  ``tests/test_golden.py``
+reruns this script and compares its output with the committed set;
+regenerating that set is the one way to accept a change in what the
+configs write.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
@@ -43,6 +50,9 @@ CONFIGS["capacity_lrelu"] = (CAPACITY, ("activation.base=lrelu",
 CONFIGS["capacity_selu"] = (CAPACITY, ("activation.base=selu",
                                        "activation.base_kwargs.lam=1.1"))
 EPOCHS = 2
+# (base, seed) of each grad-check report, on configs/capacity.cfg
+GRAD_CHECKS = [("relu", 3), ("relu", 7), ("relu", 977)] + [
+    (base, 7) for base in ("identity", "lrelu", "prelu", "selu")]
 
 
 def _blas():
@@ -77,7 +87,8 @@ def stamp():
 
 
 def write(out: Path):
-    """Run every config into out/<config>/ and write out/stamp.json."""
+    """Run every config into out/<config>/, every grad check into
+    out/grad_check/, and write out/stamp.json."""
     sys.path.insert(0, str(ROOT / "src"))
     from ngnet.cli import main as cli_main
 
@@ -92,6 +103,18 @@ def write(out: Path):
         code = cli_main(argv)
         if code:
             raise SystemExit(f"{name}: ngnet exited {code}")
+    checks = out / "grad_check"
+    if checks.exists():
+        shutil.rmtree(checks)
+    checks.mkdir()
+    for base, seed in GRAD_CHECKS:
+        report = io.StringIO()
+        with contextlib.redirect_stdout(report):
+            code = cli_main(["grad-check", "--config", str(CAPACITY),
+                             "--seed", str(seed),
+                             "--override", f"activation.base={base}"])
+        (checks / f"{base}-s{seed}.txt").write_text(
+            f"{report.getvalue()}{code}\n")
     (out / "stamp.json").write_text(json.dumps(stamp(), indent=1) + "\n")
 
 

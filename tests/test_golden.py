@@ -4,7 +4,9 @@ The configs rerun through tests/make_golden.py in a subprocess, with BLAS
 pinned to one thread.  When the fresh stamp equals the committed one, every
 file must be byte-identical.  On any other environment the last bits may
 differ, so integer, bool and string fields must match exactly and float
-fields within FLOAT_RTOL; the test prints which mode ran.  A deliberate
+fields within FLOAT_RTOL; a grad-check report must match in everything but
+its max_rel_err values, which are compared in byte mode only.  The test
+prints which mode ran.  A deliberate
 change in what the configs write is accepted only by regenerating the set
 (``python tests/make_golden.py``) and naming the moved columns in
 CHANGES.md, never by widening FLOAT_RTOL.
@@ -14,6 +16,7 @@ import csv
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -63,10 +66,16 @@ def tolerant_diffs(got_text, want_text, name):
     return diffs
 
 
+def report_verdicts(text):
+    """A grad-check report without its max_rel_err values: each group's
+    verdict, the counts, the overall verdict and the exit code."""
+    return re.sub(r"max_rel_err=\S+", "max_rel_err=", text)
+
+
 def golden_diffs(out, byte_mode):
     """Every difference between the output set in `out` and tests/golden/."""
     diffs = []
-    for config in CONFIGS:
+    for config in [*CONFIGS, "grad_check"]:
         got_files = {p.name for p in (out / config).iterdir()}
         want_files = {p.name for p in (GOLDEN / config).iterdir()}
         if got_files != want_files:
@@ -78,6 +87,10 @@ def golden_diffs(out, byte_mode):
             if byte_mode:
                 if got != want:
                     diffs.append(f"{config}/{fname}: bytes differ")
+            elif fname.endswith(".txt"):
+                if report_verdicts(got.decode()) != \
+                        report_verdicts(want.decode()):
+                    diffs.append(f"{config}/{fname}: verdicts differ")
             else:
                 diffs += tolerant_diffs(got.decode(), want.decode(),
                                         f"{config}/{fname}")
@@ -150,6 +163,22 @@ class TestComparison:
         out = _copy_golden(tmp_path)
         _edit(out / "capacity" / "metrics.csv", 1, 6, "0.9999999999")
         assert golden_diffs(out, False) == []
+
+    @pytest.mark.parametrize("old, new, tolerant", [
+        ("2.638e-10", "2.639e-10", True),  # a max_rel_err: bytes only
+        ("  ok\nng_t", "  FAIL\nng_t", False),  # a group's verdict
+        ("checked=751", "checked=750", False),
+        ("passed=True\n0", "passed=True\n1", False),  # the exit code
+    ])
+    def test_grad_check_report_rules(self, tmp_path, old, new, tolerant):
+        out = _copy_golden(tmp_path)
+        path = out / "grad_check" / "relu-s7.txt"
+        assert old in path.read_text()
+        path.write_text(path.read_text().replace(old, new, 1))
+        assert golden_diffs(out, True) == [
+            "grad_check/relu-s7.txt: bytes differ"]
+        assert golden_diffs(out, False) == ([] if tolerant else [
+            "grad_check/relu-s7.txt: verdicts differ"])
 
     def test_missing_file_fails(self, tmp_path):
         out = _copy_golden(tmp_path)
