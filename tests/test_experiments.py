@@ -810,7 +810,8 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("section", ["", "model", "dataset",
-                                         "activation", "optim", "schedule"])
+                                         "activation", "optim", "schedule"],
+                             ids=lambda section: section or "top")
     def test_section_refuses_an_undeclared_attribute(self, section):
         """A misspelt field set in code raises instead of doing nothing."""
         cfg = ExperimentConfig()

@@ -169,7 +169,7 @@ class TestComparison:
         ("  ok\nng_t", "  FAIL\nng_t", False),  # a group's verdict
         ("checked=751", "checked=750", False),
         ("passed=True\n0", "passed=True\n1", False),  # the exit code
-    ])
+    ], ids=["max_rel_err", "verdict", "count", "exit_code"])
     def test_grad_check_report_rules(self, tmp_path, old, new, tolerant):
         out = _copy_golden(tmp_path)
         path = out / "grad_check" / "relu-s7.txt"
