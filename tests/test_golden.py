@@ -6,10 +6,9 @@ file must be byte-identical.  On any other environment the last bits may
 differ, so integer, bool and string fields must match exactly and float
 fields within FLOAT_RTOL; a grad-check report must match in everything but
 its max_rel_err values, which are compared in byte mode only.  The test
-prints which mode ran.  A deliberate
-change in what the configs write is accepted only by regenerating the set
-(``python tests/make_golden.py``) and naming the moved columns in
-CHANGES.md, never by widening FLOAT_RTOL.
+prints which mode ran.  A deliberate change in what the configs write is
+accepted only by regenerating the set (``python tests/make_golden.py``)
+and naming the moved columns in CHANGES.md, never by widening FLOAT_RTOL.
 """
 
 import csv
@@ -165,10 +164,10 @@ class TestComparison:
         assert golden_diffs(out, False) == []
 
     @pytest.mark.parametrize("old, new, tolerant", [
-        ("2.638e-10", "2.639e-10", True),  # a max_rel_err: bytes only
-        ("  ok\nng_t", "  FAIL\nng_t", False),  # a group's verdict
+        ("2.638e-10", "2.639e-10", True),
+        ("  ok\nng_t", "  FAIL\nng_t", False),
         ("checked=751", "checked=750", False),
-        ("passed=True\n0", "passed=True\n1", False),  # the exit code
+        ("passed=True\n0", "passed=True\n1", False),
     ], ids=["max_rel_err", "verdict", "count", "exit_code"])
     def test_grad_check_report_rules(self, tmp_path, old, new, tolerant):
         out = _copy_golden(tmp_path)
