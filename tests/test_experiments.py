@@ -114,6 +114,7 @@ class TestAssembly:
 
     @pytest.mark.parametrize("fields", [
         {"dataset": {"dims": 5}},
+        {"dataset": {"kind": "synthetic_blobs"}},
         {"dataset": {"kind": "synthetic_blobs", "dims": 5}},
     ])
     def test_mlp_trains_on_the_sample_shape(self, tmp_path, fields):
