@@ -27,7 +27,7 @@ from .datasets import train_count
 from .errors import ConfigError
 from .network import (INIT_SCHEMES, ActivationSpec, check_depth,
                       check_input_hw)
-from .optim import OptimConfig, StepSchedule
+from .optim import OptimConfig
 
 EXPERIMENT_KINDS = ("single_run", "capacity_sweep", "critical_depth",
                     "learning_behavior", "variance_study")
@@ -129,7 +129,6 @@ class ExperimentConfig:
     activation: ActivationSpec = field(default_factory=ActivationSpec)
     init: str = "msra"
     optim: OptimConfig = field(default_factory=OptimConfig)
-    schedule: StepSchedule = field(default_factory=StepSchedule)
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     epochs: int = 30
     batch_size: int = 32
@@ -156,6 +155,15 @@ def sample_shape(cfg: ExperimentConfig) -> tuple:
     return (2,) if d.kind == "synthetic_spirals" else (d.dims,)
 
 
+def _first_leaf(key, value):
+    """The dotted key of the first leaf under `key` in a parsed config:
+    'foo.bar' for ``foo.bar = 1``, `key` itself for a scalar."""
+    while isinstance(value, dict) and value:
+        sub, value = next(iter(value.items()))
+        key += "." + sub
+    return key
+
+
 def _fill(obj, d: dict, path=""):
     """Set the keys of `d` on the dataclass `obj`, recursing into its
     sections (nested dataclasses).  A section, or a dict such as
@@ -163,7 +171,8 @@ def _fill(obj, d: dict, path=""):
     names = {f.name for f in fields(obj)}
     for key, value in d.items():
         if key not in names:
-            raise ConfigError(f"unknown config key {path + key!r}")
+            raise ConfigError(f"unknown config key "
+                              f"{_first_leaf(path + key, value)!r}")
         current = getattr(obj, key)
         if (is_dataclass(current) or isinstance(current, dict)) \
                 and not isinstance(value, dict):
@@ -173,7 +182,7 @@ def _fill(obj, d: dict, path=""):
             _fill(current, value, path + key + ".")
         elif isinstance(value, dict) and not isinstance(current, dict):
             raise ConfigError(f"unknown config key "
-                              f"{path + key + '.' + next(iter(value))!r}")
+                              f"{_first_leaf(path + key, value)!r}")
         else:
             setattr(obj, key, value)
 
@@ -230,10 +239,6 @@ RULES = {
     "optim.lr": FINITE, "optim.momentum": FINITE,
     "optim.weight_decay": FINITE,
     "optim.t_lr": FINITE, "optim.t_momentum": FINITE,
-    "schedule.epochs": (lambda v: all(_is_count(e, 0) for e in v),
-                        "integers >= 0"),
-    "schedule.factor": (lambda v: _is_finite(v) and v > 0,
-                        "a finite number > 0"),
     "dataset.kind": _one_of(DATASET_KINDS), "dataset.path": TEXT,
     "dataset.classes": (lambda v: _is_count(v, 2), "an integer >= 2"),
     "dataset.n": POSITIVE, "dataset.dims": POSITIVE,
@@ -330,7 +335,6 @@ def build_experiment_config(raw: dict) -> ExperimentConfig:
     if cfg.seed is None:
         raise ConfigError("seed is mandatory")
     cfg.t_values = _listed(cfg.t_values)
-    cfg.schedule.epochs = _listed(cfg.schedule.epochs)
     _validate(cfg)
     if not cfg.run_id:
         cfg.run_id = f"{cfg.experiment}-s{cfg.seed}"

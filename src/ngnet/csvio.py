@@ -14,6 +14,8 @@ import os
 from .errors import NgnetError
 
 SCHEMAS = {
+    # lr_multiplier always reads 1.0, since a run keeps one learning rate;
+    # the column stays only because perfbench pins this header
     "metrics": ["run_id", "epoch", "step", "train_loss", "train_acc",
                 "test_acc", "lr_multiplier", "diverged"],
     "layerstats": ["run_id", "step", "layer", "mean_z", "var_z", "mean_g",

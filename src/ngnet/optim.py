@@ -1,5 +1,5 @@
-"""SGD with momentum and weight decay, the momentum rule for the activation
-shift t, and the step learning-rate schedule.
+"""SGD with momentum and weight decay, and the momentum rule for the
+activation shift t.
 
 Weight decay is coupled L2 (added to the gradient before the momentum
 accumulation) and applies only to conv/dense weight matrices, never to
@@ -7,28 +7,20 @@ biases, batch-norm parameters, PReLU slopes, or t.
 
 The shift update puts the learning rate inside the momentum buffer:
 ``dt <- t_momentum * dt + t_lr * grad``, applied as ``t <- t - dt`` (descent
-sign).  With a constant learning rate this is the same trajectory as the
-weight rule.  A tensor trains, and has a velocity, only once
-``network.backward`` returns a gradient for it.
+sign).  A run keeps one learning rate throughout, so this is the same
+trajectory as the weight rule.  A tensor trains, and has a velocity, only
+once ``network.backward`` returns a gradient for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError
 
 DECAYED_KEYS = {"W"}
-
-
-@dataclass(slots=True)
-class StepSchedule:
-    """Multiply the learning rate by `factor` at each of `epochs` (0-based);
-    no epochs, no cut."""
-    epochs: list = field(default_factory=list)
-    factor: float = 0.1
 
 
 @dataclass(slots=True)
@@ -67,8 +59,7 @@ def _check_finite(grads: dict):
                                       f"{key!r}; parameters untouched")
 
 
-def sgd_step(params: dict, grads: dict, velocities: dict, cfg: OptimConfig,
-             lr_multiplier: float = 1.0):
+def sgd_step(params: dict, grads: dict, velocities: dict, cfg: OptimConfig):
     """One in-place momentum-SGD step over every gradient in `grads`.
 
     `velocities` maps ``(layer, key)`` to a momentum buffer, made at zero
@@ -78,8 +69,6 @@ def sgd_step(params: dict, grads: dict, velocities: dict, cfg: OptimConfig,
     any gradient is non-finite.
     """
     _check_finite(grads)
-    lr = cfg.lr * lr_multiplier
-    t_lr = cfg.t_lr * lr_multiplier
     for i, layer_grads in grads.items():
         for key, g in layer_grads.items():
             w = params[i][key]
@@ -88,21 +77,11 @@ def sgd_step(params: dict, grads: dict, velocities: dict, cfg: OptimConfig,
                 v = velocities[i, key] = np.zeros_like(w)
             if key == "t":
                 v *= cfg.t_momentum
-                v += t_lr * g
+                v += cfg.t_lr * g
                 w -= v
             else:
                 if key in DECAYED_KEYS and cfg.weight_decay:
                     g = g + cfg.weight_decay * w
                 v *= cfg.momentum
                 v += g
-                w -= lr * v
-
-
-def lr_multiplier(schedule: StepSchedule, epoch: int) -> float:
-    """The learning-rate multiplier in `epoch` (0-based): one `factor` per
-    distinct cut epoch up to and including `epoch`, multiplied in turn onto
-    1.0."""
-    mult = 1.0
-    for _ in {e for e in schedule.epochs if e <= epoch}:
-        mult *= schedule.factor
-    return mult
+                w -= cfg.lr * v

@@ -28,7 +28,7 @@ from .errors import ConfigError, DivergenceError, NgnetError
 from .network import (InitScheme, NetworkSpec, backward, build_mlp,
                       build_plain_cnn, build_resnet, build_toy_cnn,
                       fold_running_stats, forward, init_params)
-from .optim import lr_multiplier, sgd_step
+from .optim import sgd_step
 
 # a run converged if its final train accuracy beats chance by this much
 CONVERGENCE_MARGIN = 0.1
@@ -140,7 +140,6 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
         n = len(data.train_y)
         step = 0
         for epoch in range(cfg.epochs):
-            mult = lr_multiplier(cfg.schedule, epoch)
             perm = rng.permutation(n)
             loss_sum = hits = seen = 0
             cause = None
@@ -159,7 +158,7 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
                     break
                 try:
                     grads = backward(spec, params, cache)
-                    sgd_step(params, grads, velocities, cfg.optim, mult)
+                    sgd_step(params, grads, velocities, cfg.optim)
                 except DivergenceError as exc:
                     cause = str(exc)
                     break
@@ -168,7 +167,7 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
                 seen += len(yb)
                 step += 1
             row = {"run_id": res.run_id, "epoch": epoch + 1, "step": step,
-                   "lr_multiplier": float(mult)}
+                   "lr_multiplier": 1.0}
             if cause is not None:
                 res.diverged = True
                 res.divergence = (epoch + 1, step + 1, cause)

@@ -166,14 +166,9 @@ class TestConfig:
             build_experiment_config({"experiment": "single_run", "seed": 1,
                                      "bogus": 2})
 
-    def test_schedule_section(self):
-        raw = parse_config_text("""
-        experiment = single_run
-        seed = 1
-        schedule.epochs = 10,20
-        """)
-        cfg = build_experiment_config(raw)
-        assert cfg.schedule.epochs == [10, 20]
+    def test_comma_list_under_a_dotted_key(self):
+        assert parse_config_text("model.hidden = 8,8") == \
+            {"model": {"hidden": [8, 8]}}
 
     def test_base_kwargs_is_a_dict_key(self):
         raw = parse_config_text("""

@@ -1,4 +1,4 @@
-"""Update-rule exactness and schedule behavior."""
+"""Update-rule exactness."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from ngnet.errors import DivergenceError
 from ngnet.network import (Activation, ActivationSpec, InitScheme,
                            NetworkSpec, backward, build_plain_cnn, forward,
                            init_params)
-from ngnet.optim import OptimConfig, StepSchedule, lr_multiplier, sgd_step
+from ngnet.optim import OptimConfig, sgd_step
 
 
 def one_layer(w):
@@ -164,29 +164,6 @@ class TestTStep:
         sgd_step(params, backward(spec, params, cache), vel,
                  OptimConfig(lr=0.1))
         assert params[0]["t"][0] == -1.0 and (0, "t") not in vel
-
-
-class TestSchedules:
-    def test_step_schedule_epochs(self):
-        sched = StepSchedule(epochs=[80, 120, 160])
-        assert lr_multiplier(sched, 79) == 1.0
-        assert lr_multiplier(sched, 80) == pytest.approx(0.1)
-        assert lr_multiplier(sched, 120) == pytest.approx(0.01)
-        assert lr_multiplier(sched, 160) == pytest.approx(0.001)
-
-    def test_cuts_multiply_in_turn_and_a_repeat_cuts_once(self):
-        """The bits of 1.0 * f * f, and an epoch listed twice cuts once."""
-        sched = StepSchedule(epochs=[3, 1, 3], factor=0.3)
-        assert [lr_multiplier(sched, e) for e in range(5)] == \
-            [1.0, 1.0 * 0.3, 1.0 * 0.3, 1.0 * 0.3 * 0.3, 1.0 * 0.3 * 0.3]
-
-    def test_multiplier_monotone_powers_of_ten(self):
-        sched = StepSchedule(epochs=[2, 5, 7])
-        mults = [lr_multiplier(sched, e) for e in range(10)]
-        assert all(a >= b for a, b in zip(mults, mults[1:]))
-        for m in mults:
-            k = round(np.log10(1 / m))
-            assert np.isclose(m, 10.0 ** -k)
 
 
 class TestConfigValidation:
