@@ -13,14 +13,18 @@ Example::
 
 '#' starts a comment; values are parsed as bool/int/float when they look
 like one, lists as comma-separated values.  The free-text keys (out,
-run_id, dataset.path) keep their text as written.
+run_id, dataset.path) keep their text as written.  A loaded config is a dict
+keyed by the dotted keys, as is a sweep's per-run settings
+(``runner.run_config``); ``build_experiment_config`` sets each key on an
+``ExperimentConfig`` and refuses one ``RULES`` does not name.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 
 from .activations import GRANULARITIES
 from .datasets import train_count
@@ -57,23 +61,14 @@ def parse_value(s: str):
     return _parse_scalar(s)
 
 
-def _assign(cfg: dict, assignment: str, where: str):
-    """Set one dotted key=value on the nested dict `cfg`."""
-    key, value = assignment.split("=", 1)
-    key = key.strip()
-    node = cfg
-    parts = key.split(".")
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"{where}: {key!r} conflicts with an "
-                              "earlier scalar key")
-    node[parts[-1]] = value.strip() if key in FREE_TEXT_KEYS \
-        else parse_value(value)
+def _assign(cfg: dict, assignment: str):
+    """Set one dotted key=value on `cfg`."""
+    key, value = (part.strip() for part in assignment.split("=", 1))
+    cfg[key] = value if key in FREE_TEXT_KEYS else parse_value(value)
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat key=value lines into a nested dict."""
+    """Flat key=value lines into a dict keyed by the dotted keys."""
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -81,7 +76,7 @@ def parse_config_text(text: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        _assign(out, line, f"line {lineno}")
+        _assign(out, line)
     return out
 
 
@@ -95,7 +90,7 @@ def load_config(path: str, overrides=()) -> dict:
     for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"override must be key=value, got {ov!r}")
-        _assign(cfg, ov, f"override {ov!r}")
+        _assign(cfg, ov)
     return cfg
 
 
@@ -155,36 +150,27 @@ def sample_shape(cfg: ExperimentConfig) -> tuple:
     return (2,) if d.kind == "synthetic_spirals" else (d.dims,)
 
 
-def _first_leaf(key, value):
-    """The dotted key of the first leaf under `key` in a parsed config:
-    'foo.bar' for ``foo.bar = 1``, `key` itself for a scalar."""
-    while isinstance(value, dict) and value:
-        sub, value = next(iter(value.items()))
-        key += "." + sub
-    return key
+def _field(cfg: ExperimentConfig, key: str):
+    """The section of `cfg` that holds the dotted `key`, and the key's name
+    there: ``(cfg.optim, "lr")`` for ``optim.lr``."""
+    *sections, name = key.split(".")
+    return reduce(getattr, sections, cfg), name
 
 
-def _fill(obj, d: dict, path=""):
-    """Set the keys of `d` on the dataclass `obj`, recursing into its
-    sections (nested dataclasses).  A section, or a dict such as
-    activation.base_kwargs, takes keys, never a value."""
-    names = {f.name for f in fields(obj)}
-    for key, value in d.items():
-        if key not in names:
-            raise ConfigError(f"unknown config key "
-                              f"{_first_leaf(path + key, value)!r}")
-        current = getattr(obj, key)
-        if (is_dataclass(current) or isinstance(current, dict)) \
-                and not isinstance(value, dict):
-            raise ConfigError(f"{path + key!r} is a section; set its "
-                              f"keys as {path + key}.<key>, got {value!r}")
-        if is_dataclass(current):
-            _fill(current, value, path + key + ".")
-        elif isinstance(value, dict) and not isinstance(current, dict):
-            raise ConfigError(f"unknown config key "
-                              f"{_first_leaf(path + key, value)!r}")
+def _fill(cfg: ExperimentConfig, raw: dict):
+    """Set each dotted key of `raw` on `cfg`: a key of RULES, or a keyword
+    argument ``activation.base_kwargs.<name>`` of the base activation."""
+    for key, value in raw.items():
+        section, _, name = key.rpartition(".")
+        if section == "activation.base_kwargs":
+            if not isinstance(cfg.activation.base_kwargs, dict):
+                raise ConfigError(f"{key!r} conflicts with an earlier "
+                                  "activation.base_kwargs value")
+            cfg.activation.base_kwargs[name] = value
+        elif key in RULES:
+            setattr(*_field(cfg, key), value)
         else:
-            setattr(obj, key, value)
+            raise ConfigError(f"unknown config key {key!r}")
 
 
 def _is_number(value):
@@ -222,9 +208,10 @@ NON_NEGATIVE = (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0")
 BOOL = (lambda v: isinstance(v, bool), "true or false")
 TEXT = (lambda v: isinstance(v, str), "text")
 
-# Every leaf key of ExperimentConfig -> (predicate, what its value must
-# be).  A key without a rule fails every load; the rules that join keys are
-# in _validate.
+# Every config key, dotted as a file or --override names it -> (predicate,
+# what its value must be).  A config sets only these keys and the keywords
+# under activation.base_kwargs., and _validate checks each key by its rule,
+# then the rules that join keys.
 RULES = {
     "experiment": _one_of(EXPERIMENT_KINDS), "init": _one_of(INIT_SCHEMES),
     "model.family": _one_of(FAMILIES), "model.with_bn": BOOL,
@@ -253,16 +240,6 @@ RULES = {
 }
 
 
-def _leaves(obj, prefix=""):
-    """(dotted key, value) of every leaf field of a config and its sections."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            yield from _leaves(value, prefix + f.name + ".")
-        else:
-            yield prefix + f.name, value
-
-
 def _built_depths(cfg: ExperimentConfig):
     """(key, depth) of model.depth, which every experiment checks, and of
     each depth of a critical-depth sweep's ladder."""
@@ -283,11 +260,11 @@ def _name_key(key, check, *args):
 
 def _validate(cfg: ExperimentConfig):
     """Reject types and ranges the run would otherwise trip over, or run
-    with silently, once every override has been applied: every leaf key by
-    its rule in RULES, also one the experiment does not read, then the
-    rules that join keys."""
-    for key, value in _leaves(cfg):
-        ok, what = RULES[key]
+    with silently, once every override has been applied: every key by its
+    rule in RULES, also one the experiment does not read, then the rules
+    that join keys."""
+    for key, (ok, what) in RULES.items():
+        value = getattr(*_field(cfg, key))
         if not ok(value):
             raise ConfigError(f"{key} must be {what}, got {value!r}")
     family = cfg.model.family

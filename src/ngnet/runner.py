@@ -5,8 +5,8 @@ init, shuffling, and augmentation all draw from seed-derived streams, so
 repeated runs emit bitwise-identical CSVs.
 
 A sweep is a list of run configs: deep copies of the sweep's config, each
-with its run's ``activation.*``, ``model.depth``, ``init`` and ``run_id``
-set, so a run config describes its run completely.  One loop,
+with its run's dotted keys (``activation.*``, ``model.depth``, ``init``) and
+``run_id`` set, so a run config describes its run completely.  One loop,
 ``train_runs``, trains the list in order on the sweep's one dataset and
 writes each run's per-run CSV rows when that run ends.
 """
@@ -231,13 +231,14 @@ def converged(res: RunResult, num_classes: int) -> bool:
 # ---------------------------------------------------------------------------
 
 # the wrapped and the plain variant of the sweep's activation
-VARIANTS = {"ng": {"ng": True}, "plain": {"ng": False}}
+VARIANTS = {"ng": {"activation.ng": True}, "plain": {"activation.ng": False}}
 
 
-def run_config(cfg: ExperimentConfig, name: str, **fields) -> ExperimentConfig:
-    """One run of the sweep `cfg`: a deep copy with `fields` set on it (a
-    section as a dict, e.g. ``model={"depth": 8}``) and the run id
-    ``<cfg.run_id>-<name>``."""
+def run_config(cfg: ExperimentConfig, name: str,
+               fields: dict) -> ExperimentConfig:
+    """One run of the sweep `cfg`: a deep copy with the dotted keys of
+    `fields` set on it, as ``--override`` names them (e.g.
+    ``{"model.depth": 8}``), and the run id ``<cfg.run_id>-<name>``."""
     run = copy.deepcopy(cfg)
     _fill(run, dict(fields, run_id=f"{cfg.run_id}-{name}"))
     return run
@@ -265,11 +266,16 @@ def run_capacity_sweep(cfg: ExperimentConfig):
     the trainable run) alongside the usual per-epoch metrics.
     """
     # the identity base takes none of the sweep base's keyword arguments
-    settings = [("none", {"base": "identity", "base_kwargs": {}, "ng": False})]
-    settings += [(f"t{t:g}", {"ng": True, "trainable": False, "t_init": t})
+    settings = [("none", {"activation.base": "identity",
+                          "activation.base_kwargs": {},
+                          "activation.ng": False})]
+    settings += [(f"t{t:g}", {"activation.ng": True,
+                              "activation.trainable": False,
+                              "activation.t_init": t})
                  for t in cfg.t_values]
-    settings += [("trainable", {"ng": True, "trainable": True})]
-    runs = [run_config(cfg, name, activation=act) for name, act in settings]
+    settings += [("trainable", {"activation.ng": True,
+                                "activation.trainable": True})]
+    runs = [run_config(cfg, name, fields) for name, fields in settings]
     _refuse_present(cfg, runs, "capacity")
     results = train_runs(runs, get_dataset(cfg))
     summary = [{"run_id": res.run_id, "setting": name,
@@ -286,8 +292,9 @@ def run_critical_depth(cfg: ExperimentConfig):
     data = get_dataset(cfg)
     grid = [(vname, cfg.depth_start + k * cfg.depth_step)
             for vname in VARIANTS for k in range(cfg.depth_count)]
-    runs = [run_config(cfg, f"{vname}-d{depth}", activation=VARIANTS[vname],
-                       model={"depth": depth}) for vname, depth in grid]
+    runs = [run_config(cfg, f"{vname}-d{depth}",
+                       {**VARIANTS[vname], "model.depth": depth})
+            for vname, depth in grid]
     critical_ids = {vname: f"{cfg.run_id}-{vname}-critical"
                     for vname in VARIANTS}
     _refuse_present(cfg, runs, "critical_depth", critical_ids.values())
@@ -316,8 +323,9 @@ def run_learning_behavior(cfg: ExperimentConfig):
     activation; summarizes epochs-to-threshold and its cross-init spread."""
     grid = [(vname, init) for vname in VARIANTS
             for init in ("xavier", "msra", "orthogonal")]
-    runs = [run_config(cfg, f"{vname}-{init}", activation=VARIANTS[vname],
-                       init=init) for vname, init in grid]
+    runs = [run_config(cfg, f"{vname}-{init}",
+                       {**VARIANTS[vname], "init": init})
+            for vname, init in grid]
     spread_ids = {vname: f"{cfg.run_id}-{vname}-spread" for vname in VARIANTS}
     _refuse_present(cfg, runs, "learning_behavior", spread_ids.values())
     data = get_dataset(cfg)
@@ -345,8 +353,8 @@ def run_learning_behavior(cfg: ExperimentConfig):
 def run_variance_study(cfg: ExperimentConfig):
     """Wrapped vs plain run with per-epoch layer statistics, shift traces,
     and each run's closing per-sample sandwich probes on the dense head."""
-    runs = [run_config(cfg, vname, activation=act)
-            for vname, act in VARIANTS.items()]
+    runs = [run_config(cfg, vname, fields)
+            for vname, fields in VARIANTS.items()]
     _refuse_present(cfg, runs)
     return dict(zip(VARIANTS, train_runs(runs, get_dataset(cfg),
                                          collect_stats=True)))

@@ -134,8 +134,8 @@ class TestConfig:
         model.family = mlp
         seed = 3
         """)
-        assert cfg["optim"]["lr"] == 0.05
-        assert cfg["model"]["family"] == "mlp"
+        assert cfg["optim.lr"] == 0.05
+        assert cfg["model.family"] == "mlp"
 
     def test_bad_line_rejected(self):
         with pytest.raises(ConfigError):
@@ -168,7 +168,7 @@ class TestConfig:
 
     def test_comma_list_under_a_dotted_key(self):
         assert parse_config_text("model.hidden = 8,8") == \
-            {"model": {"hidden": [8, 8]}}
+            {"model.hidden": [8, 8]}
 
     def test_base_kwargs_is_a_dict_key(self):
         raw = parse_config_text("""

@@ -102,24 +102,24 @@ class TestAssembly:
 
     @pytest.mark.parametrize("fields, shape", [
         ({}, (2,)),
-        ({"dataset": {"dims": 5}}, (2,)),  # spirals are planar whatever dims
-        ({"dataset": {"kind": "synthetic_blobs", "dims": 5}}, (5,)),
-        ({"model": {"family": "plain_cnn"}}, (3, 8, 8)),
-        ({"model": {"family": "toy_cnn", "input_hw": 4}}, (3, 4, 4)),
-        ({"dataset": {"kind": "cifar10_binary"}}, (3, 32, 32)),
+        ({"dataset.dims": 5}, (2,)),  # spirals are planar whatever dims
+        ({"dataset.kind": "synthetic_blobs", "dataset.dims": 5}, (5,)),
+        ({"model.family": "plain_cnn"}, (3, 8, 8)),
+        ({"model.family": "toy_cnn", "model.input_hw": 4}, (3, 4, 4)),
+        ({"dataset.kind": "cifar10_binary"}, (3, 32, 32)),
     ])
     def test_sample_shape(self, tmp_path, fields, shape):
         assert runner.sample_shape(run_config(mlp_cfg(tmp_path), "x",
-                                              **fields)) == shape
+                                              fields)) == shape
 
     @pytest.mark.parametrize("fields", [
-        {"dataset": {"dims": 5}},
-        {"dataset": {"kind": "synthetic_blobs"}},
-        {"dataset": {"kind": "synthetic_blobs", "dims": 5}},
+        {"dataset.dims": 5},
+        {"dataset.kind": "synthetic_blobs"},
+        {"dataset.kind": "synthetic_blobs", "dataset.dims": 5},
     ])
     def test_mlp_trains_on_the_sample_shape(self, tmp_path, fields):
         """The dataset and the MLP's input width follow one sample shape."""
-        cfg = run_config(mlp_cfg(tmp_path, epochs=1), "x", **fields)
+        cfg = run_config(mlp_cfg(tmp_path, epochs=1), "x", fields)
         data = get_dataset(cfg)
         assert data.train_x.shape[1:] == runner.sample_shape(cfg)
         res = train_run(cfg, data)
@@ -763,6 +763,9 @@ class TestCli:
          "activation.base_kwargs"),
         ("activation.base=selu activation.base_kwargs.alpha=inf",
          "activation.base_kwargs"),
+        ("activation.base_kwargs.alpha.x=1", "activation.base_kwargs.alpha.x"),
+        ("activation.base_kwargs=3 activation.base_kwargs.alpha=1",
+         "activation.base_kwargs.alpha"),
         pytest.param("optim.lr=1" + "0" * 400, "optim.lr",
                      id="optim.lr=an integer beyond float64"),
     ])
@@ -986,6 +989,19 @@ class TestCli:
         assert "existing header" in capsys.readouterr().err
         assert calls == [] and os.listdir(out) == ["layerstats.csv"]
         assert (out / "layerstats.csv").read_bytes() == before
+
+    def test_run_config_equals_the_overridden_config(self):
+        """A sweep's run settings are the dotted keys --override names."""
+        path = str(CONFIGS / "critical_depth.cfg")
+        run = run_config(build_experiment_config(load_config(path)), "x",
+                         {"model.depth": 14, "activation.ng": False})
+        loaded = build_experiment_config(load_config(
+            path, ["model.depth=14", "activation.ng=false"]))
+
+        def values(cfg):
+            return [(key, reduce(getattr, key.split("."), cfg))
+                    for key in leaf_keys(cfg) if key != "run_id"]
+        assert values(run) == values(loaded)
 
     def test_free_text_keys_keep_their_text(self, tmp_path):
         raw = load_config(self.write_cfg(tmp_path),
