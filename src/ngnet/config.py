@@ -14,7 +14,7 @@ Example::
 '#' starts a comment; values are parsed as bool/int/float when they look
 like one, lists as comma-separated values.  The free-text keys (out,
 run_id, dataset.path) keep their text as written.  A loaded config is a dict
-keyed by the dotted keys, as is a sweep's per-run settings
+keyed by the dotted keys, as are a sweep's per-run settings
 (``runner.run_config``); ``build_experiment_config`` sets each key on an
 ``ExperimentConfig`` and refuses one ``RULES`` does not name.
 """

@@ -7,9 +7,12 @@ biases, batch-norm parameters, PReLU slopes, or t.
 
 The shift update puts the learning rate inside the momentum buffer:
 ``dt <- t_momentum * dt + t_lr * grad``, applied as ``t <- t - dt`` (descent
-sign).  A run keeps one learning rate throughout, so this is the same
-trajectory as the weight rule.  A tensor trains, and has a velocity, only
-once ``network.backward`` returns a gradient for it.
+sign).  At ``t_lr == lr`` and ``t_momentum == momentum`` that is the weight
+rule's trajectory, but a loaded config trains the shift at ``t_lr = 0.01``
+and ``t_momentum = 0.9`` whatever ``optim.lr`` and ``optim.momentum`` say:
+the constructor copies the default lr and momentum before the config sets
+them (ROADMAP item 2).  A tensor trains, and has a velocity, only once
+``network.backward`` returns a gradient for it.
 """
 
 from __future__ import annotations

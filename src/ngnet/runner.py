@@ -62,7 +62,7 @@ def build_model(cfg: ExperimentConfig, num_classes: int) -> NetworkSpec:
     shape = sample_shape(cfg)
     if m.family == "mlp":
         # depth counts weighted layers; the last one is the classifier.
-        return build_mlp([m.hidden] * max(m.depth - 1, 1), num_classes, act,
+        return build_mlp([m.hidden] * (m.depth - 1), num_classes, act,
                          input_dim=int(np.prod(shape)))
     in_channels, input_hw = shape[0], shape[-1]
     if m.family == "toy_cnn":

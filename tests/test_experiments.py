@@ -94,6 +94,15 @@ class TestAssembly:
         assert len(dense) == 6
         assert [l.units for l in dense] == [8] * 5 + [3]
 
+    def test_mlp_of_depth_one_is_softmax_regression(self, tmp_path):
+        """model.depth=1 is the classifier alone, which trains."""
+        cfg = mlp_cfg(tmp_path, epochs=1)
+        cfg.model.depth = 1
+        data = get_dataset(cfg)
+        assert build_model(cfg, data.num_classes).layers == [Dense(3)]
+        res = train_run(cfg, data)
+        assert len(res.rows) == 1 and not res.diverged
+
     def test_non_mlp_families_get_image_data(self, tmp_path):
         cfg = mlp_cfg(tmp_path)
         cfg.model.family = "toy_cnn"
