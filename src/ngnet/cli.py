@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .config import (_is_finite, _parse_scalar, build_experiment_config,
+from .config import (POSITIVE_NUMBER, _parse_scalar, build_experiment_config,
                      load_config)
 from .datasets import read_cifar10_records
 from .errors import NgnetError
@@ -32,11 +32,11 @@ def _add_common(p):
 
 
 def _tolerance(text):
-    """The --tolerance value: a finite number > 0."""
+    """The --tolerance value: a finite number > 0, as optim.lr."""
+    ok, what = POSITIVE_NUMBER
     value = _parse_scalar(text)
-    if not (_is_finite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, "
-                                         f"got {text!r}")
+    if not ok(value):
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
     return value
 
 

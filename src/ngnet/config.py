@@ -205,6 +205,7 @@ POSITIVE = (lambda v: _is_count(v, 1), "a positive integer")
 COUNT = (lambda v: _is_count(v, 0), "an integer >= 0")
 FINITE = (_is_finite, "a finite number")
 NON_NEGATIVE = (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0")
+POSITIVE_NUMBER = (lambda v: _is_finite(v) and v > 0, "a finite number > 0")
 BOOL = (lambda v: isinstance(v, bool), "true or false")
 TEXT = (lambda v: isinstance(v, str), "text")
 
@@ -223,9 +224,10 @@ RULES = {
     "activation.base_kwargs": (
         lambda v: isinstance(v, dict) and all(map(_is_finite, v.values())),
         "keyword arguments, each a finite number"),
-    "optim.lr": FINITE, "optim.momentum": FINITE,
-    "optim.weight_decay": FINITE,
-    "optim.t_lr": FINITE, "optim.t_momentum": FINITE,
+    "optim.lr": POSITIVE_NUMBER,
+    "optim.momentum": (lambda v: _is_number(v) and 0 <= v < 1,
+                       "a number in [0, 1)"),
+    "optim.weight_decay": NON_NEGATIVE,
     "dataset.kind": _one_of(DATASET_KINDS), "dataset.path": TEXT,
     "dataset.classes": (lambda v: _is_count(v, 2), "an integer >= 2"),
     "dataset.n": POSITIVE, "dataset.dims": POSITIVE,
@@ -301,7 +303,6 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(
             f"batch_size={cfg.batch_size} leaves a training batch of one "
             f"of the {n_train} samples; batch norm needs batch size >= 2")
-    _name_key("optim", cfg.optim.validate)
     _name_key("activation.base, activation.base_kwargs",
               cfg.activation.make_base)
 

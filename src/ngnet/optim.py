@@ -6,13 +6,13 @@ accumulation) and applies only to conv/dense weight matrices, never to
 biases, batch-norm parameters, PReLU slopes, or t.
 
 The shift update puts the learning rate inside the momentum buffer:
-``dt <- t_momentum * dt + t_lr * grad``, applied as ``t <- t - dt`` (descent
-sign).  At ``t_lr == lr`` and ``t_momentum == momentum`` that is the weight
-rule's trajectory, but a loaded config trains the shift at ``t_lr = 0.01``
-and ``t_momentum = 0.9`` whatever ``optim.lr`` and ``optim.momentum`` say:
-the constructor copies the default lr and momentum before the config sets
-them (ROADMAP item 2).  A tensor trains, and has a velocity, only once
-``network.backward`` returns a gradient for it.
+``dt <- T_MOMENTUM * dt + T_LR * grad``, applied as ``t <- t - dt`` (descent
+sign).  The shift trains at the fixed ``T_LR = 0.01`` and
+``T_MOMENTUM = 0.9``, whatever ``optim.lr`` and ``optim.momentum`` say, and
+no config key sets them (ROADMAP item 2).  At ``lr == T_LR`` and
+``momentum == T_MOMENTUM`` the shift follows the weight rule's trajectory.
+A tensor trains, and has a velocity, only once ``network.backward``
+returns a gradient for it.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import numpy as np
 from .errors import DivergenceError
 
 DECAYED_KEYS = {"W"}
+T_LR = 0.01
+T_MOMENTUM = 0.9
 
 
 @dataclass(slots=True)
@@ -31,27 +33,6 @@ class OptimConfig:
     lr: float = 0.01
     momentum: float = 0.9
     weight_decay: float = 0.0005
-    t_lr: float = None
-    t_momentum: float = None
-
-    def __post_init__(self):
-        if self.t_lr is None:
-            self.t_lr = self.lr
-        if self.t_momentum is None:
-            self.t_momentum = self.momentum
-        self.validate()
-
-    def validate(self):
-        """Raise ValueError for a learning rate, momentum or weight decay
-        out of range, for the weights or for the shift."""
-        for name in ("lr", "t_lr"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("momentum", "t_momentum"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight decay must be non-negative")
 
 
 def _check_finite(grads: dict):
@@ -67,9 +48,10 @@ def sgd_step(params: dict, grads: dict, velocities: dict, cfg: OptimConfig):
 
     `velocities` maps ``(layer, key)`` to a momentum buffer, made at zero
     on the tensor's first gradient, so a run starts from ``{}``.  Shift
-    parameters t (and only they) follow the t recurrence with
-    t_lr/t_momentum.  Raises DivergenceError before touching anything if
-    any gradient is non-finite.
+    parameters t (and only they) follow the t recurrence at T_LR and
+    T_MOMENTUM, whatever `cfg` says; `cfg` sets the rule of every other
+    tensor.  Raises DivergenceError before touching anything if any
+    gradient is non-finite.
     """
     _check_finite(grads)
     for i, layer_grads in grads.items():
@@ -79,8 +61,8 @@ def sgd_step(params: dict, grads: dict, velocities: dict, cfg: OptimConfig):
             if v is None:
                 v = velocities[i, key] = np.zeros_like(w)
             if key == "t":
-                v *= cfg.t_momentum
-                v += cfg.t_lr * g
+                v *= T_MOMENTUM
+                v += T_LR * g
                 w -= v
             else:
                 if key in DECAYED_KEYS and cfg.weight_decay:

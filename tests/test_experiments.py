@@ -701,6 +701,12 @@ class TestCli:
         ("activation.granularity=pixel", "activation.granularity"),
         ("dataset.n=0", "dataset.n"),
         ("optim.t_lr=-1", "t_lr"),
+        pytest.param("optim.t_momentum=0.5",
+                     "unknown config key 'optim.t_momentum'",
+                     id="optim.t_momentum=0.5-unknown"),
+        ("optim.lr=0", "optim.lr"),
+        ("optim.momentum=1", "optim.momentum"),
+        ("optim.weight_decay=-0.1", "optim.weight_decay"),
         ("dataset.n=2", "dataset.n"),
         ("dataset.noise=abc", "dataset.noise"),
         ("dataset.noise=-0.1", "dataset.noise"),

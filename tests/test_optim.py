@@ -1,13 +1,19 @@
 """Update-rule exactness."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ngnet.config import build_experiment_config, load_config
 from ngnet.errors import DivergenceError
 from ngnet.network import (Activation, ActivationSpec, InitScheme,
                            NetworkSpec, backward, build_plain_cnn, forward,
                            init_params)
-from ngnet.optim import OptimConfig, sgd_step
+from ngnet.optim import T_LR, T_MOMENTUM, OptimConfig, sgd_step
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
+                 .glob("*.cfg"))
 
 
 def one_layer(w):
@@ -116,14 +122,14 @@ class TestTStep:
 
     def test_substitution(self):
         params, vel = self._net()
-        cfg = OptimConfig(lr=0.01, momentum=0.9, t_lr=0.01, t_momentum=0.9)
+        cfg = OptimConfig(lr=0.01, momentum=0.9)
         self._step(params, vel, 1.0, cfg)
         assert np.isclose(vel[0, "t"][0], 0.01)
         assert np.isclose(params[0]["t"][0], -1.01)
 
     def test_geometric_decay(self):
         params, vel = self._net()
-        cfg = OptimConfig(lr=0.01, t_momentum=0.9)
+        cfg = OptimConfig(lr=0.01)
         self._step(params, vel, 1.0, cfg)
         v0 = vel[0, "t"][0]
         for _ in range(3):
@@ -131,9 +137,9 @@ class TestTStep:
         assert np.isclose(vel[0, "t"][0], v0 * 0.9 ** 3)
 
     def test_matches_sgd_recurrence(self):
-        # same recurrence as the weight rule at constant lr, no decay
+        # same recurrence as the weight rule at the shift's rate, no decay
         params, vel = self._net(0.0)
-        cfg = OptimConfig(lr=0.05, momentum=0.7, weight_decay=0.0)
+        cfg = OptimConfig(lr=T_LR, momentum=T_MOMENTUM, weight_decay=0.0)
         w_params = one_layer([0.0])
         w_vel = {}
         rng = np.random.default_rng(0)
@@ -165,16 +171,20 @@ class TestTStep:
                  OptimConfig(lr=0.1))
         assert params[0]["t"][0] == -1.0 and (0, "t") not in vel
 
-
-class TestConfigValidation:
-    def test_bad_lr(self):
-        with pytest.raises(ValueError):
-            OptimConfig(lr=0.0)
-
-    def test_bad_momentum(self):
-        with pytest.raises(ValueError):
-            OptimConfig(lr=0.1, momentum=1.0)
-
-    def test_t_defaults_follow_lr(self):
-        cfg = OptimConfig(lr=0.3, momentum=0.8)
-        assert cfg.t_lr == 0.3 and cfg.t_momentum == 0.8
+    @pytest.mark.parametrize("overrides", [
+        (), ("optim.lr=0.3", "optim.momentum=0.5")],
+        ids=["as-shipped", "lr=0.3,momentum=0.5"])
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_loaded_config_trains_the_shift_at_the_constants(self, path,
+                                                             overrides):
+        """Whatever optim.lr and optim.momentum a shipped config sets, the
+        first step moves a shift by exactly T_LR * g and its velocity then
+        decays by T_MOMENTUM (until ROADMAP item 2 trains t by the weight
+        rule)."""
+        cfg = build_experiment_config(load_config(str(path), overrides))
+        params, vel = self._net()
+        g = 0.37
+        self._step(params, vel, g, cfg.optim)
+        assert params[0]["t"][0] == -1.0 - T_LR * g
+        self._step(params, vel, 0.0, cfg.optim)
+        assert vel[0, "t"][0] == T_MOMENTUM * (T_LR * g)
