@@ -127,7 +127,9 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
     its first `probe_steps` training samples, unless it diverged, which is
     reported as one line on stderr.  The run finds its own non-finite
     values, so NumPy's floating-point warnings are silenced: a diverged
-    run writes that one line and no other."""
+    run writes that one line and no other.  The step's `logits`, `cache`
+    and `grads` are dropped before the eval, stats, probes and non-finite
+    re-walk run, so the step loop sets the run's peak memory."""
     with np.errstate(all="ignore"):
         data = data if data is not None else get_dataset(cfg)
         spec = build_model(cfg, data.num_classes)
@@ -153,6 +155,7 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
                                               mode="train")
                 fold_running_stats(params, cache)
                 if not np.isfinite(loss):
+                    logits = cache = grads = None  # as at the epoch's end
                     cause = "non-finite loss" + _first_non_finite(
                         spec, params, xb)
                     break
@@ -166,6 +169,8 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
                 hits += (logits.argmax(axis=1) == yb).sum()
                 seen += len(yb)
                 step += 1
+            # the work after the step loop runs beside no array of a step
+            logits = cache = grads = None
             row = {"run_id": res.run_id, "epoch": epoch + 1, "step": step,
                    "lr_multiplier": 1.0}
             if cause is not None:

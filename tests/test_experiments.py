@@ -12,13 +12,15 @@ import os
 import re
 import subprocess
 import sys
+import weakref
+from collections import Counter
 from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ngnet import runner
+from ngnet import instrumentation, network, runner
 from ngnet.cli import main as cli_main
 from ngnet.config import (RULES, ExperimentConfig, build_experiment_config,
                           load_config)
@@ -246,6 +248,79 @@ class TestTrainRun:
         assert all(np.isfinite(r["train_loss"]) for r in res.rows)
         assert all(0.0 <= r["train_acc"] <= 1.0 for r in res.rows)
         assert all(0.0 <= r["test_acc"] <= 1.0 for r in res.rows)
+
+
+class TestStepLifetime:
+    """No array of a training step is alive while the work after the step
+    loop runs (the epoch's eval and stats, the closing probes) or while the
+    batch of a non-finite loss is walked again, so the step loop's two
+    overlapping caches, not that work, set a run's peak memory."""
+
+    WATCHED = [(runner, "_eval_acc"), (runner, "_collect_epoch_stats"),
+               (runner, "_first_non_finite"),
+               (instrumentation, "sandwich_probes")]
+
+    @classmethod
+    def watch(cls, monkeypatch):
+        """Keep weak references to the logits and `probs` of each labelled
+        forward the runner makes, and have each watched function assert on
+        entry that none of them is alive; return the calls per function."""
+        refs, calls = [], Counter()
+
+        def labelled(*args, **kwargs):
+            logits, loss, cache = network.forward(*args, **kwargs)
+            if cache is not None:
+                refs.extend([weakref.ref(logits), weakref.ref(cache["probs"])])
+            return logits, loss, cache
+
+        def checked(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                assert refs and all(ref() is None for ref in refs), \
+                    f"a training step's array is alive in {name}"
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(runner, "forward", labelled)
+        for module, name in cls.WATCHED:
+            monkeypatch.setattr(module, name,
+                                checked(name, getattr(module, name)))
+        return calls
+
+    @staticmethod
+    def shipped(tmp_path, name, *overrides):
+        return build_experiment_config(load_config(
+            str(CONFIGS / name), [*overrides, f"out={tmp_path / 'out'}"]))
+
+    def test_single_run_with_stats_on_a_batch_norm_cnn(self, tmp_path,
+                                                       monkeypatch):
+        calls = self.watch(monkeypatch)
+        cfg = mlp_cfg(tmp_path, run_id="bn", epochs=2)
+        cfg.model.family = "plain_cnn"
+        cfg.model.depth = 5
+        cfg.model.width = 4
+        cfg.model.with_bn = True
+        cfg.dataset.n = 160
+        run_experiment(cfg)
+        assert calls == {"_eval_acc": 2, "_collect_epoch_stats": 2,
+                         "sandwich_probes": 1}
+
+    def test_variance_study(self, tmp_path, monkeypatch):
+        calls = self.watch(monkeypatch)
+        run_experiment(self.shipped(tmp_path, "variance_study.cfg",
+                                    "epochs=2"))
+        assert calls == {"_eval_acc": 4, "_collect_epoch_stats": 4,
+                         "sandwich_probes": 2}
+
+    def test_diverging_sweep(self, tmp_path, monkeypatch, capsys):
+        """Each wrapped run's loss goes non-finite; its batch is walked
+        again, and the run is probed, after its step is dropped."""
+        calls = self.watch(monkeypatch)
+        run_experiment(self.shipped(tmp_path, "learning_behavior.cfg",
+                                    "optim.lr=0.3", "epochs=4"))
+        assert calls["_first_non_finite"] == 3
+        assert calls["sandwich_probes"] == 6
+        assert capsys.readouterr().err.count("non-finite loss") == 3
 
 
 # ---------------------------------------------------------------------------
