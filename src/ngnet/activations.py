@@ -11,8 +11,7 @@ trailing shape of the channels-last input sample it broadcasts against):
   * element: one t per input element (per feature-map position, or per node
     of a dense layer);
   * channel: one t, shape (C,), shared by all spatial positions of a
-    channel (dense layers fall back to per-node);
-  * layer: a single scalar t.
+    channel (dense layers fall back to per-node).
 
 The forward also returns the branch mask ``m = x >= t``, which the layer
 caches for its backward.  The bases that are the identity on
@@ -41,7 +40,7 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .tensor import _colsum, _wide, as_f64
 
-GRANULARITIES = ("element", "channel", "layer")
+GRANULARITIES = ("element", "channel")
 
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
@@ -171,8 +170,6 @@ def make_base(name: str, **kwargs) -> BaseActivation:
 def shift_shape(granularity: str, sample_shape: tuple[int, ...]) -> tuple[int, ...]:
     """Storage shape of t for one channels-last input sample, (H, W, C) or
     (D,): the trailing shape of the sample that t broadcasts against."""
-    if granularity == "layer":
-        return (1,)
     if granularity == "channel":
         return tuple(sample_shape[-1:])
     if granularity == "element":

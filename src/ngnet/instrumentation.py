@@ -112,15 +112,17 @@ def t_trace(spec: NetworkSpec, params: dict):
     return rows
 
 
-def _linear_zg(spec, params, batch, labels, mode):
+def _linear_zg(spec, params, batch, labels, mode, z_of=lambda z: z):
     """Forward and backward on `batch`: per Conv/Dense layer index, in
-    order, its input z and the loss gradient g at its pre-activation (the
-    batch-norm output where batch norm follows)."""
+    order, ``z_of`` of its input z and the loss gradient g at its
+    pre-activation (the batch-norm output where batch norm follows).
+    ``z_of`` runs before the backward, which consumes the cache."""
     _, _, cache = forward(spec, params, batch, labels, mode=mode)
+    zs = [(i, z_of(c["x"])) for i, c in enumerate(cache["layers"])
+          if isinstance(spec.layers[i], (Conv, Dense))]
     out_grads: dict = {}
     backward(spec, params, cache, out_grads=out_grads)
-    return [(i, cache["layers"][i]["x"], out_grads[i])
-            for i in sorted(out_grads)]
+    return [(i, z, out_grads[i]) for i, z in zs]
 
 
 def _is_logits(spec, i):
@@ -140,10 +142,12 @@ def mean_shift_trace(spec: NetworkSpec, params: dict, batch, labels):
     step: the mean of its input z and of the loss gradient g at its
     pre-activation, the two quantities the bounds depend on, and its
     weight variance; NaN in the probe-only columns."""
-    return [dict(_PROBE_ONLY, layer=i, mean_z=float(np.mean(z)),
+    zg = _linear_zg(spec, params, batch, labels, "train",
+                    lambda z: float(np.mean(z)))
+    return [dict(_PROBE_ONLY, layer=i, mean_z=mean_z,
                  mean_g=0.0 if _is_logits(spec, i) else float(np.mean(g)),
                  weight_var=_pop_var(params[i]["W"]))
-            for i, z, g in _linear_zg(spec, params, batch, labels, "train")]
+            for i, mean_z, g in zg]
 
 
 def sandwich_probes(spec: NetworkSpec, params: dict, xs, ys, lr):

@@ -8,6 +8,9 @@ Parameters live outside the spec in a per-layer-index dict, so a spec is
 reusable across seeds and schemes.  With labels ``forward`` returns the
 loss and the cache ``backward`` reads, without them the logits alone;
 neither it nor ``backward`` writes ``params`` (``fold_running_stats`` does).
+``backward`` consumes the cache: it takes the per-layer list out and drops
+each layer's entry once that layer's gradients exist, so a step's cached
+activations die as the backward walks, and a consumed cache is refused.
 A prefix's output, ``NetworkSpec(spec.layers[:i], ...)``, is layer i's input.
 
 A plain (unwrapped) activation is represented internally as the shifted
@@ -403,9 +406,19 @@ def _bn_forward(p, x, mode, c):
     return y
 
 
+def _layer_caches(cache) -> list:
+    """The per-layer list of a labelled forward's cache."""
+    if cache is None:
+        raise ContractError("needs the cache of a forward with labels")
+    if "layers" not in cache:
+        raise ContractError("cache was already consumed by backward")
+    return cache["layers"]
+
+
 def fold_running_stats(params: dict, cache) -> None:
-    """Update batch norm's running statistics from a train forward's cache."""
-    for i, c in enumerate(cache["layers"]):
+    """Update batch norm's running statistics from a train forward's cache;
+    call it before ``backward``, which consumes the cache."""
+    for i, c in enumerate(_layer_caches(cache)):
         if "var" in c:
             p = params[i]
             p["running_mean"] = BN_MOMENTUM * p["running_mean"] + (1 - BN_MOMENTUM) * c["mean"]
@@ -436,7 +449,9 @@ def _shortcut_backward(grad_out, skip_shape):
 def backward(spec: NetworkSpec, params: dict, cache,
              out_grads: dict = None) -> dict:
     """Gradients of the batch-mean loss, from the `cache` of a forward with
-    labels, for every trainable tensor.
+    labels, for every trainable tensor.  Consumes the cache: its per-layer
+    list leaves it, and each layer's entry is dropped once that layer's
+    gradients exist, so read what else you need from it first.
 
     Returns {layer_index: {name: grad}}; a shift that does not train
     (plain, or `trainable` false) and batch-norm running stats get no
@@ -446,11 +461,10 @@ def backward(spec: NetworkSpec, params: dict, cache,
     (The batch-norm backward subtracts the per-channel mean, so the mean
     of the gradient at the conv output itself is 0 in exact arithmetic.)
     """
-    if cache is None:
-        raise ContractError("backward needs the cache of a forward with labels")
-    caches = cache["layers"]
+    caches = _layer_caches(cache)
     if len(caches) != len(spec.layers):
         raise ContractError("cache does not match this network spec")
+    del cache["layers"]
     grad = cache["probs"].copy()
     n = grad.shape[0]
     grad[np.arange(n), cache["labels"]] -= 1.0
@@ -459,7 +473,7 @@ def backward(spec: NetworkSpec, params: dict, cache,
     pending_skip: list = []
     for i in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[i]
-        c = caches[i]
+        c = caches.pop()
         if isinstance(layer, Conv):
             if out_grads is not None:
                 out_grads.setdefault(i, grad)  # unless batch norm follows

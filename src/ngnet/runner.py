@@ -109,14 +109,13 @@ class RunResult:
         return budget + 1
 
 
-EVAL_BATCH = 256
-
-
-def _eval_acc(spec, params, x, y):
+def _eval_acc(spec, params, x, y, batch_size):
+    """Eval-mode accuracy on (x, y), in chunks of the run's `batch_size`,
+    so the eval holds no more than a training step's activations."""
     hits = 0
-    for s in range(0, len(y), EVAL_BATCH):
-        logits, _, _ = forward(spec, params, x[s:s + EVAL_BATCH], mode="eval")
-        hits += (logits.argmax(axis=1) == y[s:s + EVAL_BATCH]).sum()
+    for s in range(0, len(y), batch_size):
+        logits, _, _ = forward(spec, params, x[s:s + batch_size], mode="eval")
+        hits += (logits.argmax(axis=1) == y[s:s + batch_size]).sum()
     return float(hits) / len(y)
 
 
@@ -127,9 +126,11 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
     its first `probe_steps` training samples, unless it diverged, which is
     reported as one line on stderr.  The run finds its own non-finite
     values, so NumPy's floating-point warnings are silenced: a diverged
-    run writes that one line and no other.  The step's `logits`, `cache`
-    and `grads` are dropped before the eval, stats, probes and non-finite
-    re-walk run, so the step loop sets the run's peak memory."""
+    run writes that one line and no other.  A step's ``backward`` consumes
+    its cache, so its activations die as the backward walks; the step's
+    `logits`, `cache` and `grads` are dropped before the eval, stats,
+    probes and non-finite re-walk run; and the eval runs in chunks of
+    `batch_size`, as the steps do."""
     with np.errstate(all="ignore"):
         data = data if data is not None else get_dataset(cfg)
         spec = build_model(cfg, data.num_classes)
@@ -184,7 +185,8 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
                 break
             train_loss = loss_sum / seen
             train_acc = hits / seen
-            test_acc = _eval_acc(spec, params, data.test_x, data.test_y)
+            test_acc = _eval_acc(spec, params, data.test_x, data.test_y,
+                                 cfg.batch_size)
             res.rows.append(dict(row, train_loss=float(train_loss),
                                  train_acc=float(train_acc),
                                  test_acc=float(test_acc), diverged=False))

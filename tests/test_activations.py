@@ -335,12 +335,10 @@ class TestShiftShape:
         """A conv sample is (H, W, C); t is its trailing shape."""
         assert shift_shape("element", (8, 8, 4)) == (8, 8, 4)
         assert shift_shape("channel", (8, 8, 4)) == (4,)
-        assert shift_shape("layer", (8, 8, 4)) == (1,)
 
     def test_dense_shapes(self):
         assert shift_shape("element", (16,)) == (16,)
         assert shift_shape("channel", (16,)) == (16,)
-        assert shift_shape("layer", (16,)) == (1,)
 
 
 @settings(max_examples=60, deadline=None)
@@ -364,6 +362,15 @@ def test_linear_identity_property(xs, t):
 # ---------------------------------------------------------------------------
 # Bitwise equality with the reference formula
 # ---------------------------------------------------------------------------
+
+# t's storage shapes the kernels see: each granularity's, and "layer", the
+# one-value t of a plain activation (``network.init_params``)
+T_KINDS = (*GRANULARITIES, "layer")
+
+
+def t_shape(kind, sample):
+    return (1,) if kind == "layer" else shift_shape(kind, sample)
+
 
 def check_against_reference(base, t, x, grad_out, a=None):
     """Forward, input gradient and t-gradient bitwise equal to the
@@ -399,14 +406,14 @@ _VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]),
 @given(st.data())
 def test_bitwise_equals_reference(data):
     base = make_base(data.draw(st.sampled_from(BASES), label="base"))
-    granularity = data.draw(st.sampled_from(GRANULARITIES), label="granularity")
+    granularity = data.draw(st.sampled_from(T_KINDS), label="granularity")
     batch = data.draw(st.integers(1, 3), label="batch")
     if data.draw(st.booleans(), label="conv"):
         sample = tuple(data.draw(st.tuples(*[st.integers(1, 3)] * 3), label="hwc"))
     else:
         sample = (data.draw(st.integers(1, 4), label="features"),)
     shape = (batch,) + sample
-    t = data.draw(arrays(np.float64, shift_shape(granularity, sample),
+    t = data.draw(arrays(np.float64, t_shape(granularity, sample),
                          elements=_VALUES), label="t")
     x = data.draw(arrays(np.float64, shape, elements=_VALUES), label="x")
     # ties x == t, and NaN inputs
@@ -425,16 +432,16 @@ def test_bitwise_equals_reference(data):
 
 
 @pytest.mark.parametrize("base", BASES)
-@pytest.mark.parametrize("granularity", GRANULARITIES)
+@pytest.mark.parametrize("granularity", T_KINDS)
 def test_signed_zero_ties_and_nan_bitwise(base, granularity):
     """Every pairing of ±0.0 in x with a stored t of ±0.0, and NaN inputs,
-    on a conv output (B, H, W, C), at every granularity."""
+    on a conv output (B, H, W, C), at every storage shape of t."""
     b = make_base(base)
-    t_shape = shift_shape(granularity, (3, 2, 2))
+    shape = t_shape(granularity, (3, 2, 2))
     a = np.full((2,), 0.25) if b.has_slope_param else None
     rng = np.random.default_rng(11)
     for t_val in (0.0, -0.0):
-        t = np.full(t_shape, t_val)
+        t = np.full(shape, t_val)
         for _ in range(2):
             x = rng.choice([0.0, -0.0, np.nan, 0.25, -0.25], size=(3, 3, 2, 2))
             g = rng.choice([0.0, -0.0, 1.5, -2.0], size=x.shape)

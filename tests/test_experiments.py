@@ -251,10 +251,11 @@ class TestTrainRun:
 
 
 class TestStepLifetime:
-    """No array of a training step is alive while the work after the step
+    """A step's ``backward`` frees each layer's cached arrays as it walks,
+    and no array of a training step is alive while the work after the step
     loop runs (the epoch's eval and stats, the closing probes) or while the
-    batch of a non-finite loss is walked again, so the step loop's two
-    overlapping caches, not that work, set a run's peak memory."""
+    batch of a non-finite loss is walked again, so no phase holds more than
+    one batch's activations."""
 
     WATCHED = [(runner, "_eval_acc"), (runner, "_collect_epoch_stats"),
                (runner, "_first_non_finite"),
@@ -311,6 +312,39 @@ class TestStepLifetime:
                                     "epochs=2"))
         assert calls == {"_eval_acc": 4, "_collect_epoch_stats": 4,
                          "sandwich_probes": 2}
+
+    @pytest.mark.parametrize("activation", [
+        ActivationSpec(base="relu", ng=True, t_init=-1.0),
+        ActivationSpec(base="selu", ng=True, t_init=-1.0)],
+        ids=["relu", "selu"])
+    def test_backward_frees_each_layer_as_it_walks(self, monkeypatch,
+                                                   activation):
+        """On a BN ResNet-8, the last block's cached arrays are dead before
+        the stem's conv backward runs, and every layer's are dead when
+        ``backward`` returns (SELU caches each activation's input too)."""
+        spec = network.build_resnet(8, 2, 3, activation, input_hw=8)
+        params = network.init_params(spec, network.InitScheme("msra", 5))
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((4, 3, 8, 8))
+        _, _, cache = network.forward(spec, params, x, rng.integers(0, 3, 4))
+        refs = [[weakref.ref(v) for v in c.values()
+                 if isinstance(v, np.ndarray)] for c in cache["layers"]]
+        last_block = max(i for i, layer in enumerate(spec.layers)
+                         if isinstance(layer, network.ResBlockStart))
+        tail = [ref for layer_refs in refs[last_block:] for ref in layer_refs]
+        assert len(tail) >= 6  # two convs' inputs, two xhat, two inv_std
+        at_stem = []
+        conv2d_backward = network.conv2d_backward
+
+        def watched(*args, input_grad=True, **kwargs):
+            if not input_grad:  # only the stem skips its input gradient
+                at_stem.append([ref() is None for ref in tail])
+            return conv2d_backward(*args, input_grad=input_grad, **kwargs)
+
+        monkeypatch.setattr(network, "conv2d_backward", watched)
+        network.backward(spec, params, cache)
+        assert at_stem == [[True] * len(tail)]
+        assert all(ref() is None for layer_refs in refs for ref in layer_refs)
 
     def test_diverging_sweep(self, tmp_path, monkeypatch, capsys):
         """Each wrapped run's loss goes non-finite; its batch is walked
@@ -774,6 +808,7 @@ class TestCli:
         ("activation.base=foo", "activation.base"),
         ("activation.t_init=abc", "activation.t_init"),
         ("activation.granularity=pixel", "activation.granularity"),
+        ("activation.granularity=layer", "activation.granularity"),
         ("dataset.n=0", "dataset.n"),
         ("optim.t_lr=-1", "t_lr"),
         pytest.param("optim.t_momentum=0.5",

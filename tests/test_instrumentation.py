@@ -1,5 +1,7 @@
 """Variance-bound sandwich, statistics traces, and the gradient checker."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,13 +190,14 @@ class TestMeanShiftTrace:
         x = rng.standard_normal((4,) + spec.input_shape)
         y = rng.integers(0, 3, 4)
         _, _, cache = forward(spec, params, x, y)
-        out_grads: dict = {}
-        grads = backward(spec, params, cache, out_grads=out_grads)
         linear = [i for i, l in enumerate(spec.layers)
                   if isinstance(l, (Conv, Dense))]
+        zs = {i: cache["layers"][i]["x"] for i in linear}
+        out_grads: dict = {}
+        grads = backward(spec, params, cache, out_grads=out_grads)
         assert sorted(out_grads) == linear
         for i in linear:
-            layer, g, z = spec.layers[i], out_grads[i], cache["layers"][i]["x"]
+            layer, g, z = spec.layers[i], out_grads[i], zs[i]
             if isinstance(layer, Dense):
                 assert np.array_equal(grads[i]["W"], g.T @ z)
                 assert np.array_equal(grads[i]["b"], g.sum(axis=0))
@@ -257,11 +260,12 @@ class TestSandwichProbes:
                 <= r["upper_bound"] * (1 + 1e-9)
         # a row is the check of its sample's dense input and output gradient
         _, _, cache = forward(spec, params, xs[1:2], ys[1:2], mode="eval")
+        i = dense[1]
+        z = cache["layers"][i]["x"]
         out_grads: dict = {}
         backward(spec, params, cache, out_grads=out_grads)
-        i = dense[1]
         assert rows[len(dense) + 1] == dict(
-            sandwich_check(cache["layers"][i]["x"], out_grads[i], 0.1),
+            sandwich_check(z, out_grads[i], 0.1),
             step=1, layer=i, weight_var=float(params[i]["W"].var()))
 
 
@@ -384,6 +388,10 @@ class TestMeasurementWritesNothing:
         y = rng.integers(0, 3, 4)
         before = _bits(params)
         cache = forward(spec, params, x, y, "train")[2]
+        # the training step's fold, before backward consumes the cache; on
+        # a copy, so the calls below run on the parameters as they were
+        folded = copy.deepcopy(params)
+        fold_running_stats(folded, cache)
         calls = {
             "forward train": lambda: forward(spec, params, x, y, "train"),
             "forward train, no labels": lambda: forward(spec, params, x),
@@ -402,8 +410,7 @@ class TestMeasurementWritesNothing:
             call()
             assert _bits(params) == before, name
 
-        fold_running_stats(params, cache)
-        moved = {key for key, bits in _bits(params).items()
+        moved = {key for key, bits in _bits(folded).items()
                  if bits != before[key]}
         assert moved == {(i, k) for i, layer in enumerate(spec.layers)
                          if isinstance(layer, BatchNorm)

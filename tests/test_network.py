@@ -257,7 +257,8 @@ class TestCache:
         monkeypatch.setattr(network, "_softmax", refuse)
         logits, loss, cache = forward(spec, params, x, mode="eval")
         assert logits.shape == (4, 3) and loss is None and cache is None
-        assert 0.0 <= runner._eval_acc(spec, params, x, np.arange(4) % 3) <= 1.0
+        assert 0.0 <= runner._eval_acc(spec, params, x, np.arange(4) % 3,
+                                       2) <= 1.0
         assert runner._first_non_finite(spec, params, x) == ""
         assert prefix_output(spec, params, x, 3).shape == (4, 8, 8, 2)
 
@@ -275,6 +276,25 @@ class TestCache:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * 85.8, peak
+
+    def test_chunked_eval_is_the_whole_set_accuracy(self):
+        """The accuracy eval runs in chunks of the run's batch size; on a
+        BN ResNet with moved running statistics, each chunking reads the
+        accuracy of one eval forward over the whole set."""
+        spec = build_resnet(8, 2, 3, NG_RELU, input_hw=8)
+        params = init_params(spec, InitScheme("msra", 9))
+        rng = np.random.default_rng(9)
+        for p in params.values():
+            if "running_mean" in p:
+                p["running_mean"] = rng.standard_normal(p["beta"].shape)
+                p["running_var"] = rng.uniform(0.5, 2.0, p["beta"].shape)
+        x = rng.standard_normal((20, 3, 8, 8))
+        y = rng.integers(0, 3, 20)
+        logits, _, _ = forward(spec, params, x, mode="eval")
+        whole = float((logits.argmax(axis=1) == y).sum()) / len(y)
+        assert 0.0 < whole < 1.0
+        for batch_size in (1, 3, 7, 20, 32):
+            assert runner._eval_acc(spec, params, x, y, batch_size) == whole
 
     @pytest.mark.parametrize("base", ["identity", "relu", "lrelu", "prelu",
                                       "selu"])
@@ -340,6 +360,8 @@ class TestLayout:
         params = init_params(spec, InitScheme("msra", 4))
         out_grads: dict = {}
         _, _, cache = forward(spec, params, x, np.arange(len(x)) % 3)
+        conv_inputs = {i: c["x"] for i, c in enumerate(cache["layers"])
+                       if isinstance(spec.layers[i], Conv)}
         backward(spec, params, cache, out_grads=out_grads)
         act_inputs = {i: prefix_output(spec, params, x, i)
                       for i, l in enumerate(spec.layers)
@@ -350,7 +372,7 @@ class TestLayout:
                 # a per-channel shift: (C,) for a conv input, (D,) for dense
                 seen.append((act_inputs[i], params[i]["t"].shape[0]))
             if isinstance(layer, Conv):
-                seen.append((cache["layers"][i]["x"], params[i]["W"].shape[1]))
+                seen.append((conv_inputs[i], params[i]["W"].shape[1]))
                 seen.append((out_grads[i], layer.channels))
             if isinstance(layer, Dense):
                 seen.append((out_grads[i], layer.units))
@@ -513,6 +535,42 @@ class TestBackward:
         _, _, cache = forward(spec, params, x, [0, 1, 2, 0, 1, 2])
         with pytest.raises(ContractError, match="does not match"):
             backward(deeper, init_params(deeper, InitScheme("msra", 2)), cache)
+
+    def test_refuses_a_consumed_cache(self):
+        """backward consumes its cache: a second backward, or a fold after
+        it, is refused as such, not as a cache of another network."""
+        spec = build_plain_cnn(5, 2, 3, True, NG_RELU, input_hw=8)
+        params = init_params(spec, InitScheme("msra", 2))
+        x = np.random.default_rng(2).standard_normal((4, 3, 8, 8))
+        _, _, cache = forward(spec, params, x, [0, 1, 2, 0])
+        backward(spec, params, cache)
+        for again in (lambda: backward(spec, params, cache),
+                      lambda: network.fold_running_stats(params, cache)):
+            with pytest.raises(ContractError, match="already consumed"):
+                again()
+
+    def test_step_peak_is_near_its_forward_cache(self):
+        """One train step of the BN ResNet-8 at 32x32, forward plus
+        backward, peaks below 1.25x the bytes its forward leaves allocated
+        (cache and logits): the backward frees each layer's cache as it
+        adds that layer's gradients.  Holding the whole cache to the end
+        read 1.40x."""
+        spec = build_resnet(8, 8, 3, NG_RELU, input_hw=32)
+        params = init_params(spec, InitScheme("msra", 0))
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((32, 3, 32, 32))
+        y = rng.integers(0, 3, 32)
+        backward(spec, params, forward(spec, params, x[:2], y[:2])[2])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _, _, cache = forward(spec, params, x, y)
+            cache_bytes = tracemalloc.get_traced_memory()[0] - start
+            backward(spec, params, cache)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * cache_bytes, peak / cache_bytes
 
     def test_nontrainable_t_grad_zero(self):
         """A shift that does not train, fixed or plain, gets no gradient

@@ -161,15 +161,15 @@ class TestTStep:
         """Through backward and sgd_step, as training runs: a shift that
         does not train gets no gradient, so it does not move and has no
         velocity."""
-        act = ActivationSpec(ng=True, trainable=False, granularity="layer")
+        act = ActivationSpec(ng=True, trainable=False)
         spec = NetworkSpec([Activation(act)], (2,))
-        params = {0: {"t": np.array([-1.0])}}
+        params = {0: {"t": np.array([-1.0, -1.0])}}
         vel = {}
         x = np.array([[-3.0, 3.0], [-2.0, 2.0], [0.5, -0.5]])  # some below t
         _, _, cache = forward(spec, params, x, [0, 1, 0])
         sgd_step(params, backward(spec, params, cache), vel,
                  OptimConfig(lr=0.1))
-        assert params[0]["t"][0] == -1.0 and (0, "t") not in vel
+        assert params[0]["t"].tolist() == [-1.0, -1.0] and (0, "t") not in vel
 
     @pytest.mark.parametrize("overrides", [
         (), ("optim.lr=0.3", "optim.momentum=0.5")],
