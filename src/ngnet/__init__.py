@@ -11,8 +11,7 @@ from .network import (ActivationSpec, InitScheme, NetworkSpec, backward,
                       build_mlp, build_plain_cnn, build_resnet, build_toy_cnn,
                       fold_running_stats, forward, init_params)
 from .optim import OptimConfig, sgd_step
-from .instrumentation import (grad_check, sandwich_check, variance_bounds,
-                              weight_variance_trace)
+from .instrumentation import grad_check, variance_bounds, weight_variance_trace
 
 __all__ = [
     "make_base", "ng_forward", "ng_backward_input", "ng_grad_t",
@@ -21,8 +20,7 @@ __all__ = [
     "build_mlp", "build_plain_cnn", "build_resnet", "build_toy_cnn",
     "init_params", "fold_running_stats",
     "OptimConfig", "sgd_step",
-    "grad_check", "sandwich_check", "variance_bounds",
-    "weight_variance_trace",
+    "grad_check", "variance_bounds", "weight_variance_trace",
 ]
 
 __version__ = "0.1.0"

@@ -135,7 +135,6 @@ class ExperimentConfig:
     depth_start: int = 8
     depth_step: int = 6
     depth_count: int = 4
-    probe_steps: int = 0  # sandwich probes at the end of each run
 
 
 def sample_shape(cfg: ExperimentConfig) -> tuple:
@@ -234,7 +233,7 @@ RULES = {
     "dataset.subset": POSITIVE,
     "dataset.spread": NON_NEGATIVE, "dataset.noise": NON_NEGATIVE,
     "dataset.augment": BOOL,
-    "epochs": POSITIVE, "batch_size": POSITIVE, "probe_steps": COUNT,
+    "epochs": POSITIVE, "batch_size": POSITIVE,
     "depth_start": POSITIVE, "depth_step": POSITIVE, "depth_count": POSITIVE,
     "seed": COUNT,
     "out": TEXT, "run_id": TEXT,
@@ -279,8 +278,6 @@ def _validate(cfg: ExperimentConfig):
             "would train one model")
     shape = sample_shape(cfg)
     _name_key("model.input_hw", check_input_hw, family, shape[-1])
-    if cfg.experiment == "variance_study" and cfg.probe_steps == 0:
-        raise ConfigError("probe_steps must be >= 1 for a variance_study")
     d = cfg.dataset
     if d.augment and len(shape) != 3:
         raise ConfigError(f"dataset.augment needs image input, but samples "
@@ -294,9 +291,6 @@ def _validate(cfg: ExperimentConfig):
                 if d.kind == "cifar10_binary"
                 else f"dataset.n={d.n} for {d.classes} classes")
         raise ConfigError(f"{what} leaves no training samples")
-    if cfg.probe_steps > n_train:
-        raise ConfigError(f"probe_steps={cfg.probe_steps} exceeds the "
-                          f"{n_train} training samples")
     # the families whose builders take with_bn
     bn = cfg.model.with_bn and family in ("plain_cnn", "resnet")
     if bn and (cfg.batch_size == 1 or n_train % cfg.batch_size == 1):

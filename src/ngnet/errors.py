@@ -13,10 +13,6 @@ class ConfigError(NgnetError):
     """An experiment or architecture configuration is invalid."""
 
 
-class RegimeError(NgnetError):
-    """An instrumentation probe was requested outside its valid regime."""
-
-
 class ContractError(NgnetError):
     """A caller violated an API contract (stale cache, non-trainable update, ...)."""
 

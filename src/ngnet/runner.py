@@ -122,15 +122,14 @@ def _eval_acc(spec, params, x, y, batch_size):
 def train_run(cfg: ExperimentConfig, data: Dataset = None,
               collect_stats: bool = False) -> RunResult:
     """Train the one run `cfg` describes, on `data` if given (it must be
-    ``get_dataset(cfg)``), else on the dataset the config builds; then probe
-    its first `probe_steps` training samples, unless it diverged, which is
-    reported as one line on stderr.  The run finds its own non-finite
-    values, so NumPy's floating-point warnings are silenced: a diverged
-    run writes that one line and no other.  A step's ``backward`` consumes
-    its cache, so its activations die as the backward walks; the step's
-    `logits`, `cache` and `grads` are dropped before the eval, stats,
-    probes and non-finite re-walk run; and the eval runs in chunks of
-    `batch_size`, as the steps do."""
+    ``get_dataset(cfg)``), else on the dataset the config builds.  A run
+    that diverges is reported as one line on stderr.  The run finds its
+    own non-finite values, so NumPy's floating-point warnings are
+    silenced: a diverged run writes that one line and no other.  A step's
+    ``backward`` consumes its cache, so its activations die as the
+    backward walks; the step's `logits`, `cache` and `grads` are dropped
+    before the eval, stats and non-finite re-walk run; and the eval runs
+    in chunks of `batch_size`, as the steps do."""
     with np.errstate(all="ignore"):
         data = data if data is not None else get_dataset(cfg)
         spec = build_model(cfg, data.num_classes)
@@ -194,11 +193,6 @@ def train_run(cfg: ExperimentConfig, data: Dataset = None,
             res.final_train_acc = float(train_acc)
             if collect_stats:
                 _collect_epoch_stats(res, data, epoch + 1, step)
-        probe_n = 0 if res.diverged else cfg.probe_steps
-        probes = instr.sandwich_probes(spec, params, data.train_x[:probe_n],
-                                       data.train_y[:probe_n], cfg.optim.lr)
-        res.layerstats_rows += [dict(row, run_id=res.run_id)
-                                for row in probes]
         t_means = [row["t_mean"] for row in instr.t_trace(spec, params)]
         res.final_mean_t = (float(np.mean(t_means)) if t_means
                             else float("nan"))
@@ -358,8 +352,8 @@ def run_learning_behavior(cfg: ExperimentConfig):
 
 
 def run_variance_study(cfg: ExperimentConfig):
-    """Wrapped vs plain run with per-epoch layer statistics, shift traces,
-    and each run's closing per-sample sandwich probes on the dense head."""
+    """Wrapped vs plain run with per-epoch layer statistics and shift
+    traces."""
     runs = [run_config(cfg, vname, fields)
             for vname, fields in VARIANTS.items()]
     _refuse_present(cfg, runs)

@@ -197,7 +197,7 @@ def test_accept_8_determinism_and_formats(tmp_path):
     base = shipped_cfg("variance_study", tmp_path / "a", "model.family=mlp",
                        "model.depth=4", "model.hidden=8",
                        "dataset.kind=synthetic_spirals", "dataset.n=200",
-                       "optim.lr=0.05", "epochs=2", "probe_steps=2")
+                       "optim.lr=0.05", "epochs=2")
     files = []
     for sub in ("a", "b"):
         cfg = copy.deepcopy(base)

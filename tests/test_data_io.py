@@ -1,5 +1,7 @@
 """Datasets, the CIFAR-10 binary codec, augmentation, config, and CSV."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,19 @@ class TestCsv:
                                              "mean_z"]
         assert SCHEMAS["ttrace"] == ["run_id", "epoch", "layer", "t_mean",
                                      "t_std", "t_min", "t_max"]
+
+    def test_headers_match_the_benchmark_pins(self):
+        """perfbench/workloads.py pins the headers of the CSVs its
+        workloads write, so the columns that read nan on every row (the
+        five layerstats bound columns, metrics' lr_multiplier) stay until
+        the benchmark drops them too.  The file is read as text and run,
+        not imported, so no bytecode is written under perfbench/."""
+        path = (Path(__file__).resolve().parents[1] / "perfbench"
+                / "workloads.py")
+        namespace = {"__name__": "perfbench_workloads", "__file__": str(path)}
+        exec(compile(path.read_text(), str(path), "exec"), namespace)
+        pinned = {name.removesuffix(".csv"): [col for col, _ in columns]
+                  for name, columns in namespace["SCHEMAS"].items()}
+        assert sorted(pinned) == ["critical_depth", "layerstats", "metrics",
+                                  "ttrace"]
+        assert {name: SCHEMAS[name] for name in pinned} == pinned

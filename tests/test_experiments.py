@@ -20,14 +20,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ngnet import instrumentation, network, runner
+from ngnet import network, runner
 from ngnet.cli import main as cli_main
 from ngnet.config import (RULES, ExperimentConfig, build_experiment_config,
                           load_config)
 from ngnet.csvio import SCHEMAS, emit_csv, read_csv
 from ngnet.datasets import write_cifar10_records
 from ngnet.errors import ConfigError, NgnetError
-from ngnet.network import ActivationSpec, Dense
+from ngnet.network import ActivationSpec, Conv, Dense
 from ngnet.runner import (RunResult, build_model, converged, get_dataset,
                           run_capacity_sweep, run_config, run_critical_depth,
                           run_experiment, run_learning_behavior,
@@ -219,7 +219,7 @@ class TestTrainRun:
         assert len(res.rows) < cfg.epochs + 1
 
     def test_stats_collection_leaves_bn_training_unchanged(self, tmp_path):
-        """Per-epoch probes must not touch the batch-norm running statistics,
+        """Per-epoch stats must not touch the batch-norm running statistics,
         which feed every later eval-mode test accuracy."""
         cfg = mlp_cfg(tmp_path, run_id="bn")
         cfg.model.family = "plain_cnn"
@@ -253,13 +253,12 @@ class TestTrainRun:
 class TestStepLifetime:
     """A step's ``backward`` frees each layer's cached arrays as it walks,
     and no array of a training step is alive while the work after the step
-    loop runs (the epoch's eval and stats, the closing probes) or while the
+    loop runs (the epoch's eval and stats) or while the
     batch of a non-finite loss is walked again, so no phase holds more than
     one batch's activations."""
 
     WATCHED = [(runner, "_eval_acc"), (runner, "_collect_epoch_stats"),
-               (runner, "_first_non_finite"),
-               (instrumentation, "sandwich_probes")]
+               (runner, "_first_non_finite")]
 
     @classmethod
     def watch(cls, monkeypatch):
@@ -303,15 +302,13 @@ class TestStepLifetime:
         cfg.model.with_bn = True
         cfg.dataset.n = 160
         run_experiment(cfg)
-        assert calls == {"_eval_acc": 2, "_collect_epoch_stats": 2,
-                         "sandwich_probes": 1}
+        assert calls == {"_eval_acc": 2, "_collect_epoch_stats": 2}
 
     def test_variance_study(self, tmp_path, monkeypatch):
         calls = self.watch(monkeypatch)
         run_experiment(self.shipped(tmp_path, "variance_study.cfg",
                                     "epochs=2"))
-        assert calls == {"_eval_acc": 4, "_collect_epoch_stats": 4,
-                         "sandwich_probes": 2}
+        assert calls == {"_eval_acc": 4, "_collect_epoch_stats": 4}
 
     @pytest.mark.parametrize("activation", [
         ActivationSpec(base="relu", ng=True, t_init=-1.0),
@@ -348,12 +345,11 @@ class TestStepLifetime:
 
     def test_diverging_sweep(self, tmp_path, monkeypatch, capsys):
         """Each wrapped run's loss goes non-finite; its batch is walked
-        again, and the run is probed, after its step is dropped."""
+        again after its step is dropped."""
         calls = self.watch(monkeypatch)
         run_experiment(self.shipped(tmp_path, "learning_behavior.cfg",
                                     "optim.lr=0.3", "epochs=4"))
         assert calls["_first_non_finite"] == 3
-        assert calls["sandwich_probes"] == 6
         assert capsys.readouterr().err.count("non-finite loss") == 3
 
 
@@ -434,25 +430,11 @@ class TestLearningBehavior:
 
 class TestVarianceStudy:
     def test_probes_layerstats_and_ttrace(self, tmp_path):
-        cfg = mlp_cfg(tmp_path, experiment="variance_study", probe_steps=4)
+        """The trainable run's shift spread grows over training."""
+        cfg = mlp_cfg(tmp_path, experiment="variance_study")
         cfg.activation.trainable = True
         results = run_variance_study(cfg)
         assert set(results) == {"ng", "plain"}
-
-        # every per-sample probe satisfies the analytic bounds
-        slack = 1e-9
-        probed = 0
-        for res in results.values():
-            for row in res.layerstats_rows:
-                if np.isfinite(row["lower_bound"]):
-                    probed += 1
-                    assert row["lower_bound"] * (1 - slack) - 1e-300 \
-                        <= row["var_dw"]
-                    assert row["var_dw"] <= row["upper_bound"] * (1 + slack) \
-                        + 1e-300
-        assert probed == 2 * cfg.probe_steps * 4  # 4 dense layers each
-
-        # the trainable run's shift spread grows over training
         tstd = {}
         for row in results["ng"].ttrace_rows:
             tstd.setdefault(row["layer"], []).append(row["t_std"])
@@ -461,9 +443,31 @@ class TestVarianceStudy:
             assert series[-1] > series[0]
         assert not results["plain"].ttrace_rows
 
+    def test_one_layerstats_row_per_epoch_and_linear_layer(self, tmp_path):
+        """The shipped variance_study writes one layerstats.csv row per run,
+        epoch and conv or dense layer (2 runs x 2 epochs x 11 layers), at
+        the step of its epoch's metrics.csv row, and leaves the five bound
+        columns nan on every row."""
+        cfg = build_experiment_config(load_config(
+            str(CONFIGS / "variance_study.cfg"),
+            ["epochs=2", f"out={tmp_path / 'out'}"]))
+        results = run_variance_study(cfg)
+        stats = read_csv(os.path.join(cfg.out, "layerstats.csv"))
+        metrics = read_csv(os.path.join(cfg.out, "metrics.csv"))
+        linear = {res.run_id: [str(i) for i, layer in enumerate(res.spec.layers)
+                               if isinstance(layer, (Conv, Dense))]
+                  for res in results.values()}
+        assert [len(layers) for layers in linear.values()] == [11, 11]
+        assert len(stats) == 44
+        assert [(r["run_id"], r["step"], r["layer"]) for r in stats] == [
+            (m["run_id"], m["step"], i) for m in metrics
+            for i in linear[m["run_id"]]]
+        assert {r[k] for r in stats for k in ("var_z", "var_g", "var_dw",
+                                              "lower_bound", "upper_bound")} \
+            == {"nan"}
+
     def test_golden_headers(self, tmp_path):
-        cfg = mlp_cfg(tmp_path, experiment="variance_study", probe_steps=2,
-                      epochs=2)
+        cfg = mlp_cfg(tmp_path, experiment="variance_study", epochs=2)
         run_variance_study(cfg)
         for name in ("metrics", "layerstats", "ttrace"):
             path = os.path.join(cfg.out, f"{name}.csv")
@@ -474,7 +478,7 @@ class TestVarianceStudy:
 
 class TestDivergedRuns:
     """A run that diverges is a row of its sweep: its metrics rows are
-    written, it gets no probes, and its cause is one stderr line."""
+    written, and its cause is one stderr line."""
 
     @staticmethod
     def check_written(out, run_ids, err):
@@ -485,7 +489,7 @@ class TestDivergedRuns:
         assert all(rows[-1]["diverged"] == "true" for rows in by_run.values())
         path = os.path.join(out, "layerstats.csv")
         stats = read_csv(path) if os.path.exists(path) else []
-        # probe rows are the only ones with a var_dw
+        # no row fills var_dw
         assert all(r["var_dw"] == "nan" for r in stats)
         for run_id in run_ids:
             assert f"{run_id}: diverged at epoch " in err
@@ -518,7 +522,7 @@ class TestDivergedRuns:
                            capsys.readouterr().err)
 
     def test_diverged_single_run_with_probes(self, tmp_path, capsys):
-        cfg = mlp_cfg(tmp_path, run_id="blowup", probe_steps=2)
+        cfg = mlp_cfg(tmp_path, run_id="blowup")
         cfg.optim.lr = 1e6
         (res,) = run_experiment(cfg)
         assert res.diverged
@@ -602,9 +606,9 @@ class TestSweepRunsStandAlone:
         self.check(cfg, results, runs)
 
     def test_variance_study(self, tmp_path):
-        """Epoch rows, then the closing probe rows, and the shift traces."""
+        """Epoch rows and the shift traces."""
         cfg = mlp_cfg(tmp_path, experiment="variance_study", run_id="vs",
-                      probe_steps=2, epochs=2)
+                      epochs=2)
         results = run_variance_study(cfg)
         runs = [self.run_of(cfg, v, ng=v == "ng") for v in ("ng", "plain")]
         self.check(cfg, list(results.values()), runs, collect_stats=True)
@@ -617,8 +621,7 @@ class TestExperimentDispatch:
             run_experiment(cfg)
 
     def test_csvs_bitwise_identical_across_repeats(self, tmp_path):
-        base = mlp_cfg(tmp_path, experiment="variance_study", probe_steps=2,
-                       epochs=2)
+        base = mlp_cfg(tmp_path, experiment="variance_study", epochs=2)
         blobs = []
         for sub in ("one", "two"):
             cfg = copy.deepcopy(base)
@@ -825,10 +828,10 @@ class TestCli:
         ("depth_step=abc", "depth_step"),
         ("depth_count=2.5", "depth_count"),
         ("t_values=-1,abc", "t_values"),
-        # a variance_study without probes; elsewhere 0 means "no probes"
+        # not a config key, so refused as an unknown one
         pytest.param("experiment=variance_study probe_steps=0", "probe_steps",
                      id="probe_steps=0-probe_steps"),
-        ("probe_steps=121", "probe_steps"),  # 160 spiral points train 120
+        ("probe_steps=121", "probe_steps"),
         ("model=3", "model"),
         ("optim=0.1", "optim"),
         ("dataset=blobs", "dataset"),
@@ -968,7 +971,7 @@ class TestCli:
 
     def test_probes_beyond_training_split_are_a_clean_error(self, tmp_path,
                                                              capsys):
-        # 160 spiral points leave 120 for training
+        # not a config key, so a sweep refuses it as an unknown one
         cfg = self.write_cfg(tmp_path)
         out = tmp_path / "out"
         assert cli_main(["sweep", "--config", cfg, "--out", str(out),
@@ -981,9 +984,6 @@ class TestCli:
         # one record goes to the test split
         pytest.param("dataset.subset=1", "dataset.subset=1", id="subset=1"),
         # ten records train eight
-        pytest.param("probe_steps=9",
-                     "probe_steps=9 exceeds the 8 training samples",
-                     id="probe_steps=9"),
         pytest.param("model.family=plain_cnn model.depth=5 "
                      "model.with_bn=true batch_size=7",
                      "batch_size=7 leaves a training batch of one",

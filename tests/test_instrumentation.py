@@ -1,4 +1,4 @@
-"""Variance-bound sandwich, statistics traces, and the gradient checker."""
+"""Variance bounds, statistics traces, and the gradient checker."""
 
 import copy
 
@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngnet import runner
-from ngnet.errors import ContractError, RegimeError
+from ngnet.errors import ContractError
 from ngnet.csvio import SCHEMAS
 from ngnet.instrumentation import (KINK_WINDOW, grad_check, mean_shift_trace,
-                                   sandwich_check, sandwich_probes,
                                    stability_score, t_trace, variance_bounds,
                                    weight_variance_trace)
 from ngnet.network import (ActivationSpec, BatchNorm, Conv, Dense,
@@ -84,36 +83,6 @@ class TestVarianceBounds:
         lower, _ = variance_bounds(z, g, lr)
         var_dw = brute_force_var_dw(z, g, lr)
         assert abs(lower - var_dw) <= 1e-12 * max(1.0, var_dw)
-
-
-class TestSandwichCheck:
-    def test_records_consistent_stats(self):
-        rng = np.random.default_rng(2)
-        z = rng.standard_normal(8)
-        g = rng.standard_normal(5)
-        stats = sandwich_check(z, g, 0.1)
-        assert set(stats) == LAYERSTATS_OWN - {"layer", "weight_var"}
-        assert stats["lower_bound"] <= stats["var_dw"] \
-            <= stats["upper_bound"] * (1 + 1e-9)
-        assert stats["var_z"] >= 0 and stats["var_g"] >= 0
-        assert stats["mean_z"] == z.mean() and stats["var_g"] == g.var()
-
-    def test_zero_gradient_all_zero(self):
-        stats = sandwich_check(np.ones(4), np.zeros(3), 0.1)
-        assert stats["var_dw"] == 0.0 == stats["lower_bound"] \
-            == stats["upper_bound"]
-
-    def test_batch_gt_one_rejected(self):
-        with pytest.raises(RegimeError):
-            sandwich_check(np.ones((2, 4)), np.ones(3), 0.1)
-
-    def test_thousand_random_draws(self):
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            n = int(rng.integers(1, 33))
-            m = int(rng.integers(1, 33))
-            sandwich_check(rng.standard_normal(n), rng.standard_normal(m),
-                           float(rng.uniform(1e-3, 0.5)))
 
 
 class TestWeightVarianceTrace:
@@ -221,8 +190,8 @@ class TestMeanShiftTrace:
 
     def test_logits_mean_g_is_zero(self):
         """Each row of the loss gradient at the logits sums to zero, so the
-        logits' mean_g, and the probes' lower_bound, are written as 0, not
-        as the rounding noise of np.mean."""
+        logits' mean_g is written as 0, not as the rounding noise of
+        np.mean."""
         spec = build_mlp([6, 5], 7, NG_RELU, input_dim=4)
         params = init_params(spec, InitScheme("msra", 4))
         rng = np.random.default_rng(4)
@@ -236,37 +205,6 @@ class TestMeanShiftTrace:
                                    rtol=0, atol=1e-16)
         assert [r["mean_g"] for r in mean_shift_trace(spec, params, x, y)
                 if r["layer"] == logits] == [0.0]
-        probes = [r for r in sandwich_probes(spec, params, x, y, 0.1)
-                  if r["layer"] == logits]
-        assert len(probes) == 9
-        assert all(r["mean_g"] == 0.0 == r["lower_bound"] for r in probes)
-        assert all(r["var_g"] > 0 and r["upper_bound"] > 0 for r in probes)
-
-
-class TestSandwichProbes:
-    def test_one_checked_row_per_sample_and_dense_layer(self):
-        spec = build_mlp([6, 5], 3, NG_RELU, input_dim=4)
-        params = init_params(spec, InitScheme("msra", 5))
-        rng = np.random.default_rng(5)
-        xs = rng.standard_normal((3, 4))
-        ys = rng.integers(0, 3, 3)
-        rows = sandwich_probes(spec, params, xs, ys, 0.1)
-        dense = [i for i, l in enumerate(spec.layers) if isinstance(l, Dense)]
-        assert [(r["step"], r["layer"]) for r in rows] == [
-            (k, i) for k in range(3) for i in dense]
-        for r in rows:
-            assert set(r) == LAYERSTATS_OWN | {"step"}
-            assert r["lower_bound"] <= r["var_dw"] \
-                <= r["upper_bound"] * (1 + 1e-9)
-        # a row is the check of its sample's dense input and output gradient
-        _, _, cache = forward(spec, params, xs[1:2], ys[1:2], mode="eval")
-        i = dense[1]
-        z = cache["layers"][i]["x"]
-        out_grads: dict = {}
-        backward(spec, params, cache, out_grads=out_grads)
-        assert rows[len(dense) + 1] == dict(
-            sandwich_check(z, out_grads[i], 0.1),
-            step=1, layer=i, weight_var=float(params[i]["W"].var()))
 
 
 class TestTTrace:
@@ -400,8 +338,6 @@ class TestMeasurementWritesNothing:
                                                        mode="eval"),
             "backward": lambda: backward(spec, params, cache, out_grads={}),
             "mean_shift_trace": lambda: mean_shift_trace(spec, params, x, y),
-            "sandwich_probes": lambda: sandwich_probes(spec, params, x, y,
-                                                       0.1),
             "grad_check": lambda: grad_check(spec, params, x, y),
             "_first_non_finite": lambda: runner._first_non_finite(
                 spec, params, x),

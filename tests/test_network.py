@@ -650,7 +650,7 @@ def bn_params(ch, rng):
 
 def bn_inputs():
     """(x, mode) pairs, channels-last: a conv output, another 4-D batch, a
-    2-D batch, and the eval-mode batch of one sandwich_probes runs."""
+    2-D batch, and an eval-mode batch of one."""
     rng = np.random.default_rng(17)
     conv_out = conv2d_forward(nhwc(rng.standard_normal((6, 4, 8, 8))),
                               rng.standard_normal((5, 4, 3, 3)))
